@@ -39,7 +39,8 @@ from .stats import (
 )
 
 _SOURCES = ("rpn", "sampled")
-_RECORD_FIELDS = ("image_id", "gt", "gt_class", "proposal", "source")
+_GT_FIELDS = ("image_id", "gt", "gt_class")
+_RECORD_FIELDS = _GT_FIELDS + ("proposal", "source")
 
 
 class LogParseError(ValueError):
@@ -73,6 +74,18 @@ def _parse_box(value, name: str) -> BBox:
     return BBox(*(float(v) for v in value))
 
 
+def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
+    """Validated (image_id, gt, gt_class) of a log record or a ground-truth line."""
+    if not isinstance(doc["image_id"], str):
+        raise ValueError("image_id must be a string")
+    gt_class = doc["gt_class"]
+    if not isinstance(gt_class, int) or isinstance(gt_class, bool):
+        raise ValueError("gt_class must be an integer")
+    if gt_class < 0:
+        raise ValueError(f"gt_class must be >= 0, got {gt_class}")
+    return doc["image_id"], _parse_box(doc["gt"], "gt"), gt_class
+
+
 def parse_record(text: str, line_no: int = 1) -> ProposalLogRecord:
     try:
         doc = json.loads(text)
@@ -86,17 +99,9 @@ def parse_record(text: str, line_no: int = 1) -> ProposalLogRecord:
     extra = sorted(set(doc) - set(_RECORD_FIELDS))
     if extra:
         raise LogParseError(line_no, f"unknown fields: {', '.join(extra)}")
-    if not isinstance(doc["image_id"], str):
-        raise LogParseError(line_no, "image_id must be a string")
-    if not isinstance(doc["gt_class"], int) or isinstance(doc["gt_class"], bool):
-        raise LogParseError(line_no, "gt_class must be an integer")
     try:
         return ProposalLogRecord(
-            image_id=doc["image_id"],
-            gt=_parse_box(doc["gt"], "gt"),
-            gt_class=doc["gt_class"],
-            proposal=_parse_box(doc["proposal"], "proposal"),
-            source=doc["source"],
+            *_parse_gt_fields(doc), _parse_box(doc["proposal"], "proposal"), doc["source"]
         )
     except ValueError as e:
         raise LogParseError(line_no, str(e)) from None
@@ -153,7 +158,7 @@ def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        Path(path).write_text(text + "\n")
+        Path(path).write_text(text + ("\n" if text else ""))
 
 
 # Subcommand implementations. Each returns an exit code.
@@ -192,10 +197,11 @@ def _cmd_sample(args) -> int:
                 doc = json.loads(line)
                 if not isinstance(doc, dict):
                     raise ValueError("record must be a JSON object")
-                image_id = doc["image_id"]
-                gt = _parse_box(doc["gt"], "gt")
-                gt_class = doc["gt_class"]
-            except (ValueError, KeyError) as e:
+                missing = [f for f in _GT_FIELDS if f not in doc]
+                if missing:
+                    raise ValueError(f"missing fields: {', '.join(missing)}")
+                image_id, gt, gt_class = _parse_gt_fields(doc)
+            except ValueError as e:
                 print(f"error: line {line_no}: {e}", file=sys.stderr)
                 return 1
             idx = gt_index.get(image_id, 0)
@@ -208,11 +214,7 @@ def _cmd_sample(args) -> int:
                         ProposalLogRecord(image_id, gt, gt_class, prop.box, "sampled")
                     )
                 )
-    text = "\n".join(lines)
-    if args.output is None:
-        print(text)
-    else:
-        Path(args.output).write_text(text + ("\n" if text else ""))
+    _write_or_print("\n".join(lines), args.output)
     return 0
 
 

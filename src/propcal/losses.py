@@ -9,7 +9,9 @@ against central finite differences in the test suite.
 
 Classification and regression use the standard two-stage-detector choices:
 softmax cross-entropy with a dedicated background class, and smooth-L1 on
-offset residuals. :func:`assemble_loss` combines everything into a single
+offset residuals. Each has one batched loss+gradient kernel
+(:func:`cross_entropy_batch`, :func:`smooth_l1_batch`); the single-sample
+forms wrap them. :func:`assemble_loss` combines everything into a single
 weighted objective and reports the breakdown.
 """
 
@@ -136,6 +138,26 @@ def supcon_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> np.ndar
     return (coeff @ z + coeff.T @ z) / (n * tau)
 
 
+def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean softmax cross-entropy of (n, C+1) logits and its logit gradient."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    expl = np.exp(shift)
+    probs = expl / expl.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = float(-(shift[np.arange(n), targets] - np.log(expl.sum(axis=1))).mean())
+    probs[np.arange(n), targets] -= 1.0
+    probs /= n
+    return loss, probs
+
+
+def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray, beta: float = 1.0) -> tuple[float, np.ndarray]:
+    """Smooth-L1 of (n, 4) residuals, summed per row and averaged over rows, and its gradient."""
+    r = pred - targets
+    a = np.abs(r)
+    loss = float(np.where(a < beta, 0.5 * a * a / beta, a - 0.5 * beta).sum(axis=1).mean())
+    return loss, np.clip(r / beta, -1.0, 1.0) / pred.shape[0]
+
+
 def cross_entropy_cls(logits, label: int) -> float:
     """Softmax cross-entropy over C+1 classes; the background class is last."""
     x = np.asarray(logits, dtype=np.float64)
@@ -145,8 +167,7 @@ def cross_entropy_cls(logits, label: int) -> float:
         raise ValueError("logits must be finite")
     if not 0 <= label < x.shape[0]:
         raise ValueError(f"label {label} out of range for {x.shape[0]} classes")
-    m = float(x.max())
-    return float(m + math.log(np.exp(x - m).sum()) - x[label])
+    return cross_entropy_batch(x[None, :], np.array([label]))[0]
 
 
 def smooth_l1_reg(pred, target, beta: float = 1.0) -> float:
@@ -155,9 +176,7 @@ def smooth_l1_reg(pred, target, beta: float = 1.0) -> float:
         raise ValueError(f"beta must be positive, got {beta!r}")
     p = pred.as_array() if hasattr(pred, "as_array") else np.asarray(pred, dtype=np.float64)
     t = target.as_array() if hasattr(target, "as_array") else np.asarray(target, dtype=np.float64)
-    r = np.abs(p - t)
-    per = np.where(r < beta, 0.5 * r * r / beta, r - 0.5 * beta)
-    return float(per.sum())
+    return smooth_l1_batch(p.reshape(1, -1), t.reshape(1, -1), beta)[0]
 
 
 @dataclass(frozen=True)

@@ -144,19 +144,13 @@ def sample_proposals_for_gt(
 
 def build_calibrated_set(
     gts: list[tuple[BBox, int]],
-    rpn_proposals: list[SampledProposal],
     config: SamplerConfig,
     image_size: tuple[float, float] | None = None,
     image_id: str = "",
-) -> tuple[list[SampledProposal], list[SampledProposal]]:
-    """Build (sampled set, full fine-tuning set).
-
-    The full set is the sampled proposals followed by the given detector
-    proposals — a plain ordered concatenation, no deduplication.
-    """
-    sampled: list[SampledProposal] = []
-    for i, (gt, label) in enumerate(gts):
-        sampled.extend(
-            sample_proposals_for_gt(gt, label, config, image_size, gt_index=i, image_id=image_id)
-        )
-    return sampled, sampled + list(rpn_proposals)
+) -> list[SampledProposal]:
+    """Calibrated proposals for every gt of one image, in gt order."""
+    return [
+        p
+        for i, (gt, label) in enumerate(gts)
+        for p in sample_proposals_for_gt(gt, label, config, image_size, gt_index=i, image_id=image_id)
+    ]

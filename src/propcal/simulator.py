@@ -38,7 +38,13 @@ from .geometry import (
     iou_paired_array,
 )
 from .geometry import iou as iou_scalar
-from .losses import assemble_loss, supcon_grad_arrays, supcon_loss_arrays
+from .losses import (
+    assemble_loss,
+    cross_entropy_batch,
+    smooth_l1_batch,
+    supcon_grad_arrays,
+    supcon_loss_arrays,
+)
 from .sampling import SamplerConfig, build_calibrated_set, sample_boxes_for_gt, stream_rng
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
@@ -104,8 +110,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.j_per_instance < 0:
             raise ValueError("j_per_instance must be >= 0")
-        if not 0.0 <= self.miss_rate_novel <= 1.0:
-            raise ValueError("miss_rate_novel must be in [0, 1]")
+        # a miss rate of 1 leaves no novel test proposals, so mmd_novel is undefined
+        if not 0.0 <= self.miss_rate_novel < 1.0:
+            raise ValueError("miss_rate_novel must be in [0, 1)")
+        if not self.seeds:
+            raise ValueError("seeds must be non-empty")
         if self.contrastive_set not in ("sampled", "rpn", "both"):
             raise ValueError(f"unknown contrastive_set {self.contrastive_set!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -357,6 +366,17 @@ def _concat_sets(parts: list[ProposalSet], d: int) -> ProposalSet:
     )
 
 
+def _proposal_set(
+    scene: SyntheticScene, boxes: np.ndarray, obj_idx: np.ndarray, novel_classes: frozenset[int]
+) -> ProposalSet:
+    """Head inputs for proposals ``boxes``, each matched to ``scene.objects[obj_idx]``."""
+    gt = np.stack([o.box.as_array() for o in scene.objects])[obj_idx]
+    labels = np.asarray([scene.objects[i].class_label for i in obj_idx], dtype=np.int64)
+    novel = np.asarray([scene.objects[i].class_label in novel_classes for i in obj_idx])
+    feats = _features_for(scene, boxes, obj_idx)
+    return ProposalSet(boxes, gt, labels, feats, novel, iou_paired_array(boxes, gt))
+
+
 def rpn_proposals(
     scene: SyntheticScene,
     model: BiasedRpnModel,
@@ -389,13 +409,7 @@ def rpn_proposals(
         idx.extend([i] * config.rpn_per_object)
     if not boxes:
         return _empty_set(config.feature_dim)
-    all_boxes = np.concatenate(boxes)
-    obj_idx = np.asarray(idx, dtype=np.int64)
-    gt = np.stack([o.box.as_array() for o in scene.objects])[obj_idx]
-    labels = np.asarray([scene.objects[i].class_label for i in obj_idx], dtype=np.int64)
-    feats = _features_for(scene, all_boxes, obj_idx)
-    novel = np.asarray([scene.objects[i].class_label in novel_classes for i in obj_idx])
-    return ProposalSet(all_boxes, gt, labels, feats, novel, iou_paired_array(all_boxes, gt))
+    return _proposal_set(scene, np.concatenate(boxes), np.asarray(idx, dtype=np.int64), novel_classes)
 
 
 def sampled_proposals(
@@ -414,42 +428,45 @@ def sampled_proposals(
         seed=derive_seed(seed, "ft-sample"),
     )
     gts = [(o.box, o.class_label) for o in scene.objects]
-    sampled, _ = build_calibrated_set(
-        gts, [], sampler, image_size=(scene.image_w, scene.image_h), image_id=scene.scene_id
+    sampled = build_calibrated_set(
+        gts, sampler, image_size=(scene.image_w, scene.image_h), image_id=scene.scene_id
     )
     boxes = np.stack([p.box.as_array() for p in sampled])
     obj_idx = np.asarray([p.source_gt for p in sampled], dtype=np.int64)
-    gt = np.stack([o.box.as_array() for o in scene.objects])[obj_idx]
-    labels = np.asarray([p.class_label for p in sampled], dtype=np.int64)
-    feats = _features_for(scene, boxes, obj_idx)
-    novel = np.asarray([l in novel_classes for l in labels])
-    return ProposalSet(boxes, gt, labels, feats, novel, iou_paired_array(boxes, gt))
+    return _proposal_set(scene, boxes, obj_idx, novel_classes)
 
 
-# Loss/gradient kernels for the linear head. Cross-entropy is averaged over
-# the batch; smooth-L1 is summed over the four components and averaged over
-# the batch.
-
-def _cls_loss_grads(feats, cls_targets, w, b):
-    logits = feats @ w.T + b
-    shift = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(shift)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    n = feats.shape[0]
-    loss = float(-(shift[np.arange(n), cls_targets] - np.log(expl.sum(axis=1))).mean())
-    g = probs
-    g[np.arange(n), cls_targets] -= 1.0
-    g /= n
-    return loss, g.T @ feats, g.sum(axis=0)
+def _head_targets(pset: ProposalSet, config: ExperimentConfig, bg: int):
+    """(cls_feats, cls_targets, reg_feats, reg_targets, fg): the ignore band is dropped."""
+    fg = pset.q >= config.fg_iou
+    keep = fg | (pset.q < config.bg_iou)
+    cls_targets = np.where(fg, pset.labels, bg)[keep]
+    reg_targets = encode_offsets_array(pset.gt_boxes[fg], pset.boxes[fg])
+    return pset.feats[keep], cls_targets, pset.feats[fg], reg_targets, fg
 
 
-def _reg_loss_grads(feats, targets, w, b, beta=1.0):
-    pred = feats @ w.T + b
-    r = pred - targets
-    a = np.abs(r)
-    loss = float(np.where(a < beta, 0.5 * a * a / beta, a - 0.5 * beta).sum(axis=1).mean())
-    g = np.clip(r / beta, -1.0, 1.0) / feats.shape[0]
-    return loss, g.T @ feats, g.sum(axis=0)
+def _head_loss_grads(head: TinyRoiHead, cls_feats, cls_targets, reg_feats, reg_targets):
+    """(cls_loss, reg_loss, (dw_cls, db_cls, dw_reg, db_reg)) of the linear head.
+
+    Both losses are batch means; an empty input contributes zero loss and gradient.
+    """
+    if cls_feats.shape[0]:
+        cls_loss, g = cross_entropy_batch(head.logits(cls_feats), cls_targets)
+        dwc, dbc = g.T @ cls_feats, g.sum(axis=0)
+    else:
+        cls_loss, dwc, dbc = 0.0, np.zeros_like(head.w_cls), np.zeros_like(head.b_cls)
+    if reg_feats.shape[0]:
+        reg_loss, g = smooth_l1_batch(head.offsets(reg_feats), reg_targets)
+        dwr, dbr = g.T @ reg_feats, g.sum(axis=0)
+    else:
+        reg_loss, dwr, dbr = 0.0, np.zeros_like(head.w_reg), np.zeros_like(head.b_reg)
+    return cls_loss, reg_loss, (dwc, dbc, dwr, dbr)
+
+
+def _sgd_step(head: TinyRoiHead, step: float, grads) -> None:
+    """In-place descent on (w_cls, b_cls, w_reg, b_reg[, w_proj]), as many as ``grads`` has."""
+    for param, grad in zip((head.w_cls, head.b_cls, head.w_reg, head.b_reg, head.w_proj), grads):
+        param -= step * grad
 
 
 def _con_loss_grads(feats, labels, w_proj, tau):
@@ -487,28 +504,16 @@ def base_train(
     acc.add_many(encode_offsets_array(pset.boxes, pset.gt_boxes))
     stats = acc.finalize()
 
-    bg = head.w_cls.shape[0] - 1
-    fg = pset.q >= config.fg_iou
-    keep = fg | (pset.q < config.bg_iou)  # drop the ignore band from classification
-    cls_feats = pset.feats[keep]
-    cls_targets = np.where(fg, pset.labels, bg)[keep]
-    reg_targets = encode_offsets_array(pset.gt_boxes[fg], pset.boxes[fg])
-    feats_fg = pset.feats[fg]
+    cls_feats, cls_targets, feats_fg, reg_targets, _ = _head_targets(
+        pset, config, head.w_cls.shape[0] - 1
+    )
     if cls_feats.shape[0] == 0:
         raise ValueError("base training requires at least one classifiable proposal")
-    lr = config.learning_rate
     for _ in range(epochs):
-        cls_loss, dwc, dbc = _cls_loss_grads(cls_feats, cls_targets, head.w_cls, head.b_cls)
-        if fg.any():
-            reg_loss, dwr, dbr = _reg_loss_grads(feats_fg, reg_targets, head.w_reg, head.b_reg)
-        else:
-            reg_loss, dwr, dbr = 0.0, 0.0, 0.0
+        cls_loss, reg_loss, grads = _head_loss_grads(head, cls_feats, cls_targets, feats_fg, reg_targets)
         if not math.isfinite(cls_loss + reg_loss):
             raise RuntimeError(f"base training diverged: cls={cls_loss}, reg={reg_loss}")
-        head.w_cls -= lr * dwc
-        head.b_cls -= lr * dbc
-        head.w_reg -= lr * dwr
-        head.b_reg -= lr * dbr
+        _sgd_step(head, config.learning_rate, grads)
     return head, stats
 
 
@@ -544,16 +549,12 @@ def finetune(
     """
     head = head.copy()
     d = config.feature_dim
-    bg = head.w_cls.shape[0] - 1
     rpn = _concat_sets(
         [rpn_proposals(s, rpn_model, config, novel_classes, seed, "ft-rpn") for s in scenes], d
     )
-    fg = rpn.q >= config.fg_iou
-    keep = fg | (rpn.q < config.bg_iou)  # drop the ignore band from classification
-    cls_feats = rpn.feats[keep]
-    cls_targets = np.where(fg, rpn.labels, bg)[keep]
-    reg_targets = encode_offsets_array(rpn.gt_boxes[fg], rpn.boxes[fg])
-    feats_fg = rpn.feats[fg]
+    cls_feats, cls_targets, feats_fg, reg_targets, fg = _head_targets(
+        rpn, config, head.w_cls.shape[0] - 1
+    )
 
     sampled = _empty_set(d)
     if pdc_enabled and config.j_per_instance > 0:
@@ -584,34 +585,23 @@ def finetune(
     lr = config.learning_rate
     lam = config.lam
     for epoch in range(config.epochs_finetune):
-        if main_feats.shape[0]:
-            cls_loss, dwc, dbc = _cls_loss_grads(main_feats, main_cls_targets, head.w_cls, head.b_cls)
-        else:
-            cls_loss, dwc, dbc = 0.0, np.zeros_like(head.w_cls), np.zeros_like(head.b_cls)
-        if main_reg_feats.shape[0]:
-            reg_loss, dwr, dbr = _reg_loss_grads(main_reg_feats, main_reg_targets, head.w_reg, head.b_reg)
-        else:
-            reg_loss, dwr, dbr = 0.0, np.zeros_like(head.w_reg), np.zeros_like(head.b_reg)
+        cls_loss, reg_loss, grads = _head_loss_grads(
+            head, main_feats, main_cls_targets, main_reg_feats, main_reg_targets
+        )
         base_total = cls_loss + reg_loss
         con = cls_s = reg_s = 0.0
         if branch_active:
-            cls_s, dwc_s, dbc_s = _cls_loss_grads(sampled.feats, sampled.labels, head.w_cls, head.b_cls)
-            reg_s, dwr_s, dbr_s = _reg_loss_grads(sampled.feats, sampled_reg_targets, head.w_reg, head.b_reg)
+            cls_s, reg_s, grads_s = _head_loss_grads(
+                head, sampled.feats, sampled.labels, sampled.feats, sampled_reg_targets
+            )
             con_sub = _contrastive_subset(con_feats.shape[0], config.contrastive_cap, seed, epoch)
             con, dwp = _con_loss_grads(con_feats[con_sub], con_labels[con_sub], head.w_proj, config.tau)
         breakdown = assemble_loss(base_total, con, cls_s, reg_s, lam)
         if not math.isfinite(breakdown.grand_total):
             raise RuntimeError(f"fine-tuning diverged at epoch {epoch}: {breakdown}")
-        head.w_cls -= lr * dwc
-        head.b_cls -= lr * dbc
-        head.w_reg -= lr * dwr
-        head.b_reg -= lr * dbr
+        _sgd_step(head, lr, grads)
         if branch_active and lam != 0.0:
-            head.w_cls -= lr * lam * dwc_s
-            head.b_cls -= lr * lam * dbc_s
-            head.w_reg -= lr * lam * dwr_s
-            head.b_reg -= lr * lam * dbr_s
-            head.w_proj -= lr * lam * dwp
+            _sgd_step(head, lr * lam, grads_s + (dwp,))
     return head
 
 

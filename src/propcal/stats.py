@@ -9,7 +9,12 @@ reduction. Finalizing divides the squared deviations by the total count
 The uniform helpers support the sampling-distribution ablation: given a
 fitted diagonal Gaussian, :func:`fit_optimal_uniform` finds, per dimension,
 the symmetric interval whose uniform density has maximal pdf-intersection
-area with the Gaussian.
+area with the Gaussian. Both have closed forms. With uniform height
+c = 1/(hi - lo) below the Gaussian peak, the densities cross at mu +- r,
+r = sigma * sqrt(-2 ln(c sigma sqrt(2 pi))); the overlap is the Gaussian
+mass of [lo, hi] outside (mu - r, mu + r) plus c times the length of
+[lo, hi] inside it. The optimal interval is mu +- KAPPA * sigma for a
+universal constant KAPPA ~= 1.4863877.
 """
 
 from __future__ import annotations
@@ -19,9 +24,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+
+# Half-width of the max-overlap uniform in units of sigma: the root of the
+# stationarity condition 2 k^2 phi(k) = sqrt(2 ln(2k / sqrt(2 pi))), with phi
+# the standard normal pdf, found by bisection.
+KAPPA = 1.4863876994554133
 
 
 @dataclass(frozen=True)
@@ -104,67 +114,44 @@ class OffsetAccumulator:
         return DiagonalGaussian4(self.mean.copy(), np.maximum(self.m2 / self.count, 0.0))
 
 
+def _gaussian_mass(mu: float, sigma: float, a: float, b: float) -> float:
+    """Mass of N(mu, sigma^2) on [a, b], via erfc on the side away from mu for tail precision."""
+    if a >= b:
+        return 0.0
+    za, zb = (a - mu) / (sigma * _SQRT_2), (b - mu) / (sigma * _SQRT_2)
+    if za + zb < 0.0:  # mirror a left-leaning interval to the right
+        za, zb = -zb, -za
+    return 0.5 * (math.erfc(za) - math.erfc(zb))
+
+
 def uniform_gaussian_overlap(mu: float, sigma: float, lo: float, hi: float) -> float:
     """Intersection area of N(mu, sigma^2) and U(lo, hi) probability densities.
 
-    Integrates min(gaussian pdf, uniform pdf) over [lo, hi] with adaptive
-    quadrature, splitting at the points where the two densities cross.
+    Closed form: the Gaussian mass of [lo, hi] outside the pdf crossings
+    mu +- r, plus the uniform height times the length of [lo, hi] between
+    them. Without crossings (uniform above the Gaussian peak) r is 0.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
     c = 1.0 / (hi - lo)
-    inv = 1.0 / (sigma * _SQRT_2PI)
-
-    def integrand(x: float) -> float:
-        return min(math.exp(-0.5 * ((x - mu) / sigma) ** 2) * inv, c)
-
-    # Break at pdf crossings plus a few anchors so the quadrature never
-    # steps over the Gaussian bump on a wide interval.
-    points = [mu, mu - 4 * sigma, mu + 4 * sigma]
-    if c < inv:  # uniform height below the Gaussian peak: crossings exist
-        r = sigma * math.sqrt(-2.0 * math.log(c * sigma * _SQRT_2PI))
-        points += [mu - r, mu + r]
-    points = sorted({p for p in points if lo < p < hi})
-    area, _ = quad(integrand, lo, hi, points=points or None, epsabs=1e-10, limit=300)
-    return max(area, 0.0)
+    peak_ratio = c * sigma * _SQRT_2PI
+    r = sigma * math.sqrt(-2.0 * math.log(peak_ratio)) if peak_ratio < 1.0 else 0.0
+    inside = max(0.0, min(hi, mu + r) - max(lo, mu - r))
+    return (
+        _gaussian_mass(mu, sigma, lo, min(hi, mu - r))
+        + _gaussian_mass(mu, sigma, max(lo, mu + r), hi)
+        + c * inside
+    )
 
 
 def fit_optimal_uniform(g: DiagonalGaussian4) -> Uniform4:
-    """Per dimension, the interval [mu - a*, mu + a*] maximizing pdf overlap.
-
-    The half-width a* is found by ternary search on (0, 8 sigma]; the
-    overlap objective vanishes at both ends of that range and is unimodal
-    in between.
-    """
+    """Per dimension, the interval [mu - KAPPA sigma, mu + KAPPA sigma] maximizing pdf overlap."""
     if np.any(g.var <= 0):
         raise ValueError("optimal uniform fit requires strictly positive variances")
-    lo = np.empty(4)
-    hi = np.empty(4)
-    for d in range(4):
-        mu = float(g.mu[d])
-        sigma = math.sqrt(float(g.var[d]))
-        a = _ternary_argmax(
-            lambda a: uniform_gaussian_overlap(mu, sigma, mu - a, mu + a),
-            1e-9 * sigma,
-            8.0 * sigma,
-            1e-6 * sigma,
-        )
-        lo[d] = mu - a
-        hi[d] = mu + a
-    return Uniform4(lo, hi)
-
-
-def _ternary_argmax(f, lo: float, hi: float, tol: float) -> float:
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
+    half = KAPPA * np.sqrt(g.var)
+    return Uniform4(g.mu - half, g.mu + half)
 
 
 # JSON model files: {"kind": "gaussian", "mu": [...], "var": [...]} or
@@ -188,8 +175,14 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("model document must be an object with a 'kind' field")
     kind = doc["kind"]
-    if kind == "gaussian":
-        return DiagonalGaussian4(np.asarray(doc["mu"]), np.asarray(doc["var"]))
-    if kind == "uniform":
-        return Uniform4(np.asarray(doc["lo"]), np.asarray(doc["hi"]))
-    raise ValueError(f"unknown model kind: {kind!r}")
+    if kind not in ("gaussian", "uniform"):
+        raise ValueError(f"unknown model kind: {kind!r}")
+    names = ("mu", "var") if kind == "gaussian" else ("lo", "hi")
+    missing = [n for n in names if n not in doc]
+    if missing:
+        raise ValueError(f"{kind} model document lacks field(s): {', '.join(missing)}")
+    try:
+        a, b = (np.asarray(doc[n], dtype=np.float64) for n in names)
+    except TypeError:
+        raise ValueError(f"{kind} model fields {' and '.join(names)} must be numeric arrays") from None
+    return DiagonalGaussian4(a, b) if kind == "gaussian" else Uniform4(a, b)

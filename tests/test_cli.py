@@ -202,6 +202,53 @@ def test_cli_sample_rejects_bad_gts(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"gt_class": "x"}, "gt_class must be an integer"),
+    ({"gt_class": 1.5}, "gt_class must be an integer"),
+    ({"gt_class": -1}, "gt_class must be >= 0"),
+    ({"image_id": 7}, "image_id must be a string"),
+    ({"gt": [1, 1, 1]}, "gt must be a 4-element array"),
+])
+def test_cli_sample_checks_gt_fields_like_parse_record(tmp_path, capsys, fields, message):
+    good = {"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_sample_missing_gt_field(tmp_path, capsys):
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"image_id": "a", "gt": [1, 1, 2, 2]}\n')
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
+    assert dispatch(["sample", str(gts), "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: line 1: missing fields: gt_class\n"
+
+
+@pytest.mark.parametrize("doc,field", [
+    ('{"kind": "gaussian", "mu": [0, 0, 0, 0]}', "var"),
+    ('{"kind": "gaussian", "var": [1, 1, 1, 1]}', "mu"),
+    ('{"kind": "uniform", "hi": [1, 1, 1, 1]}', "lo"),
+    ('{"kind": "uniform", "lo": [0, 0, 0, 0]}', "hi"),
+])
+def test_cli_model_missing_field_exits_1(tmp_path, capsys, doc, field):
+    model = tmp_path / "m.json"
+    model.write_text(doc)
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}\n')
+    for argv in (["fit-uniform", str(model)], ["sample", str(gts), "--model", str(model)]):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
 def test_cli_diagnose(tmp_path):
     log = tmp_path / "log.jsonl"
     rng = np.random.default_rng(0)
@@ -239,6 +286,19 @@ def test_cli_simulate(tmp_path, capsys):
     assert (subdirs[0] / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"seeds": []}, "seeds must be non-empty"),
+    ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
+])
+def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message):
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({"c_base": 3, "c_novel": 2, "seeds": [0], **override}))
+    out = tmp_path / "reports"
+    assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_exit_codes():
     assert dispatch(["no-such-command"]) == 2
     assert dispatch([]) == 2
@@ -253,3 +313,13 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "max relative error" in proc.stdout
+
+
+def test_cli_and_simulator_import_without_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, propcal.cli, propcal.simulator; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

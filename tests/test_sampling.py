@@ -3,7 +3,6 @@ import pytest
 
 from propcal.geometry import BBox, encode_offset
 from propcal.sampling import (
-    SampledProposal,
     SamplerConfig,
     build_calibrated_set,
     sample_offsets,
@@ -93,32 +92,24 @@ def test_distribution_fidelity_unclipped():
 
 def test_build_calibrated_set_counts_and_order():
     gts = [(BBox(40, 40, 16, 16), 0), (BBox(80, 80, 20, 24), 1), (BBox(120, 60, 24, 12), 2)]
-    rpn = [
-        SampledProposal(BBox(40 + i, 40, 16, 16), 0, 0, "im0") for i in range(100)
-    ]
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=6)
-    ps, pf = build_calibrated_set(gts, rpn, cfg, image_size=(160, 160), image_id="im0")
+    ps = build_calibrated_set(gts, cfg, image_size=(160, 160), image_id="im0")
     assert len(ps) == 150
-    assert len(pf) == 250
-    assert pf[: len(ps)] == ps          # sampled first, detector proposals after
-    assert pf[len(ps):] == rpn
+    assert [p.source_gt for p in ps] == [0] * 50 + [1] * 50 + [2] * 50  # gt order
     labels = {p.source_gt: p.class_label for p in ps}
     assert labels == {0: 0, 1: 1, 2: 2}
 
 
 def test_build_calibrated_set_empty_gts():
-    rpn = [SampledProposal(BBox(10, 10, 4, 4), 1, 0, "im0")]
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=6)
-    ps, pf = build_calibrated_set([], rpn, cfg)
-    assert ps == []
-    assert pf == rpn
+    assert build_calibrated_set([], cfg) == []
 
 
 def test_determinism_same_seed():
     gts = [(BBox(40, 40, 16, 16), 3)]
     cfg = SamplerConfig(model=GAUSS, j_per_instance=20, seed=42)
-    a, _ = build_calibrated_set(gts, [], cfg, image_size=(128, 128), image_id="im0")
-    b, _ = build_calibrated_set(gts, [], cfg, image_size=(128, 128), image_id="im0")
+    a = build_calibrated_set(gts, cfg, image_size=(128, 128), image_id="im0")
+    b = build_calibrated_set(gts, cfg, image_size=(128, 128), image_id="im0")
     assert a == b
 
 
@@ -129,7 +120,7 @@ def test_streams_are_order_independent():
     g2 = (BBox(90, 90, 20, 20), 1)
     cfg = SamplerConfig(model=GAUSS, j_per_instance=10, seed=7)
     solo = sample_proposals_for_gt(*g2, cfg, image_size=(160, 160), gt_index=1, image_id="im0")
-    both, _ = build_calibrated_set([g1, g2], [], cfg, image_size=(160, 160), image_id="im0")
+    both = build_calibrated_set([g1, g2], cfg, image_size=(160, 160), image_id="im0")
     assert both[10:] == solo
 
 

@@ -260,9 +260,10 @@ def test_rpn_novel_bias_shifts_offsets():
 
 
 def test_rpn_miss_rate_drops_novel_objects():
-    cfg = dataclasses.replace(SMALL, miss_rate_novel=1.0)
+    # a config cannot set a miss rate of 1, but the proposal source accepts it
+    cfg = SMALL
     ds = generate_dataset(cfg, 19)
-    rpn = make_rpn_model(cfg)
+    rpn = dataclasses.replace(make_rpn_model(cfg), miss_rate_novel=1.0)
     for s in ds.test_scenes:
         pset = rpn_proposals(s, rpn, cfg, ds.novel_classes, 19, "x")
         if s.objects[0].class_label in ds.novel_classes:
@@ -320,6 +321,12 @@ def test_config_validation():
         ExperimentConfig(k_shot=0)
     with pytest.raises(ValueError):
         ExperimentConfig(miss_rate_novel=1.5)
+    with pytest.raises(ValueError, match="miss_rate_novel"):
+        ExperimentConfig(miss_rate_novel=1.0)
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(seeds=())
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig.from_json('{"seeds": []}')
     with pytest.raises(ValueError):
         ExperimentConfig(contrastive_set="everything")
 

@@ -7,6 +7,7 @@ import pytest
 from helpers import grid_optimal_halfwidth, simpson_overlap, two_pass_stats
 from propcal.geometry import OffsetVec
 from propcal.stats import (
+    KAPPA,
     DiagonalGaussian4,
     OffsetAccumulator,
     Uniform4,
@@ -166,6 +167,40 @@ def test_fit_optimal_uniform_homogeneity():
     np.testing.assert_allclose(h2, 2 * h1, atol=5e-6)
 
 
+def test_fit_optimal_uniform_is_kappa_sigma():
+    # every scale the other fit tests use, plus extremes
+    for sigma in (1e-4, 0.05, 0.1, 0.2, 0.3, 1.0, 50.0):
+        g = DiagonalGaussian4(np.full(4, 0.25), np.full(4, sigma**2))
+        u = fit_optimal_uniform(g)
+        np.testing.assert_allclose((u.hi - u.lo) / 2, KAPPA * sigma, rtol=1e-12)
+    # agrees with a direct numerical search of the overlap optimum (1.48638776 sigma)
+    assert abs(KAPPA - 1.48638776) <= 1e-6
+
+
+def test_kappa_is_the_overlap_maximizer():
+    # stationarity: 2 k^2 phi(k) = sqrt(2 ln(2k / sqrt(2 pi)))
+    phi = math.exp(-0.5 * KAPPA**2) / math.sqrt(2 * math.pi)
+    rhs = math.sqrt(2 * math.log(2 * KAPPA / math.sqrt(2 * math.pi)))
+    assert 2 * KAPPA**2 * phi == pytest.approx(rhs, abs=1e-14)
+    best = uniform_gaussian_overlap(0.0, 1.0, -KAPPA, KAPPA)
+    for delta in (1e-3, 1e-2, 0.1):
+        assert best > uniform_gaussian_overlap(0.0, 1.0, -KAPPA - delta, KAPPA + delta)
+        assert best > uniform_gaussian_overlap(0.0, 1.0, -KAPPA + delta, KAPPA - delta)
+
+
+def test_overlap_closed_form_limits():
+    # uniform above the Gaussian peak: the overlap is the Gaussian mass
+    assert uniform_gaussian_overlap(0.0, 1.0, -1.0, 1.0) == pytest.approx(math.erf(1 / math.sqrt(2)), abs=1e-15)
+    # disjoint far tail keeps relative precision
+    assert uniform_gaussian_overlap(0.0, 1.0, 9.0, 12.0) == pytest.approx(
+        0.5 * (math.erfc(9 / math.sqrt(2)) - math.erfc(12 / math.sqrt(2))), rel=1e-12
+    )
+    # mirror symmetry of an asymmetric interval
+    assert uniform_gaussian_overlap(0.3, 0.2, -0.1, 0.9) == pytest.approx(
+        uniform_gaussian_overlap(-0.3, 0.2, -0.9, 0.1), abs=1e-15
+    )
+
+
 def test_fit_optimal_uniform_symmetric_about_mu():
     mu = np.array([0.05, -0.03, 0.1, 0.0])
     g = DiagonalGaussian4(mu, np.array([0.01, 0.04, 0.0025, 0.09]))
@@ -211,6 +246,17 @@ def test_model_json_rejects_unknown_kind():
         model_from_json('{"kind": "poisson", "mu": [0,0,0,0], "var": [1,1,1,1]}')
     with pytest.raises(ValueError):
         model_from_json('[1, 2, 3]')
+
+
+def test_model_json_missing_field_is_value_error():
+    with pytest.raises(ValueError, match="var"):
+        model_from_json('{"kind": "gaussian", "mu": [0, 0, 0, 0]}')
+    with pytest.raises(ValueError, match="lo, hi"):
+        model_from_json('{"kind": "uniform"}')
+    with pytest.raises(ValueError, match="kind"):
+        model_from_json('{"kind": ["gaussian"]}')
+    with pytest.raises(ValueError, match="numeric"):
+        model_from_json('{"kind": "gaussian", "mu": {"x": 1}, "var": [1, 1, 1, 1]}')
 
 
 def test_gaussian_uniform_invariants():
