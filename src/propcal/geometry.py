@@ -1,14 +1,15 @@
 """Center-form bounding boxes, IoU, and scale-normalized offset coding.
 
 Boxes are (cx, cy, w, h) everywhere; corner form appears only transiently
-inside :func:`iou` and :func:`clip_to_image`. An offset encodes a box
-against a reference box as the component-wise difference divided by the
-reference scale (w, h, w, h), which makes it dimensionless and invariant
-under uniform rescaling of both boxes. Decoding is the exact algebraic
-inverse, so encode/decode round-trips to machine precision.
+inside the IoU and clipping kernels. An offset encodes a box against a
+reference box as the component-wise difference divided by the reference
+scale (w, h, w, h), which makes it dimensionless and invariant under
+uniform rescaling of both boxes. Decoding is the exact algebraic inverse,
+so encode/decode round-trips to machine precision.
 
-Scalar dataclass operations are the validated public API; the ``*_array``
-helpers provide the same formulas on (n, 4) float arrays for bulk use.
+The ``*_array`` kernels on (n, 4) float arrays are the only implementation
+of each formula. The scalar functions on :class:`BBox` / :class:`OffsetVec`
+run the same kernel on one row and validate their inputs and results.
 """
 
 from __future__ import annotations
@@ -38,19 +39,14 @@ class BBox:
 
     def corners(self) -> tuple[float, float, float, float]:
         """Return (x1, y1, x2, y2)."""
-        hw, hh = self.w / 2.0, self.h / 2.0
-        return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
-
-    @classmethod
-    def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> BBox:
-        return cls((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
+        return tuple(corners_array(self.as_array()[None])[0].tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
     @classmethod
     def from_array(cls, arr) -> BBox:
-        cx, cy, w, h = (float(v) for v in arr)
+        cx, cy, w, h = np.asarray(arr, dtype=np.float64).tolist()
         return cls(cx, cy, w, h)
 
 
@@ -83,18 +79,14 @@ class OffsetVec:
 
     @classmethod
     def from_array(cls, arr) -> OffsetVec:
-        dx, dy, dw, dh = (float(v) for v in arr)
+        dx, dy, dw, dh = np.asarray(arr, dtype=np.float64).tolist()
         return cls(dx, dy, dw, dh)
 
 
 def encode_offset(proposal: BBox, gt: BBox) -> OffsetVec:
     """Encode ``proposal`` against ``gt``: (proposal - gt) / (gt.w, gt.h, gt.w, gt.h)."""
-    return OffsetVec(
-        (proposal.cx - gt.cx) / gt.w,
-        (proposal.cy - gt.cy) / gt.h,
-        (proposal.w - gt.w) / gt.w,
-        (proposal.h - gt.h) / gt.h,
-    )
+    offset = encode_offsets_array(proposal.as_array()[None], gt.as_array()[None])[0]
+    return OffsetVec.from_array(offset)
 
 
 def apply_offset(gt: BBox, off: OffsetVec) -> BBox:
@@ -102,25 +94,15 @@ def apply_offset(gt: BBox, off: OffsetVec) -> BBox:
 
     Raises ValueError if the decoded width or height is not positive.
     """
-    w = gt.w * (1.0 + off.dw)
-    h = gt.h * (1.0 + off.dh)
-    if w <= 0 or h <= 0:
-        raise ValueError(f"decoded box is degenerate: w={w!r}, h={h!r}")
-    return BBox(gt.cx + off.dx * gt.w, gt.cy + off.dy * gt.h, w, h)
+    box = apply_offsets_array(gt.as_array()[None], off.as_array()[None])[0]
+    if box[2] <= 0 or box[3] <= 0:
+        raise ValueError(f"decoded box is degenerate: w={box[2]!r}, h={box[3]!r}")
+    return BBox.from_array(box)
 
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union in [0, 1]; 0 for disjoint boxes."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    # corner rounding can push the ratio one ulp past 1 for identical boxes
-    return min(inter / union, 1.0)
+    return float(iou_paired_array(a.as_array()[None], b.as_array()[None])[0])
 
 
 def clip_to_image(b: BBox, img_w: float, img_h: float) -> BBox:
@@ -131,42 +113,47 @@ def clip_to_image(b: BBox, img_w: float, img_h: float) -> BBox:
     """
     if img_w <= 0 or img_h <= 0:
         raise ValueError(f"image size must be positive, got {img_w!r} x {img_h!r}")
-    x1, y1, x2, y2 = b.corners()
-    x1, y1 = max(x1, 0.0), max(y1, 0.0)
-    x2, y2 = min(x2, img_w), min(y2, img_h)
-    if x2 <= x1 or y2 <= y1:
+    clipped, valid = clip_boxes_array(b.as_array()[None], img_w, img_h)
+    if not valid[0]:
         raise ValueError(f"box {b} is empty after clipping to {img_w} x {img_h}")
-    return BBox.from_corners(x1, y1, x2, y2)
+    return BBox.from_array(clipped[0])
 
 
 # Array forms: (n, 4) float64 rows of (cx, cy, w, h) or (dx, dy, dw, dh).
 # These skip per-element validation; callers own the invariants.
 
+_SCALE_COLS = np.array([2, 3, 2, 3])  # (w, h, w, h) of a reference box
+
+
 def encode_offsets_array(proposals: np.ndarray, refs: np.ndarray) -> np.ndarray:
     props = np.asarray(proposals, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
-    scale = refs[:, (2, 3, 2, 3)]
-    return (props - refs) / scale
+    return (props - refs) / refs.take(_SCALE_COLS, axis=1)
 
 
 def apply_offsets_array(refs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     refs = np.asarray(refs, dtype=np.float64)
     offs = np.asarray(offsets, dtype=np.float64)
-    return refs + offs * refs[:, (2, 3, 2, 3)]
+    return refs + offs * refs.take(_SCALE_COLS, axis=1)
+
+
+def corners_array(boxes: np.ndarray) -> np.ndarray:
+    """(x1, y1, x2, y2) rows of center-form boxes."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    half = boxes[:, 2:] / 2
+    return np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half], axis=1)
 
 
 def iou_paired_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise IoU of two equally long stacks of center-form boxes."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ax1, ay1 = a[:, 0] - a[:, 2] / 2, a[:, 1] - a[:, 3] / 2
-    ax2, ay2 = a[:, 0] + a[:, 2] / 2, a[:, 1] + a[:, 3] / 2
-    bx1, by1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
-    bx2, by2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    ca, cb = corners_array(a), corners_array(b)
+    overlap = np.minimum(ca[:, 2:], cb[:, 2:]) - np.maximum(ca[:, :2], cb[:, :2])
+    overlap = np.clip(overlap, 0.0, None)
+    inter = overlap[:, 0] * overlap[:, 1]
     union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+    # corner rounding can push the ratio one ulp past 1 for identical boxes
     return np.minimum(inter / union, 1.0)
 
 
@@ -176,11 +163,9 @@ def clip_boxes_array(boxes: np.ndarray, img_w: float, img_h: float) -> tuple[np.
     Rows with empty intersection are flagged invalid and returned unchanged.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
-    x1 = np.maximum(boxes[:, 0] - boxes[:, 2] / 2, 0.0)
-    y1 = np.maximum(boxes[:, 1] - boxes[:, 3] / 2, 0.0)
-    x2 = np.minimum(boxes[:, 0] + boxes[:, 2] / 2, img_w)
-    y2 = np.minimum(boxes[:, 1] + boxes[:, 3] / 2, img_h)
-    valid = (x2 > x1) & (y2 > y1)
-    clipped = np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=1)
-    clipped = np.where(valid[:, None], clipped, boxes)
-    return clipped, valid
+    corners = corners_array(boxes)
+    lo = np.maximum(corners[:, :2], 0.0)
+    hi = np.minimum(corners[:, 2:], (img_w, img_h))
+    valid = (hi > lo).all(axis=1)
+    clipped = np.concatenate([(lo + hi) / 2, hi - lo], axis=1)
+    return np.where(valid[:, None], clipped, boxes), valid

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import BBox, OffsetVec, apply_offsets_array, clip_boxes_array
+from .geometry import BBox, apply_offsets_array, clip_boxes_array
 from .stats import DiagonalGaussian4, Uniform4
 
 OffsetModel = Union[DiagonalGaussian4, Uniform4]
@@ -69,20 +69,6 @@ def _draw_raw(model: OffsetModel, n: int, rng: np.random.Generator) -> np.ndarra
     if isinstance(model, Uniform4):
         return rng.uniform(model.lo, model.hi, size=(n, 4))
     raise TypeError(f"unsupported offset model: {type(model).__name__}")
-
-
-def sample_offsets(model: OffsetModel, n: int, rng: np.random.Generator) -> list[OffsetVec]:
-    """Draw n independent offsets from the model.
-
-    Rows with dw or dh <= -1 (possible only in the far Gaussian tail) are
-    re-drawn so every returned offset decodes to a valid box.
-    """
-    raw = _draw_raw(model, n, rng)
-    bad = (raw[:, 2] <= -1.0) | (raw[:, 3] <= -1.0)
-    while np.any(bad):
-        raw[bad] = _draw_raw(model, int(bad.sum()), rng)
-        bad = (raw[:, 2] <= -1.0) | (raw[:, 3] <= -1.0)
-    return [OffsetVec.from_array(row) for row in raw]
 
 
 def sample_boxes_for_gt(

@@ -4,7 +4,8 @@ Everything here is deliberately brute force and avoids the code paths it
 checks: overlap integrals use composite Simpson on explicit grids (with the
 pdf/uniform crossing located by bisection, not algebra), the uniform fit is
 a plain grid search, streaming statistics are re-done in two passes, kernel
-MMD is a double loop, and gradients come from central finite differences.
+MMD is a double loop, gradients come from central finite differences, and
+box formulas are written out per box in plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -124,3 +125,37 @@ def fd_gradient(loss_fn, z: np.ndarray, eps: float = 1e-5) -> np.ndarray:
             zm[i, j] -= eps
             g[i, j] = (loss_fn(zp) - loss_fn(zm)) / (2.0 * eps)
     return g
+
+
+def encode_offset_loop(p, g) -> tuple[float, float, float, float]:
+    """Offset of center-form box ``p`` against ``g``, one component at a time."""
+    return ((p[0] - g[0]) / g[2], (p[1] - g[1]) / g[3], (p[2] - g[2]) / g[2], (p[3] - g[3]) / g[3])
+
+
+def apply_offset_loop(g, o) -> tuple[float, float, float, float]:
+    return (g[0] + o[0] * g[2], g[1] + o[1] * g[3], g[2] * (1.0 + o[2]), g[3] * (1.0 + o[3]))
+
+
+def corners_loop(b) -> tuple[float, float, float, float]:
+    """(x1, y1, x2, y2) of center-form box ``b``."""
+    return (b[0] - b[2] / 2.0, b[1] - b[3] / 2.0, b[0] + b[2] / 2.0, b[1] + b[3] / 2.0)
+
+
+def iou_loop(a, b) -> float:
+    ax1, ay1, ax2, ay2 = corners_loop(a)
+    bx1, by1, bx2, by2 = corners_loop(b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return min(inter / (a[2] * a[3] + b[2] * b[3] - inter), 1.0)
+
+
+def clip_loop(b, img_w: float, img_h: float):
+    """``b`` intersected with [0, img_w] x [0, img_h] in center form, or None when empty."""
+    x1, y1, x2, y2 = corners_loop(b)
+    x1, y1, x2, y2 = max(x1, 0.0), max(y1, 0.0), min(x2, img_w), min(y2, img_h)
+    if x2 <= x1 or y2 <= y1:
+        return None
+    return ((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)

@@ -289,6 +289,18 @@ def test_cli_simulate(tmp_path, capsys):
 @pytest.mark.parametrize("override,message", [
     ({"seeds": []}, "seeds must be non-empty"),
     ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
+    ({"seeds": 5}, "seeds must be a list of integers, got 5"),
+    ({"seeds": [0.5]}, "seeds must be a list of integers, got [0.5]"),
+    ({"k_shot": "5"}, "k_shot must be an integer, got '5'"),
+    ({"k_shot": 5.0}, "k_shot must be an integer, got 5.0"),
+    ({"rpn_mu": 5}, "rpn_mu must be a list of numbers, got 5"),
+    ({"lam": "0.1"}, "lam must be a number, got '0.1'"),
+    ({"sampled_in_main": 1}, "sampled_in_main must be a boolean, got 1"),
+    ({"epochs_base": True}, "epochs_base must be an integer, got True"),
+    ({"contrastive_set": 3}, "contrastive_set must be a string, got 3"),
+    ({"lam": -1}, "lam must be >= 0"),
+    ({"tau": 0}, "tau must be > 0"),
+    ({"contrastive_cap": 0}, "contrastive_cap must be >= 1"),
 ])
 def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message):
     cfg_file = tmp_path / "config.json"
@@ -297,6 +309,44 @@ def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message
     assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_cli_simulate_without_novel_foreground_exits_1(tmp_path, capsys):
+    # valid, but one seed's test split leaves no foreground novel proposal to score
+    cfg = {"seeds": [0, 1, 2, 3], "c_novel": 1, "test_per_class": 1, "miss_rate_novel": 0.9,
+           "base_per_class": 20, "epochs_base": 2, "epochs_finetune": 2}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    out = tmp_path / "reports"
+    assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and "no foreground novel test proposal" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-stats", "{log}"],
+    ["diagnose", "{log}", "--figures", "{figs}"],
+    ["mmd", "{log}", "{log}"],
+])
+def test_cli_empty_log_exits_1(tmp_path, capsys, argv):
+    log = tmp_path / "log.jsonl"
+    log.write_text("\n\n")
+    figs = tmp_path / "figs"
+    argv = [a.format(log=log, figs=figs) for a in argv]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {log} contains no records\n"
+    assert not figs.exists()
+
+
+def test_cli_fit_stats_rejects_overflowing_offset(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text(record_line(gt=(0.0, 0.0, 1e-308, 1.0), proposal=(1e10, 0.0, 1.0, 1.0)) + "\n")
+    assert dispatch(["fit-stats", str(log)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: record 1: offset ") and "is not finite" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_exit_codes():

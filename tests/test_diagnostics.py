@@ -15,10 +15,9 @@ from propcal.diagnostics import (
     precision_by_iou,
     precision_to_csv,
 )
-from propcal.geometry import BBox
+from propcal.geometry import BBox, encode_offset
 from propcal.sampling import SamplerConfig, sample_proposals_for_gt
 from propcal.stats import DiagonalGaussian4
-from propcal.geometry import encode_offset
 
 
 def test_mmd_linear_identical_sets():
@@ -141,31 +140,26 @@ def test_histogram_invariants():
 
 
 def test_iou_histogram_perfect_predictions():
-    gts = [(i, BBox(10 * i + 5, 5, 4, 4)) for i in range(6)]
-    preds = [box for _, box in gts]
-    h = iou_histogram(preds, gts, list(range(6)), [0.0, 0.5, 1.0])
+    gts = np.array([[10.0 * i + 5, 5, 4, 4] for i in range(6)])
+    h = iou_histogram(gts.copy(), gts, [0.0, 0.5, 1.0])
     assert h.counts.tolist() == [0, 6]
 
 
 def test_iou_histogram_worked_third():
-    gts = [("g", BBox(0, 0, 2, 2))]
-    h = iou_histogram([BBox(1, 0, 2, 2)], gts, ["g"], [0.0, 0.5, 1.0])
+    h = iou_histogram([[1.0, 0, 2, 2]], [[0.0, 0, 2, 2]], [0.0, 0.5, 1.0])
     assert h.counts.tolist() == [1, 0]  # IoU 1/3 lands in the first bin
 
 
 def test_iou_histogram_empty_and_unmatched():
-    gts = [("g", BBox(0, 0, 2, 2))]
-    assert iou_histogram([], gts, [], [0.0, 1.0]).counts.tolist() == [0]
-    with pytest.raises(ValueError):
-        iou_histogram([BBox(0, 0, 1, 1)], gts, ["nope"], [0.0, 1.0])
+    assert iou_histogram(np.zeros((0, 4)), np.zeros((0, 4)), [0.0, 1.0]).counts.tolist() == [0]
+    # prediction i is scored against ground truth i, so the counts must agree
+    with pytest.raises(ValueError, match="one ground truth per prediction"):
+        iou_histogram(np.ones((2, 4)), np.ones((1, 4)), [0.0, 1.0])
 
 
 def test_precision_by_iou_counts():
-    gt = BBox(0, 0, 4, 4)
-    gts = [("g", gt, 1)]
     # two correct, two wrong, all in the perfect-IoU bucket
-    preds = [(gt, 1), (gt, 1), (gt, 2), (gt, 0)]
-    rep = precision_by_iou(preds, gts, ["g"] * 4, [0.0, 0.5, 1.0])
+    rep = precision_by_iou([1.0] * 4, [True, True, False, False], [0.0, 0.5, 1.0])
     assert rep.buckets[1].n_boxes == 4
     assert rep.buckets[1].n_correct == 2
     assert rep.buckets[1].precision == pytest.approx(0.5)
@@ -174,11 +168,24 @@ def test_precision_by_iou_counts():
 
 
 def test_precision_all_correct():
-    gts = [(i, BBox(10 * i + 5, 5, 4, 4), i % 3) for i in range(6)]
-    preds = [(box, label) for _, box, label in gts]
-    rep = precision_by_iou(preds, gts, [i for i in range(6)], [0.0, 0.5, 1.0])
+    ious = [0.0, 0.25, 0.5, 0.75, 1.0, 1.0]
+    rep = precision_by_iou(ious, [True] * 6, [0.0, 0.5, 1.0])
+    assert [b.n_boxes for b in rep.buckets] == [2, 4]
     for b in rep.buckets:
         assert b.precision in (None, 1.0)
+
+
+def test_precision_by_iou_uses_histogram_bins():
+    edges = [0.0, 0.3, 0.5, 1.0]
+    ious = np.array([0.0, 0.3, 0.3, 0.49, 0.5, 1.0])
+    correct = np.array([True, False, True, True, False, True])
+    rep = precision_by_iou(ious, correct, edges)
+    assert [b.n_boxes for b in rep.buckets] == histogram(ious, edges).counts.tolist()
+    assert [b.n_correct for b in rep.buckets] == histogram(ious[correct], edges).counts.tolist()
+    with pytest.raises(ValueError, match="one correct flag per IoU"):
+        precision_by_iou(ious, correct[:-1], edges)
+    with pytest.raises(ValueError):
+        precision_by_iou([1.5], [True], edges)
 
 
 def test_offset_report_degenerate_stream():
@@ -233,8 +240,7 @@ def test_histogram_csv_format():
 
 
 def test_precision_csv_format():
-    gt = BBox(0, 0, 4, 4)
-    rep = precision_by_iou([(gt, 1)], [("g", gt, 1)], ["g"], [0.0, 0.5, 1.0])
+    rep = precision_by_iou([1.0], [True], [0.0, 0.5, 1.0])
     lines = precision_to_csv(rep).splitlines()
     assert lines[0] == "lo,hi,n,correct,precision"
     assert lines[1] == "0.0,0.5,0,0,"  # empty bucket: precision field empty

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import apply_offset_loop, clip_loop, corners_loop, encode_offset_loop, iou_loop
+
 from propcal.geometry import (
     BBox,
     OffsetVec,
@@ -12,6 +14,7 @@ from propcal.geometry import (
     apply_offsets_array,
     clip_to_image,
     clip_boxes_array,
+    corners_array,
     encode_offset,
     encode_offsets_array,
     iou,
@@ -142,11 +145,25 @@ def test_array_forms_match_scalar():
     offs = encode_offsets_array(props, refs)
     back = apply_offsets_array(refs, offs)
     ious = iou_paired_array(props, refs)
+    corners = corners_array(props)
+    clipped, valid = clip_boxes_array(props, 30.0, 20.0)
+    assert 0 < valid.sum() < 64
     for i in range(64):
-        p, g = BBox.from_array(props[i]), BBox.from_array(refs[i])
-        np.testing.assert_allclose(offs[i], encode_offset(p, g).as_array(), rtol=1e-12)
+        p, g = props[i].tolist(), refs[i].tolist()
+        # same arithmetic per element as the loop oracles, so equal bit for bit
+        assert offs[i].tolist() == list(encode_offset_loop(p, g))
+        assert corners[i].tolist() == list(corners_loop(p))
+        assert ious[i] == iou_loop(p, g)
+        want = clip_loop(p, 30.0, 20.0)
+        assert valid[i] == (want is not None)
+        assert clipped[i].tolist() == (p if want is None else list(want))
+        # w + dw * w instead of w * (1 + dw): equal up to rounding
+        np.testing.assert_allclose(back[i], apply_offset_loop(g, offs[i].tolist()), rtol=1e-12)
         np.testing.assert_allclose(back[i], props[i], rtol=1e-9)
-        assert ious[i] == pytest.approx(iou(p, g), abs=1e-12)
+        # the scalar API runs the same kernels
+        assert encode_offset(BBox(*p), BBox(*g)).as_array().tolist() == offs[i].tolist()
+        assert iou(BBox(*p), BBox(*g)) == ious[i]
+        assert BBox(*p).corners() == corners_loop(p)
 
 
 def test_clip_boxes_array_flags_empty():

@@ -1,29 +1,35 @@
 import numpy as np
 import pytest
 
-from propcal.geometry import BBox, encode_offset
+from propcal.geometry import BBox, encode_offset, encode_offsets_array
 from propcal.sampling import (
     SamplerConfig,
     build_calibrated_set,
-    sample_offsets,
+    sample_boxes_for_gt,
     sample_proposals_for_gt,
     stream_rng,
 )
 from propcal.stats import DiagonalGaussian4, Uniform4
 
 GAUSS = DiagonalGaussian4([0.05, -0.04, 0.08, 0.06], [0.01, 0.01, 0.0144, 0.0144])
+UNIT_GT = np.array([0.0, 0.0, 1.0, 1.0])
+
+
+def drawn_offsets(model, n, rng):
+    """n offsets drawn by the proposal sampler, unclipped, re-encoded against a unit gt."""
+    boxes = sample_boxes_for_gt(UNIT_GT, n, model, rng, image_size=None, max_resample=16)
+    return encode_offsets_array(boxes, np.tile(UNIT_GT, (n, 1)))
 
 
 def test_gaussian_zero_variance_draws_equal_mu():
     model = DiagonalGaussian4([0.1, -0.2, 0.05, 0.0], np.zeros(4))
-    offs = sample_offsets(model, 5, stream_rng(0, "t"))
-    for o in offs:
-        np.testing.assert_allclose(o.as_array(), model.mu, atol=1e-15)
+    for row in drawn_offsets(model, 5, stream_rng(0, "t")):
+        np.testing.assert_allclose(row, model.mu, atol=1e-15)
 
 
 def test_gaussian_draw_moments():
     rng = stream_rng(123, "moments")
-    rows = np.array([o.as_array() for o in sample_offsets(GAUSS, 100_000, rng)])
+    rows = drawn_offsets(GAUSS, 100_000, rng)
     sigma = np.sqrt(GAUSS.var)
     assert np.all(np.abs(rows.mean(axis=0) - GAUSS.mu) <= 0.02 * sigma)
     assert np.all(np.abs(rows.std(axis=0) - sigma) <= 0.02 * sigma)
@@ -31,14 +37,14 @@ def test_gaussian_draw_moments():
 
 def test_uniform_draw_bounds_and_mean():
     model = Uniform4([-0.1] * 4, [0.1] * 4)
-    rows = np.array([o.as_array() for o in sample_offsets(model, 100_000, stream_rng(9, "u"))])
+    rows = drawn_offsets(model, 100_000, stream_rng(9, "u"))
     assert rows.min() > -0.1
     assert rows.max() < 0.1
     assert np.all(np.abs(rows.mean(axis=0)) < 0.002)
 
 
 def test_sample_offsets_zero_count():
-    assert sample_offsets(GAUSS, 0, stream_rng(0, "z")) == []
+    assert drawn_offsets(GAUSS, 0, stream_rng(0, "z")).shape == (0, 4)
 
 
 def test_proposals_count_and_labels():
@@ -144,4 +150,4 @@ def test_sampler_config_validation():
 
 def test_unsupported_model_type():
     with pytest.raises(TypeError):
-        sample_offsets(object(), 3, stream_rng(0, "x"))
+        drawn_offsets(object(), 3, stream_rng(0, "x"))

@@ -14,13 +14,18 @@ from propcal.simulator import (
     generate_dataset,
     init_head,
     make_rpn_model,
-    proposal_feature,
     rpn_proposals,
     run_experiment,
     run_seed,
     sampled_proposals,
 )
+from propcal.simulator import _features_for
 from propcal.stats import DiagonalGaussian4
+
+
+def proposal_feature(scene, box, obj_idx=0):
+    """Feature row of one proposal box matched to ``scene.objects[obj_idx]``."""
+    return _features_for(scene, box.as_array().reshape(1, 4), np.array([obj_idx]))[0]
 
 # small world for structural tests: quick to train, same mechanics
 SMALL = ExperimentConfig(
@@ -88,15 +93,15 @@ def test_proposal_feature_mixture():
     ds = generate_dataset(dataclasses.replace(SMALL, feature_noise=0.0), 4)
     scene = ds.test_scenes[0]
     obj = scene.objects[0]
-    f_perfect = proposal_feature(scene, obj.box, obj)
+    f_perfect = proposal_feature(scene, obj.box)
     np.testing.assert_allclose(f_perfect, obj.appearance, atol=1e-12)
     far = BBox(obj.box.cx + 1000, obj.box.cy + 1000, obj.box.w, obj.box.h)
-    np.testing.assert_allclose(proposal_feature(scene, far, obj), scene.background, atol=1e-12)
+    np.testing.assert_allclose(proposal_feature(scene, far), scene.background, atol=1e-12)
     # a proposal with IoU exactly 0.5: same center, half the width
     half = BBox(obj.box.cx, obj.box.cy, obj.box.w / 2, obj.box.h)
     q = 0.5
     expected = q * obj.appearance + (1 - q) * scene.background
-    np.testing.assert_allclose(proposal_feature(scene, half, obj), expected, atol=1e-12)
+    np.testing.assert_allclose(proposal_feature(scene, half), expected, atol=1e-12)
 
 
 def test_proposal_feature_deterministic():
@@ -104,8 +109,11 @@ def test_proposal_feature_deterministic():
     scene = ds.test_scenes[1]
     obj = scene.objects[0]
     box = BBox(obj.box.cx + 1, obj.box.cy, obj.box.w, obj.box.h)
+    np.testing.assert_array_equal(proposal_feature(scene, box), proposal_feature(scene, box))
+    # a row's noise is keyed by its own box, not by its position in the batch
+    batch = np.stack([obj.box.as_array(), box.as_array()])
     np.testing.assert_array_equal(
-        proposal_feature(scene, box, obj), proposal_feature(scene, box, obj)
+        _features_for(scene, batch, np.array([0, 0]))[1], proposal_feature(scene, box)
     )
 
 
