@@ -15,8 +15,10 @@ scenes (which also fits the reusable offset statistics), then balanced
 K-shot fine-tuning over all classes. The fine-tuning baseline arm sees only
 the biased proposal source; the calibrated arm additionally samples
 proposals from the fitted base statistics and applies the auxiliary-head
-losses with weight ``lam``. Everything is keyed off (config, seed), so
-reports are reproducible byte for byte.
+losses with weight ``lam``. Each split holds one array row per scene, and
+each proposal set is built once per seed; both arms share the fine-tuning
+and test sets. Everything is keyed off (config, seed), so reports are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -112,6 +114,13 @@ class ExperimentConfig:
     margin: float = 48.0
 
     def __post_init__(self):
+        # one JSON form per value: 160 and 160.0 give the same config hash
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, tuple):
+                cast = type(f.default[0])
+                object.__setattr__(self, f.name, tuple(cast(v) for v in getattr(self, f.name)))
+            elif isinstance(f.default, float):
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.k_shot < 1:
             raise ValueError("k_shot must be >= 1")
         for name in ("c_base", "c_novel", "epochs_base", "epochs_finetune",
@@ -127,6 +136,15 @@ class ExperimentConfig:
             raise ValueError("tau must be > 0")
         if self.contrastive_cap < 1:
             raise ValueError("contrastive_cap must be >= 1")
+        if self.pos_neg_cap < 0:
+            raise ValueError("pos_neg_cap must be >= 0")
+        for name in ("rpn_mu", "rpn_sigma", "novel_extra_bias"):
+            if len(getattr(self, name)) != 4:
+                raise ValueError(f"{name} must have 4 elements, got {len(getattr(self, name))}")
+        if not 0 < self.min_box <= self.max_box:
+            raise ValueError("need 0 < min_box <= max_box")
+        if not 2 * self.margin <= min(self.image_w, self.image_h):
+            raise ValueError("margin must be at most half of min(image_w, image_h)")
         # a miss rate of 1 leaves no novel test proposals, so mmd_novel is undefined
         if not 0.0 <= self.miss_rate_novel < 1.0:
             raise ValueError("miss_rate_novel must be in [0, 1)")
@@ -134,10 +152,6 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if self.contrastive_set not in ("sampled", "rpn", "both"):
             raise ValueError(f"unknown contrastive_set {self.contrastive_set!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "rpn_mu", tuple(float(v) for v in self.rpn_mu))
-        object.__setattr__(self, "rpn_sigma", tuple(float(v) for v in self.rpn_sigma))
-        object.__setattr__(self, "novel_extra_bias", tuple(float(v) for v in self.novel_extra_bias))
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -207,28 +221,25 @@ def make_rpn_model(config: ExperimentConfig) -> BiasedRpnModel:
 
 
 @dataclass(frozen=True)
-class SceneObject:
-    box: BBox
-    class_label: int
-    appearance: np.ndarray
+class Split:
+    """One row per scene: the box, class label and appearance of its one object."""
 
+    ids: tuple[str, ...]
+    boxes: np.ndarray              # (n, 4)
+    labels: np.ndarray             # (n,)
+    appearance: np.ndarray         # (n, d)
+    feature_keys: tuple[int, ...]  # per-scene key of the feature-noise streams
 
-@dataclass(frozen=True)
-class SyntheticScene:
-    scene_id: str
-    image_w: float
-    image_h: float
-    objects: tuple[SceneObject, ...]
-    background: np.ndarray
-    feature_noise: float
-    feature_key: int
+    @property
+    def size(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
 class SimDataset:
-    base_scenes: tuple[SyntheticScene, ...]
-    finetune_scenes: tuple[SyntheticScene, ...]
-    test_scenes: tuple[SyntheticScene, ...]
+    base: Split
+    finetune: Split
+    test: Split
     prototypes: np.ndarray
     background: np.ndarray
     novel_classes: frozenset[int]
@@ -260,50 +271,53 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> SimDataset:
     prototypes, background = vecs[:-1], vecs[-1]
     novel = frozenset(range(config.c_base, c_total))
 
-    def make_scene(split: str, label: int, index: int) -> SyntheticScene:
-        sid = f"{split}/{label}/{index}"
-        rng = stream_rng(seed, "scene", sid)
-        w = rng.uniform(config.min_box, config.max_box)
-        h = rng.uniform(config.min_box, config.max_box)
-        cx = rng.uniform(config.margin, config.image_w - config.margin)
-        cy = rng.uniform(config.margin, config.image_h - config.margin)
-        appearance = prototypes[label] + config.appearance_noise * rng.normal(size=config.feature_dim)
-        obj = SceneObject(BBox(cx, cy, w, h), label, appearance)
-        return SyntheticScene(
-            sid, config.image_w, config.image_h, (obj,), background,
-            config.feature_noise, derive_seed(seed, "feat", sid),
+    def make_split(split: str, n_classes: int, per_class: int) -> Split:
+        ids, boxes, labels, appearance, keys = [], [], [], [], []
+        for label in range(n_classes):
+            for index in range(per_class):
+                sid = f"{split}/{label}/{index}"
+                rng = stream_rng(seed, "scene", sid)
+                w = rng.uniform(config.min_box, config.max_box)
+                h = rng.uniform(config.min_box, config.max_box)
+                cx = rng.uniform(config.margin, config.image_w - config.margin)
+                cy = rng.uniform(config.margin, config.image_h - config.margin)
+                appearance.append(
+                    prototypes[label] + config.appearance_noise * rng.normal(size=config.feature_dim)
+                )
+                ids.append(sid)
+                boxes.append((cx, cy, w, h))
+                labels.append(label)
+                keys.append(derive_seed(seed, "feat", sid))
+        return Split(
+            tuple(ids), np.array(boxes), np.array(labels, dtype=np.int64),
+            np.stack(appearance), tuple(keys),
         )
 
-    base_scenes = tuple(
-        make_scene("base", c, i)
-        for c in range(config.c_base)
-        for i in range(config.base_per_class)
+    return SimDataset(
+        make_split("base", config.c_base, config.base_per_class),
+        make_split("ft", c_total, config.k_shot),
+        make_split("test", c_total, config.test_per_class),
+        prototypes, background, novel,
     )
-    finetune_scenes = tuple(
-        make_scene("ft", c, i) for c in range(c_total) for i in range(config.k_shot)
-    )
-    test_scenes = tuple(
-        make_scene("test", c, i) for c in range(c_total) for i in range(config.test_per_class)
-    )
-    return SimDataset(base_scenes, finetune_scenes, test_scenes, prototypes, background, novel)
 
 
-def _features_for(scene: SyntheticScene, boxes: np.ndarray, obj_idx: np.ndarray) -> np.ndarray:
-    """IoU-weighted appearance/background mix with keyed noise, one row per box.
+def _features_for(
+    split: Split, rows: np.ndarray, boxes: np.ndarray, background: np.ndarray, noise_scale: float
+) -> np.ndarray:
+    """IoU-weighted appearance/background mix with keyed noise; box i belongs to scene ``rows[i]``.
 
     Deterministic in (scene, box): each row's noise stream is keyed by the
     scene's feature key and the box's exact coordinates.
     """
-    gt = np.stack([o.box.as_array() for o in scene.objects])[obj_idx]
-    app = np.stack([o.appearance for o in scene.objects])[obj_idx]
-    q = iou_paired_array(boxes, gt)[:, None]
+    app = split.appearance[rows]
+    q = iou_paired_array(boxes, split.boxes[rows])[:, None]
     noise = np.empty_like(app)
-    for i, row in enumerate(boxes):
-        key = (scene.feature_key << 64) | int.from_bytes(
-            hashlib.blake2b(np.ascontiguousarray(row).tobytes(), digest_size=8).digest(), "little"
+    for i, (r, box) in enumerate(zip(rows, boxes)):
+        key = (split.feature_keys[r] << 64) | int.from_bytes(
+            hashlib.blake2b(np.ascontiguousarray(box).tobytes(), digest_size=8).digest(), "little"
         )
         noise[i] = np.random.Generator(np.random.Philox(key=key)).normal(size=app.shape[1])
-    return q * app + (1.0 - q) * scene.background + scene.feature_noise * noise
+    return q * app + (1.0 - q) * background + noise_scale * noise
 
 
 @dataclass
@@ -321,11 +335,6 @@ class TinyRoiHead:
 
     def offsets(self, feats: np.ndarray) -> np.ndarray:
         return feats @ self.w_reg.T + self.b_reg
-
-    def embeddings(self, feats: np.ndarray) -> np.ndarray:
-        raw = feats @ self.w_proj.T
-        norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-        return raw / norms
 
     def copy(self) -> TinyRoiHead:
         return TinyRoiHead(
@@ -370,74 +379,58 @@ def _empty_set(d: int) -> ProposalSet:
     )
 
 
-def _concat_sets(parts: list[ProposalSet], d: int) -> ProposalSet:
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return _empty_set(d)
-    return ProposalSet(
-        np.concatenate([p.boxes for p in parts]),
-        np.concatenate([p.gt_boxes for p in parts]),
-        np.concatenate([p.labels for p in parts]),
-        np.concatenate([p.feats for p in parts]),
-        np.concatenate([p.novel for p in parts]),
-        np.concatenate([p.q for p in parts]),
-    )
-
-
 def _proposal_set(
-    scene: SyntheticScene, boxes: np.ndarray, obj_idx: np.ndarray, novel_classes: frozenset[int]
+    ds: SimDataset, split: Split, rows: np.ndarray, boxes: np.ndarray, config: ExperimentConfig
 ) -> ProposalSet:
-    """Head inputs for proposals ``boxes``, each matched to ``scene.objects[obj_idx]``."""
-    gt = np.stack([o.box.as_array() for o in scene.objects])[obj_idx]
-    labels = np.asarray([scene.objects[i].class_label for i in obj_idx], dtype=np.int64)
-    novel = np.asarray([scene.objects[i].class_label in novel_classes for i in obj_idx])
-    feats = _features_for(scene, boxes, obj_idx)
+    """Head inputs for proposals ``boxes``, box i matched to the object of scene ``rows[i]``."""
+    gt = split.boxes[rows]
+    labels = split.labels[rows]
+    novel = np.isin(labels, sorted(ds.novel_classes))
+    feats = _features_for(split, rows, boxes, ds.background, config.feature_noise)
     return ProposalSet(boxes, gt, labels, feats, novel, iou_paired_array(boxes, gt))
 
 
 def rpn_proposals(
-    scene: SyntheticScene,
+    ds: SimDataset,
+    split: Split,
     model: BiasedRpnModel,
     config: ExperimentConfig,
-    novel_classes: frozenset[int],
     seed: int,
     purpose: str,
 ) -> ProposalSet:
-    """Draw biased detector proposals for every (non-missed) object of a scene."""
-    rng = stream_rng(seed, purpose, scene.scene_id)
-    boxes, idx = [], []
-    for i, obj in enumerate(scene.objects):
-        is_novel = obj.class_label in novel_classes
-        if is_novel and rng.random() < model.miss_rate_novel:
-            continue
-        if is_novel:
+    """Biased detector proposals for the object of every scene of ``split`` not missed."""
+    rows, boxes = [], []
+    for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
+        rng = stream_rng(seed, purpose, sid)
+        if label in ds.novel_classes:
+            if rng.random() < model.miss_rate_novel:
+                continue
             # instance-specific bias: a fixed property of the object, not of
-            # the draw, so fine-tuning cannot see the test instances' biases
-            inst = model.novel_bias_spread * stream_rng(
-                seed, "novel-bias", scene.scene_id, i
-            ).normal(size=4)
+            # the draw, so fine-tuning cannot see the test instances' biases;
+            # the 0 is the object index of the earlier objects-per-scene
+            # layout, kept so the stream keys do not change
+            inst = model.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)
             dist = model.novel_dist(inst)
         else:
             dist = model.offset_dist
-        b = sample_boxes_for_gt(
-            obj.box.as_array(), config.rpn_per_object, dist, rng,
-            (scene.image_w, scene.image_h), 16,
-        )
-        boxes.append(b)
-        idx.extend([i] * config.rpn_per_object)
-    if not boxes:
+        boxes.append(sample_boxes_for_gt(
+            gt, config.rpn_per_object, dist, rng, (config.image_w, config.image_h), 16
+        ))
+        rows.append(r)
+    if not rows:
         return _empty_set(config.feature_dim)
-    return _proposal_set(scene, np.concatenate(boxes), np.asarray(idx, dtype=np.int64), novel_classes)
+    rows = np.repeat(rows, config.rpn_per_object)
+    return _proposal_set(ds, split, rows, np.concatenate(boxes), config)
 
 
 def sampled_proposals(
-    scene: SyntheticScene,
+    ds: SimDataset,
+    split: Split,
     stats: DiagonalGaussian4,
     config: ExperimentConfig,
-    novel_classes: frozenset[int],
     seed: int,
 ) -> ProposalSet:
-    """Calibrated proposals: J draws from the base statistics per object."""
+    """Calibrated proposals: J draws from the base statistics per scene of ``split``."""
     if config.j_per_instance == 0:
         return _empty_set(config.feature_dim)
     sampler = SamplerConfig(
@@ -445,13 +438,16 @@ def sampled_proposals(
         j_per_instance=config.j_per_instance,
         seed=derive_seed(seed, "ft-sample"),
     )
-    gts = [(o.box, o.class_label) for o in scene.objects]
-    sampled = build_calibrated_set(
-        gts, sampler, image_size=(scene.image_w, scene.image_h), image_id=scene.scene_id
-    )
-    boxes = np.stack([p.box.as_array() for p in sampled])
-    obj_idx = np.asarray([p.source_gt for p in sampled], dtype=np.int64)
-    return _proposal_set(scene, boxes, obj_idx, novel_classes)
+    image_size = (config.image_w, config.image_h)
+    boxes = np.stack([
+        p.box.as_array()
+        for sid, gt, label in zip(split.ids, split.boxes, split.labels)
+        for p in build_calibrated_set(
+            [(BBox.from_array(gt), int(label))], sampler, image_size=image_size, image_id=sid
+        )
+    ])
+    rows = np.repeat(np.arange(split.size), config.j_per_instance)
+    return _proposal_set(ds, split, rows, boxes, config)
 
 
 def _head_targets(pset: ProposalSet, config: ExperimentConfig, bg: int):
@@ -498,24 +494,14 @@ def _con_loss_grads(feats, labels, w_proj, tau):
 
 
 def base_train(
-    head: TinyRoiHead,
-    scenes: tuple[SyntheticScene, ...],
-    rpn_model: BiasedRpnModel,
-    epochs: int,
-    config: ExperimentConfig,
-    seed: int,
-    novel_classes: frozenset[int] = frozenset(),
+    head: TinyRoiHead, pset: ProposalSet, epochs: int, config: ExperimentConfig
 ) -> tuple[TinyRoiHead, DiagonalGaussian4]:
-    """Train classifier + regressor on base scenes; fit the offset statistics.
+    """Train classifier + regressor on the base proposals; fit the offset statistics.
 
-    The statistics pool the re-encoded offsets of every proposal the source
-    produced, independent of the number of epochs.
+    The statistics pool the re-encoded offsets of every proposal in ``pset``,
+    independent of the number of epochs.
     """
     head = head.copy()
-    pset = _concat_sets(
-        [rpn_proposals(s, rpn_model, config, novel_classes, seed, "base-rpn") for s in scenes],
-        config.feature_dim,
-    )
     if pset.size == 0:
         raise ValueError("base training requires at least one proposal")
     acc = OffsetAccumulator()
@@ -549,36 +535,25 @@ def _cap_positives(pset: ProposalSet, n_neg: int, cap: float, seed: int) -> Prop
 
 def finetune(
     head: TinyRoiHead,
-    scenes: tuple[SyntheticScene, ...],
-    rpn_model: BiasedRpnModel,
-    base_stats: DiagonalGaussian4,
+    rpn: ProposalSet,
+    sampled: ProposalSet,
     pdc_enabled: bool,
     config: ExperimentConfig,
     seed: int,
-    novel_classes: frozenset[int],
 ) -> TinyRoiHead:
     """Balanced fine-tuning; the calibrated branch is active iff ``pdc_enabled``.
 
-    Both arms share the same detector proposals, labels, schedule, and
-    randomness; the calibrated arm differs only by the additional sampled
-    proposals and the lam-weighted auxiliary-head losses on them. The
-    feature generator (scene appearances, prototypes, noise keys) is never
-    modified.
+    Both arms get the same detector proposals ``rpn``, labels, schedule, and
+    randomness; the calibrated arm differs only by the ``sampled`` proposals
+    and the lam-weighted auxiliary-head losses on them. The feature
+    generator (scene appearances, prototypes, noise keys) is never modified.
     """
     head = head.copy()
-    d = config.feature_dim
-    rpn = _concat_sets(
-        [rpn_proposals(s, rpn_model, config, novel_classes, seed, "ft-rpn") for s in scenes], d
-    )
     cls_feats, cls_targets, feats_fg, reg_targets, fg = _head_targets(
         rpn, config, head.w_cls.shape[0] - 1
     )
 
-    sampled = _empty_set(d)
-    if pdc_enabled and config.j_per_instance > 0:
-        sampled = _concat_sets(
-            [sampled_proposals(s, base_stats, config, novel_classes, seed) for s in scenes], d
-        )
+    if pdc_enabled:
         n_neg = int((rpn.q < config.bg_iou).sum())
         sampled = _cap_positives(sampled, n_neg, config.pos_neg_cap, seed)
     branch_active = pdc_enabled and sampled.size > 0
@@ -631,38 +606,33 @@ def _contrastive_subset(n: int, cap: int, seed: int, epoch: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalMetrics:
-    """Test-set summary for one arm."""
+    """Test-set summary for one arm, with the per-proposal arrays the report buckets."""
 
     mean_iou: float
     novel_accuracy: float
     base_accuracy: float
     mmd_novel: float
-    iou_hist: diagnostics.Histogram
-    precision: diagnostics.PrecisionByBucket
+    refined_iou: np.ndarray     # refined-box IoU of every proposal, clipped to [0, 1]
+    novel_iou: np.ndarray       # IoU of every novel proposal before refinement
+    novel_correct: np.ndarray   # whether each novel proposal is classified correctly
     n_foreground: int
     n_novel_foreground: int
 
 
 def evaluate(
     head: TinyRoiHead,
-    scenes: tuple[SyntheticScene, ...],
-    rpn_model: BiasedRpnModel,
+    pset: ProposalSet,
     config: ExperimentConfig,
     seed: int,
     base_stats: DiagonalGaussian4,
-    novel_classes: frozenset[int],
     oracle_regressor: bool = False,
 ) -> EvalMetrics:
-    """Refine and classify test proposals; report localization and class metrics.
+    """Refine and classify the test proposals ``pset``; report localization and class metrics.
 
     ``oracle_regressor`` replaces the head's offset predictions by the true
     offsets (an upper-bound check for the refinement path). Raises
     ValueError when no novel test proposal is foreground.
     """
-    pset = _concat_sets(
-        [rpn_proposals(s, rpn_model, config, novel_classes, seed, "eval-rpn") for s in scenes],
-        config.feature_dim,
-    )
     if pset.size == 0:
         raise ValueError("evaluation produced no proposals")
     if oracle_regressor:
@@ -688,12 +658,6 @@ def evaluate(
     novel_acc = float((pred_labels[novel_fg] == pset.labels[novel_fg]).mean())
     base_acc = float((pred_labels[base_fg] == pset.labels[base_fg]).mean()) if base_fg.any() else 0.0
 
-    hist = diagnostics.histogram(np.clip(refined_iou, 0.0, 1.0), _IOU_EDGES)
-    novel = pset.novel
-    precision = diagnostics.precision_by_iou(
-        pset.q[novel], pred_labels[novel] == pset.labels[novel], _IOU_EDGES
-    )
-
     # kernel MMD between refined foreground novel offsets and draws from the
     # base statistics: sensitive to both mean shift and spread
     novel_offsets = encode_offsets_array(refined[novel_fg], pset.gt_boxes[novel_fg])
@@ -701,8 +665,10 @@ def evaluate(
     ref_sample = ref_rng.normal(base_stats.mu, np.sqrt(base_stats.var), size=(2048, 4))
     mmd_novel = diagnostics.mmd_rbf(novel_offsets, ref_sample)
 
+    novel = pset.novel
     return EvalMetrics(
-        mean_iou, novel_acc, base_acc, mmd_novel, hist, precision,
+        mean_iou, novel_acc, base_acc, mmd_novel, np.clip(refined_iou, 0.0, 1.0),
+        pset.q[novel], pred_labels[novel] == pset.labels[novel],
         int(fg.sum()), int(novel_fg.sum()),
     )
 
@@ -732,21 +698,25 @@ class ExperimentReport:
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
-    """Run both arms for one seed from a shared base-trained head."""
+    """Run both arms for one seed from a shared base-trained head.
+
+    Each proposal set is built once; both arms get the same fine-tuning and
+    test proposals.
+    """
     ds = generate_dataset(config, seed)
     rpn_model = make_rpn_model(config)
-    head0 = init_head(config, seed)
     base_head, stats = base_train(
-        head0, ds.base_scenes, rpn_model, config.epochs_base, config, seed, ds.novel_classes
+        init_head(config, seed),
+        rpn_proposals(ds, ds.base, rpn_model, config, seed, "base-rpn"),
+        config.epochs_base, config,
     )
+    ft = rpn_proposals(ds, ds.finetune, rpn_model, config, seed, "ft-rpn")
+    test = rpn_proposals(ds, ds.test, rpn_model, config, seed, "eval-rpn")
+    sampled = sampled_proposals(ds, ds.finetune, stats, config, seed)
     arms = {}
     for name, enabled in (("baseline", False), ("pdc", True)):
-        tuned = finetune(
-            base_head, ds.finetune_scenes, rpn_model, stats, enabled, config, seed, ds.novel_classes
-        )
-        arms[name] = evaluate(
-            tuned, ds.test_scenes, rpn_model, config, seed, stats, ds.novel_classes
-        )
+        tuned = finetune(base_head, ft, sampled, enabled, config, seed)
+        arms[name] = evaluate(tuned, test, config, seed, stats)
     return SeedResult(seed, arms["baseline"], arms["pdc"])
 
 
@@ -788,24 +758,6 @@ def run_experiment(config: ExperimentConfig, out_root: Path | str | None = None)
     return report
 
 
-def _sum_histograms(hists: list[diagnostics.Histogram]) -> diagnostics.Histogram:
-    edges = hists[0].edges
-    counts = np.sum([h.counts for h in hists], axis=0)
-    return diagnostics.Histogram(edges, counts, int(counts.sum()))
-
-
-def _sum_precisions(reports: list[diagnostics.PrecisionByBucket]) -> diagnostics.PrecisionByBucket:
-    first = reports[0].buckets
-    buckets = []
-    for i, proto in enumerate(first):
-        n = sum(r.buckets[i].n_boxes for r in reports)
-        c = sum(r.buckets[i].n_correct for r in reports)
-        buckets.append(
-            diagnostics.PrecisionBucket(proto.lo, proto.hi, n, c, (c / n) if n else None)
-        )
-    return diagnostics.PrecisionByBucket(tuple(buckets))
-
-
 def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Path) -> None:
     """Emit config echo, per-seed CSV, summary CSV, and histogram CSV/SVG files."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -830,8 +782,13 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
     (outdir / "summary.csv").write_text("\n".join(summary) + "\n")
 
     for arm in ("baseline", "pdc"):
-        hist = _sum_histograms([getattr(r, arm).iou_hist for r in report.results])
-        prec = _sum_precisions([getattr(r, arm).precision for r in report.results])
+        metrics = [getattr(r, arm) for r in report.results]
+        hist = diagnostics.histogram(np.concatenate([m.refined_iou for m in metrics]), _IOU_EDGES)
+        prec = diagnostics.precision_by_iou(
+            np.concatenate([m.novel_iou for m in metrics]),
+            np.concatenate([m.novel_correct for m in metrics]),
+            _IOU_EDGES,
+        )
         (outdir / f"iou_hist_{arm}.csv").write_text(diagnostics.histogram_to_csv(hist))
         (outdir / f"iou_hist_{arm}.svg").write_text(
             diagnostics.histogram_to_svg(hist, f"refined-box IoU ({arm})")

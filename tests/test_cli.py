@@ -301,6 +301,15 @@ def test_cli_simulate(tmp_path, capsys):
     ({"lam": -1}, "lam must be >= 0"),
     ({"tau": 0}, "tau must be > 0"),
     ({"contrastive_cap": 0}, "contrastive_cap must be >= 1"),
+    ({"pos_neg_cap": -1}, "pos_neg_cap must be >= 0"),
+    ({"rpn_mu": [0.0, 0.0, 0.0]}, "rpn_mu must have 4 elements, got 3"),
+    ({"rpn_sigma": [0.1]}, "rpn_sigma must have 4 elements, got 1"),
+    ({"novel_extra_bias": [0, 0, 0, 0, 0]}, "novel_extra_bias must have 4 elements, got 5"),
+    ({"margin": 81}, "margin must be at most half of min(image_w, image_h)"),
+    ({"image_h": 90}, "margin must be at most half of min(image_w, image_h)"),
+    ({"min_box": -10, "max_box": 5}, "need 0 < min_box <= max_box"),
+    ({"min_box": 0}, "need 0 < min_box <= max_box"),
+    ({"min_box": 50, "max_box": 40}, "need 0 < min_box <= max_box"),
 ])
 def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message):
     cfg_file = tmp_path / "config.json"

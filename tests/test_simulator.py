@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from propcal.geometry import BBox, encode_offsets_array
+from propcal.geometry import BBox, corners_array, encode_offsets_array
 from propcal.simulator import (
     BiasedRpnModel,
     ExperimentConfig,
+    Split,
     base_train,
     evaluate,
     finetune,
@@ -23,9 +24,11 @@ from propcal.simulator import _features_for
 from propcal.stats import DiagonalGaussian4
 
 
-def proposal_feature(scene, box, obj_idx=0):
-    """Feature row of one proposal box matched to ``scene.objects[obj_idx]``."""
-    return _features_for(scene, box.as_array().reshape(1, 4), np.array([obj_idx]))[0]
+def proposal_feature(ds, split, row, box, config):
+    """Feature row of one proposal box matched to the object of scene ``row`` of ``split``."""
+    return _features_for(
+        split, np.array([row]), box.as_array().reshape(1, 4), ds.background, config.feature_noise
+    )[0]
 
 # small world for structural tests: quick to train, same mechanics
 SMALL = ExperimentConfig(
@@ -54,20 +57,19 @@ def heads_equal(a, b) -> bool:
 def test_dataset_counts():
     cfg = dataclasses.replace(SMALL, c_novel=5, k_shot=1, c_base=3)
     ds = generate_dataset(cfg, 0)
-    novel_ft = [s for s in ds.finetune_scenes for o in s.objects if o.class_label in ds.novel_classes]
+    novel_ft = [label for label in ds.finetune.labels if label in ds.novel_classes]
     assert len(novel_ft) == 5  # exactly K instances per novel class
-    assert len(ds.base_scenes) == cfg.c_base * cfg.base_per_class
-    assert len(ds.test_scenes) == (cfg.c_base + cfg.c_novel) * cfg.test_per_class
+    assert ds.base.size == cfg.c_base * cfg.base_per_class
+    assert ds.test.size == (cfg.c_base + cfg.c_novel) * cfg.test_per_class
 
 
 def test_dataset_determinism():
     a = generate_dataset(SMALL, 3)
     b = generate_dataset(SMALL, 3)
     np.testing.assert_array_equal(a.prototypes, b.prototypes)
-    for sa, sb in zip(a.base_scenes, b.base_scenes):
-        assert sa.scene_id == sb.scene_id
-        np.testing.assert_array_equal(sa.objects[0].box.as_array(), sb.objects[0].box.as_array())
-        np.testing.assert_array_equal(sa.objects[0].appearance, sb.objects[0].appearance)
+    assert a.base.ids == b.base.ids
+    np.testing.assert_array_equal(a.base.boxes, b.base.boxes)
+    np.testing.assert_array_equal(a.base.appearance, b.base.appearance)
 
 
 def test_prototype_separation():
@@ -81,39 +83,40 @@ def test_prototype_separation():
 
 def test_boxes_inside_image():
     ds = generate_dataset(SMALL, 2)
-    for scene in ds.base_scenes + ds.finetune_scenes + ds.test_scenes:
-        for obj in scene.objects:
-            x1, y1, x2, y2 = obj.box.corners()
-            assert 0 <= x1 < x2 <= scene.image_w
-            assert 0 <= y1 < y2 <= scene.image_h
+    for split in (ds.base, ds.finetune, ds.test):
+        x1, y1, x2, y2 = corners_array(split.boxes).T
+        assert np.all((0 <= x1) & (x1 < x2) & (x2 <= SMALL.image_w))
+        assert np.all((0 <= y1) & (y1 < y2) & (y2 <= SMALL.image_h))
 
 
 def test_proposal_feature_mixture():
     # noiseless feature is exactly q * appearance + (1 - q) * background
-    ds = generate_dataset(dataclasses.replace(SMALL, feature_noise=0.0), 4)
-    scene = ds.test_scenes[0]
-    obj = scene.objects[0]
-    f_perfect = proposal_feature(scene, obj.box)
-    np.testing.assert_allclose(f_perfect, obj.appearance, atol=1e-12)
-    far = BBox(obj.box.cx + 1000, obj.box.cy + 1000, obj.box.w, obj.box.h)
-    np.testing.assert_allclose(proposal_feature(scene, far), scene.background, atol=1e-12)
+    cfg = dataclasses.replace(SMALL, feature_noise=0.0)
+    ds = generate_dataset(cfg, 4)
+    box, appearance = BBox.from_array(ds.test.boxes[0]), ds.test.appearance[0]
+    f_perfect = proposal_feature(ds, ds.test, 0, box, cfg)
+    np.testing.assert_allclose(f_perfect, appearance, atol=1e-12)
+    far = BBox(box.cx + 1000, box.cy + 1000, box.w, box.h)
+    np.testing.assert_allclose(proposal_feature(ds, ds.test, 0, far, cfg), ds.background, atol=1e-12)
     # a proposal with IoU exactly 0.5: same center, half the width
-    half = BBox(obj.box.cx, obj.box.cy, obj.box.w / 2, obj.box.h)
+    half = BBox(box.cx, box.cy, box.w / 2, box.h)
     q = 0.5
-    expected = q * obj.appearance + (1 - q) * scene.background
-    np.testing.assert_allclose(proposal_feature(scene, half), expected, atol=1e-12)
+    expected = q * appearance + (1 - q) * ds.background
+    np.testing.assert_allclose(proposal_feature(ds, ds.test, 0, half, cfg), expected, atol=1e-12)
 
 
 def test_proposal_feature_deterministic():
     ds = generate_dataset(SMALL, 5)
-    scene = ds.test_scenes[1]
-    obj = scene.objects[0]
-    box = BBox(obj.box.cx + 1, obj.box.cy, obj.box.w, obj.box.h)
-    np.testing.assert_array_equal(proposal_feature(scene, box), proposal_feature(scene, box))
-    # a row's noise is keyed by its own box, not by its position in the batch
-    batch = np.stack([obj.box.as_array(), box.as_array()])
+    gt = BBox.from_array(ds.test.boxes[1])
+    box = BBox(gt.cx + 1, gt.cy, gt.w, gt.h)
     np.testing.assert_array_equal(
-        _features_for(scene, batch, np.array([0, 0]))[1], proposal_feature(scene, box)
+        proposal_feature(ds, ds.test, 1, box, SMALL), proposal_feature(ds, ds.test, 1, box, SMALL)
+    )
+    # a row's noise is keyed by its own box, not by its position in the batch
+    batch = np.stack([gt.as_array(), box.as_array()])
+    np.testing.assert_array_equal(
+        _features_for(ds.test, np.array([1, 1]), batch, ds.background, SMALL.feature_noise)[1],
+        proposal_feature(ds, ds.test, 1, box, SMALL),
     )
 
 
@@ -121,7 +124,8 @@ def test_base_train_recovers_statistics():
     cfg = dataclasses.replace(SMALL, base_per_class=60)
     ds = generate_dataset(cfg, 6)
     rpn = make_rpn_model(cfg)
-    _, stats = base_train(init_head(cfg, 6), ds.base_scenes, rpn, 0, cfg, 6, ds.novel_classes)
+    base = rpn_proposals(ds, ds.base, rpn, cfg, 6, "base-rpn")
+    _, stats = base_train(init_head(cfg, 6), base, 0, cfg)
     mu = np.array(cfg.rpn_mu)
     sigma = np.array(cfg.rpn_sigma)
     assert np.all(np.abs(stats.mu - mu) <= 0.05 * sigma)
@@ -132,7 +136,7 @@ def test_base_train_zero_epochs_keeps_head():
     ds = generate_dataset(SMALL, 7)
     rpn = make_rpn_model(SMALL)
     head = init_head(SMALL, 7)
-    trained, _ = base_train(head, ds.base_scenes, rpn, 0, SMALL, 7, ds.novel_classes)
+    trained, _ = base_train(head, rpn_proposals(ds, ds.base, rpn, SMALL, 7, "base-rpn"), 0, SMALL)
     assert heads_equal(head, trained)
 
 
@@ -140,52 +144,64 @@ def test_base_train_reaches_base_accuracy():
     cfg = SMALL
     ds = generate_dataset(cfg, 8)
     rpn = make_rpn_model(cfg)
-    head, stats = base_train(init_head(cfg, 8), ds.base_scenes, rpn, cfg.epochs_base, cfg, 8, ds.novel_classes)
-    m = evaluate(head, ds.test_scenes, rpn, cfg, 8, stats, ds.novel_classes)
+    base = rpn_proposals(ds, ds.base, rpn, cfg, 8, "base-rpn")
+    head, stats = base_train(init_head(cfg, 8), base, cfg.epochs_base, cfg)
+    m = evaluate(head, rpn_proposals(ds, ds.test, rpn, cfg, 8, "eval-rpn"), cfg, 8, stats)
     assert m.base_accuracy >= 0.9
+
+
+def _finetune_inputs(cfg, seed, base_epochs):
+    """(dataset, base-trained head, ft-rpn set, sampled set) for one seed."""
+    ds = generate_dataset(cfg, seed)
+    rpn = make_rpn_model(cfg)
+    base = rpn_proposals(ds, ds.base, rpn, cfg, seed, "base-rpn")
+    head, stats = base_train(init_head(cfg, seed), base, base_epochs, cfg)
+    ft = rpn_proposals(ds, ds.finetune, rpn, cfg, seed, "ft-rpn")
+    return ds, head, ft, sampled_proposals(ds, ds.finetune, stats, cfg, seed)
 
 
 def test_finetune_with_j_zero_equals_baseline():
     cfg = dataclasses.replace(SMALL, j_per_instance=0)
-    ds = generate_dataset(cfg, 9)
-    rpn = make_rpn_model(cfg)
-    head, stats = base_train(init_head(cfg, 9), ds.base_scenes, rpn, 10, cfg, 9, ds.novel_classes)
-    h_base = finetune(head, ds.finetune_scenes, rpn, stats, False, cfg, 9, ds.novel_classes)
-    h_pdc = finetune(head, ds.finetune_scenes, rpn, stats, True, cfg, 9, ds.novel_classes)
+    _, head, ft, sampled = _finetune_inputs(cfg, 9, 10)
+    h_base = finetune(head, ft, sampled, False, cfg, 9)
+    h_pdc = finetune(head, ft, sampled, True, cfg, 9)
     assert heads_equal(h_base, h_pdc)
 
 
 def test_finetune_with_lambda_zero_equals_baseline():
     cfg = dataclasses.replace(SMALL, lam=0.0)
-    ds = generate_dataset(cfg, 10)
-    rpn = make_rpn_model(cfg)
-    head, stats = base_train(init_head(cfg, 10), ds.base_scenes, rpn, 10, cfg, 10, ds.novel_classes)
-    h_base = finetune(head, ds.finetune_scenes, rpn, stats, False, cfg, 10, ds.novel_classes)
-    h_pdc = finetune(head, ds.finetune_scenes, rpn, stats, True, cfg, 10, ds.novel_classes)
+    _, head, ft, sampled = _finetune_inputs(cfg, 10, 10)
+    h_base = finetune(head, ft, sampled, False, cfg, 10)
+    h_pdc = finetune(head, ft, sampled, True, cfg, 10)
     assert heads_equal(h_base, h_pdc)
 
 
 def test_finetune_freezes_feature_generator():
-    ds = generate_dataset(SMALL, 11)
-    rpn = make_rpn_model(SMALL)
+    ds, head, ft, sampled = _finetune_inputs(SMALL, 11, 5)
     protos_before = ds.prototypes.copy()
-    scene = ds.finetune_scenes[0]
-    appearance_before = scene.objects[0].appearance.copy()
-    background_before = scene.background.copy()
-    head, stats = base_train(init_head(SMALL, 11), ds.base_scenes, rpn, 5, SMALL, 11, ds.novel_classes)
-    finetune(head, ds.finetune_scenes, rpn, stats, True, SMALL, 11, ds.novel_classes)
+    appearance_before = ds.finetune.appearance.copy()
+    background_before = ds.background.copy()
+    finetune(head, ft, sampled, True, SMALL, 11)
     np.testing.assert_array_equal(ds.prototypes, protos_before)
-    np.testing.assert_array_equal(scene.objects[0].appearance, appearance_before)
-    np.testing.assert_array_equal(scene.background, background_before)
+    np.testing.assert_array_equal(ds.finetune.appearance, appearance_before)
+    np.testing.assert_array_equal(ds.background, background_before)
 
 
 def test_finetune_does_not_mutate_input_head():
-    ds = generate_dataset(SMALL, 12)
-    rpn = make_rpn_model(SMALL)
-    head, stats = base_train(init_head(SMALL, 12), ds.base_scenes, rpn, 5, SMALL, 12, ds.novel_classes)
+    _, head, ft, sampled = _finetune_inputs(SMALL, 12, 5)
     snapshot = head.copy()
-    finetune(head, ds.finetune_scenes, rpn, stats, True, SMALL, 12, ds.novel_classes)
+    finetune(head, ft, sampled, True, SMALL, 12)
     assert heads_equal(head, snapshot)
+
+
+def test_finetune_does_not_mutate_proposal_sets():
+    # both arms fine-tune on the same set objects
+    _, head, ft, sampled = _finetune_inputs(SMALL, 12, 5)
+    before = [dataclasses.astuple(p) for p in (ft, sampled)]
+    finetune(head, ft, sampled, True, SMALL, 12)
+    for p, fields in zip((ft, sampled), before):
+        for now, then in zip(dataclasses.astuple(p), fields):
+            np.testing.assert_array_equal(now, then)
 
 
 def test_evaluate_zero_regressor_is_identity_refinement():
@@ -196,14 +212,10 @@ def test_evaluate_zero_regressor_is_identity_refinement():
     head.w_reg[:] = 0.0
     head.b_reg[:] = 0.0
     stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
-    m = evaluate(head, ds.test_scenes, rpn, cfg, 13, stats, ds.novel_classes)
+    test = rpn_proposals(ds, ds.test, rpn, cfg, 13, "eval-rpn")
+    m = evaluate(head, test, cfg, 13, stats)
     # zero offsets decode to the proposals themselves: mean refined IoU equals raw
-    raw = []
-    for scene in ds.test_scenes:
-        ps = rpn_proposals(scene, rpn, cfg, ds.novel_classes, 13, "eval-rpn")
-        if ps.size:
-            raw.append(ps.q)
-    assert m.mean_iou == pytest.approx(float(np.concatenate(raw).mean()), abs=1e-12)
+    assert m.mean_iou == pytest.approx(float(test.q.mean()), abs=1e-12)
 
 
 def test_evaluate_oracle_regressor():
@@ -212,7 +224,8 @@ def test_evaluate_oracle_regressor():
     rpn = make_rpn_model(cfg)
     head = init_head(cfg, 14)
     stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
-    m = evaluate(head, ds.test_scenes, rpn, cfg, 14, stats, ds.novel_classes, oracle_regressor=True)
+    test = rpn_proposals(ds, ds.test, rpn, cfg, 14, "eval-rpn")
+    m = evaluate(head, test, cfg, 14, stats, oracle_regressor=True)
     assert m.mean_iou >= 0.99
 
 
@@ -220,9 +233,11 @@ def test_evaluate_deterministic():
     cfg = SMALL
     ds = generate_dataset(cfg, 15)
     rpn = make_rpn_model(cfg)
-    head, stats = base_train(init_head(cfg, 15), ds.base_scenes, rpn, 10, cfg, 15, ds.novel_classes)
-    m1 = evaluate(head, ds.test_scenes, rpn, cfg, 15, stats, ds.novel_classes)
-    m2 = evaluate(head, ds.test_scenes, rpn, cfg, 15, stats, ds.novel_classes)
+    base = rpn_proposals(ds, ds.base, rpn, cfg, 15, "base-rpn")
+    head, stats = base_train(init_head(cfg, 15), base, 10, cfg)
+    test = rpn_proposals(ds, ds.test, rpn, cfg, 15, "eval-rpn")
+    m1 = evaluate(head, test, cfg, 15, stats)
+    m2 = evaluate(head, test, cfg, 15, stats)
     assert m1.mean_iou == m2.mean_iou
     assert m1.novel_accuracy == m2.novel_accuracy
     assert m1.mmd_novel == m2.mmd_novel
@@ -232,19 +247,25 @@ def test_arm_isolation_same_proposals():
     # proposals are keyed by (seed, purpose, scene), never by arm
     ds = generate_dataset(SMALL, 16)
     rpn = make_rpn_model(SMALL)
-    scene = ds.finetune_scenes[0]
-    a = rpn_proposals(scene, rpn, SMALL, ds.novel_classes, 16, "ft-rpn")
-    b = rpn_proposals(scene, rpn, SMALL, ds.novel_classes, 16, "ft-rpn")
+    a = rpn_proposals(ds, ds.finetune, rpn, SMALL, 16, "ft-rpn")
+    b = rpn_proposals(ds, ds.finetune, rpn, SMALL, 16, "ft-rpn")
     np.testing.assert_array_equal(a.boxes, b.boxes)
     np.testing.assert_array_equal(a.feats, b.feats)
+    # nor by a scene's position in its split: dropping the first scene leaves
+    # every other scene's proposals as they were
+    ft = ds.finetune
+    rest = Split(ft.ids[1:], ft.boxes[1:], ft.labels[1:], ft.appearance[1:], ft.feature_keys[1:])
+    c = rpn_proposals(ds, rest, rpn, SMALL, 16, "ft-rpn")
+    np.testing.assert_array_equal(c.boxes, a.boxes[SMALL.rpn_per_object:])
+    np.testing.assert_array_equal(c.feats, a.feats[SMALL.rpn_per_object:])
 
 
 def test_sampled_proposals_match_source_distribution():
     ds = generate_dataset(SMALL, 17)
     stats = DiagonalGaussian4([0.02, -0.02, 0.06, 0.04], [0.0064, 0.0064, 0.01, 0.01])
-    pset = sampled_proposals(ds.finetune_scenes[0], stats, SMALL, ds.novel_classes, 17)
-    assert pset.size == SMALL.j_per_instance
-    assert np.all(pset.labels == ds.finetune_scenes[0].objects[0].class_label)
+    pset = sampled_proposals(ds, ds.finetune, stats, SMALL, 17)
+    assert pset.size == SMALL.j_per_instance * ds.finetune.size
+    np.testing.assert_array_equal(pset.labels, np.repeat(ds.finetune.labels, SMALL.j_per_instance))
 
 
 def test_rpn_novel_bias_shifts_offsets():
@@ -254,16 +275,13 @@ def test_rpn_novel_bias_shifts_offsets():
     )
     ds = generate_dataset(cfg, 18)
     rpn = make_rpn_model(cfg)
-    novel_scene = next(
-        s for s in ds.test_scenes if s.objects[0].class_label in ds.novel_classes
-    )
-    base_scene = next(
-        s for s in ds.test_scenes if s.objects[0].class_label not in ds.novel_classes
-    )
-    pn = rpn_proposals(novel_scene, rpn, cfg, ds.novel_classes, 18, "x")
-    pb = rpn_proposals(base_scene, rpn, cfg, ds.novel_classes, 18, "x")
-    dx_n = encode_offsets_array(pn.boxes, pn.gt_boxes)[:, 0].mean()
-    dx_b = encode_offsets_array(pb.boxes, pb.gt_boxes)[:, 0].mean()
+    pset = rpn_proposals(ds, ds.test, rpn, cfg, 18, "x")
+    dx = encode_offsets_array(pset.boxes, pset.gt_boxes)[:, 0]
+    # nothing is missed, so scene r owns rows [50 r, 50 r + 50)
+    novel_scene = next(r for r, label in enumerate(ds.test.labels) if label in ds.novel_classes)
+    base_scene = next(r for r, label in enumerate(ds.test.labels) if label not in ds.novel_classes)
+    dx_n = dx[50 * novel_scene:50 * novel_scene + 50].mean()
+    dx_b = dx[50 * base_scene:50 * base_scene + 50].mean()
     assert dx_n - dx_b > 0.25
 
 
@@ -272,12 +290,12 @@ def test_rpn_miss_rate_drops_novel_objects():
     cfg = SMALL
     ds = generate_dataset(cfg, 19)
     rpn = dataclasses.replace(make_rpn_model(cfg), miss_rate_novel=1.0)
-    for s in ds.test_scenes:
-        pset = rpn_proposals(s, rpn, cfg, ds.novel_classes, 19, "x")
-        if s.objects[0].class_label in ds.novel_classes:
-            assert pset.size == 0
-        else:
-            assert pset.size == cfg.rpn_per_object
+    pset = rpn_proposals(ds, ds.test, rpn, cfg, 19, "x")
+    assert not pset.novel.any()
+    base_rows = np.array([label not in ds.novel_classes for label in ds.test.labels])
+    np.testing.assert_array_equal(
+        pset.gt_boxes, np.repeat(ds.test.boxes[base_rows], cfg.rpn_per_object, axis=0)
+    )
 
 
 def test_run_seed_deterministic():
@@ -337,6 +355,14 @@ def test_config_validation():
         ExperimentConfig.from_json('{"seeds": []}')
     with pytest.raises(ValueError):
         ExperimentConfig(contrastive_set="everything")
+
+
+def test_config_float_fields_keep_one_json_form():
+    # an integer given for a float field is the same experiment, in the same directory
+    cfg = ExperimentConfig.from_json('{"image_w": 160}')
+    assert cfg == ExperimentConfig()
+    assert cfg.config_hash() == ExperimentConfig().config_hash() == "27a47c13d729"
+    assert '"image_w": 160.0' in cfg.to_json()
 
 
 def test_biased_rpn_model_validation():

@@ -1,12 +1,14 @@
 """The benchmark's tracer (perfbench/tracing.py) patches propcal functions by
-attribute name. Removing or renaming one of those names breaks traced
-benchmark runs; this test makes it break tier-1 too.
+attribute name and reads some of their arguments by name. Removing or
+renaming one of those names or parameters breaks traced benchmark runs;
+these tests make it break tier-1 too.
 """
 
 import importlib.util
 from pathlib import Path
 
 from propcal import cli, diagnostics, geometry, simulator
+from propcal.simulator import ExperimentConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +31,23 @@ def test_tracer_installs_and_restores_every_bound_name():
     assert simulator.iou_scalar is geometry.iou
     assert diagnostics.iou is geometry.iou
     assert cli.encode_offset is geometry.encode_offset
+
+
+def test_traced_run_seed_builds_each_proposal_set_once():
+    config = ExperimentConfig(
+        c_base=2, c_novel=2, k_shot=2, base_per_class=20, test_per_class=6,
+        epochs_base=5, epochs_finetune=5, j_per_instance=10, seeds=(0,),
+    )
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        simulator.run_seed(config, 0)  # the hooks read seed, pdc_enabled and the sets' size
+    finally:
+        tracer.restore()
+    totals = tracer.totals()
+    assert "simulator.finetune_baseline.s" in totals
+    assert "simulator.finetune_pdc.s" in totals
+    assert totals["simulator.rpn_proposals.calls"] == 3  # base-rpn, ft-rpn, eval-rpn
+    assert totals["simulator.sampled_proposals.calls"] == 1
+    assert totals["simulator.feature_rows"] > 0
