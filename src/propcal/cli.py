@@ -73,7 +73,11 @@ def _parse_box(value, name: str) -> BBox:
         raise ValueError(f"{name} must be a 4-element array [cx, cy, w, h]")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ValueError(f"{name} must contain numbers only")
-    return BBox(*(float(v) for v in value))
+    try:
+        coords = [float(v) for v in value]
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer beyond the float range") from None
+    return BBox(*coords)
 
 
 def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
@@ -100,6 +104,8 @@ def _parse_line(text: str, line_no: int, fields: tuple[str, ...], build):
         return build(doc)
     except json.JSONDecodeError as e:
         raise LogParseError(line_no, f"malformed JSON ({e.msg})") from None
+    except RecursionError:
+        raise LogParseError(line_no, "malformed JSON (nested too deeply)") from None
     except ValueError as e:
         raise LogParseError(line_no, str(e)) from None
 
@@ -280,7 +286,7 @@ def _cmd_diagnose(args) -> int:
             diagnostics.histogram_to_svg(hist, f"offset {name}")
         )
     (outdir / "model.json").write_text(model_to_json(report.gaussian) + "\n")
-    hist = diagnostics.iou_histogram(props, gts, np.linspace(0, 1, 11))
+    hist = diagnostics.iou_histogram(props, gts, diagnostics.IOU_EDGES)
     (outdir / "iou_hist.csv").write_text(diagnostics.histogram_to_csv(hist))
     (outdir / "iou_hist.svg").write_text(diagnostics.histogram_to_svg(hist, "proposal IoU"))
     print(f"wrote 11 files to {outdir}")
@@ -294,18 +300,8 @@ def _cmd_simulate(args) -> int:
     report = run_experiment(config, out_root=args.out)
     n = report.n_seeds
     print(f"config {report.config_hash}: {n} seeds")
-    print(
-        f"mean_iou        baseline={report.mean_iou[0]:.4f} pdc={report.mean_iou[1]:.4f} "
-        f"pdc_wins={report.iou_wins}/{n}"
-    )
-    print(
-        f"novel_accuracy  baseline={report.mean_novel_acc[0]:.4f} pdc={report.mean_novel_acc[1]:.4f} "
-        f"pdc_wins={report.acc_wins}/{n}"
-    )
-    print(
-        f"mmd_novel       baseline={report.mean_mmd[0]:.4f} pdc={report.mean_mmd[1]:.4f} "
-        f"pdc_wins={report.mmd_wins}/{n}"
-    )
+    for metric, (b, p), wins in report.comparisons():
+        print(f"{metric:<16}baseline={b:.4f} pdc={p:.4f} pdc_wins={wins}/{n}")
     print(f"reports: {report.output_dir}")
     return 0
 

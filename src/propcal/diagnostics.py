@@ -22,6 +22,9 @@ from .geometry import iou_paired_array
 from .geometry import iou  # noqa: F401
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
+# Ten equal IoU buckets on [0, 1], shared by every IoU histogram and precision report
+IOU_EDGES = np.linspace(0.0, 1.0, 11)
+
 
 @dataclass(frozen=True)
 class Histogram:

@@ -25,6 +25,9 @@ from .stats import DiagonalGaussian4, Uniform4
 
 OffsetModel = Union[DiagonalGaussian4, Uniform4]
 
+# Re-draw rounds a slot gets after its first draw before sampling gives up
+MAX_RESAMPLE = 16
+
 
 @dataclass(frozen=True)
 class SampledProposal:
@@ -41,13 +44,10 @@ class SamplerConfig:
     model: OffsetModel
     j_per_instance: int = 50
     seed: int = 0
-    max_resample: int = 16
 
     def __post_init__(self):
         if self.j_per_instance < 1:
             raise ValueError(f"j_per_instance must be >= 1, got {self.j_per_instance}")
-        if self.max_resample < 1:
-            raise ValueError(f"max_resample must be >= 1, got {self.max_resample}")
 
 
 def stream_key(seed: int, *parts) -> int:
@@ -77,17 +77,16 @@ def sample_boxes_for_gt(
     model: OffsetModel,
     rng: np.random.Generator,
     image_size: tuple[float, float] | None,
-    max_resample: int,
 ) -> np.ndarray:
     """Array core of proposal sampling: n decoded (and clipped) boxes for one gt.
 
     Raises RuntimeError when some slot still decodes invalid after
-    ``max_resample`` re-draw rounds.
+    ``MAX_RESAMPLE`` re-draw rounds.
     """
     gt_row = np.asarray(gt_box, dtype=np.float64).reshape(1, 4)
     boxes = np.empty((n, 4))
     pending = np.arange(n)
-    for _ in range(max_resample + 1):
+    for _ in range(MAX_RESAMPLE + 1):
         if pending.size == 0:
             break
         offs = _draw_raw(model, pending.size, rng)
@@ -102,7 +101,7 @@ def sample_boxes_for_gt(
     if pending.size:
         raise RuntimeError(
             f"resampling budget exhausted for gt {gt_row[0].tolist()}: "
-            f"{pending.size} of {n} draws still invalid after {max_resample} rounds"
+            f"{pending.size} of {n} draws still invalid after {MAX_RESAMPLE} rounds"
         )
     return boxes
 
@@ -114,14 +113,10 @@ def sample_proposals_for_gt(
     image_size: tuple[float, float] | None = None,
     gt_index: int = 0,
     image_id: str = "",
-    rng: np.random.Generator | None = None,
 ) -> list[SampledProposal]:
     """Sample ``j_per_instance`` calibrated proposals sharing the gt's label."""
-    if rng is None:
-        rng = stream_rng(config.seed, "sample", image_id, gt_index)
-    boxes = sample_boxes_for_gt(
-        gt.as_array(), config.j_per_instance, config.model, rng, image_size, config.max_resample
-    )
+    rng = stream_rng(config.seed, "sample", image_id, gt_index)
+    boxes = sample_boxes_for_gt(gt.as_array(), config.j_per_instance, config.model, rng, image_size)
     return [
         SampledProposal(BBox.from_array(row), class_label, gt_index, image_id)
         for row in boxes

@@ -56,7 +56,15 @@ from .stats import DiagonalGaussian4, OffsetAccumulator
 _PRED_CLAMP = (-0.9, 4.0)
 _CLS_INIT = 0.4
 _REG_INIT = 0.5
-_IOU_EDGES = np.linspace(0.0, 1.0, 11)
+
+# The metrics the two arms are compared on: (EvalMetrics field, ExperimentReport
+# field of the (baseline, pdc) means, ExperimentReport field of the pdc wins,
+# whether the lower value wins)
+METRICS = (
+    ("mean_iou", "mean_iou", "iou_wins", False),
+    ("novel_accuracy", "mean_novel_acc", "acc_wins", False),
+    ("mmd_novel", "mean_mmd", "mmd_wins", True),
+)
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -73,6 +81,17 @@ _JSON_TYPES = {
     float: ((int, float), "a number", "numbers"),
     str: ((str,), "a string", "strings"),
 }
+
+
+def _finite_float(name: str, value) -> float:
+    """``float(value)``; a ValueError naming the field if it is not finite."""
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -114,13 +133,18 @@ class ExperimentConfig:
     margin: float = 48.0
 
     def __post_init__(self):
-        # one JSON form per value: 160 and 160.0 give the same config hash
+        # one JSON form per value: 160 and 160.0 give the same config hash;
+        # every float, alone or in a tuple, is finite
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if isinstance(f.default, tuple):
-                cast = type(f.default[0])
-                object.__setattr__(self, f.name, tuple(cast(v) for v in getattr(self, f.name)))
+                if isinstance(f.default[0], float):
+                    value = tuple(_finite_float(f.name, v) for v in value)
+                else:
+                    value = tuple(type(f.default[0])(v) for v in value)
+                object.__setattr__(self, f.name, value)
             elif isinstance(f.default, float):
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+                object.__setattr__(self, f.name, _finite_float(f.name, value))
         if self.k_shot < 1:
             raise ValueError("k_shot must be >= 1")
         for name in ("c_base", "c_novel", "epochs_base", "epochs_finetune",
@@ -145,9 +169,14 @@ class ExperimentConfig:
             raise ValueError("need 0 < min_box <= max_box")
         if not 2 * self.margin <= min(self.image_w, self.image_h):
             raise ValueError("margin must be at most half of min(image_w, image_h)")
+        # so every object lies inside the image
+        if 2 * self.margin < self.max_box:
+            raise ValueError("margin must be at least max_box / 2")
         # a miss rate of 1 leaves no novel test proposals, so mmd_novel is undefined
         if not 0.0 <= self.miss_rate_novel < 1.0:
             raise ValueError("miss_rate_novel must be in [0, 1)")
+        if self.novel_bias_spread < 0:
+            raise ValueError("novel_bias_spread must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.contrastive_set not in ("sampled", "rpn", "both"):
@@ -180,44 +209,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class BiasedRpnModel:
-    """Stochastic proposal source with an extra offset bias for novel objects.
-
-    Novel-class instances are proposed around ``mu + novel_extra_bias`` plus
-    an instance-specific bias component with per-dimension standard
-    deviation ``novel_bias_spread`` — the source systematically mislocates
-    novel objects, and how it mislocates them varies from instance to
-    instance.
-    """
-
-    offset_dist: DiagonalGaussian4
-    novel_extra_bias: np.ndarray
-    miss_rate_novel: float
-    novel_bias_spread: float = 0.0
-
-    def __post_init__(self):
-        bias = np.asarray(self.novel_extra_bias, dtype=np.float64).reshape(4)
-        if not 0.0 <= self.miss_rate_novel <= 1.0:
-            raise ValueError("miss_rate_novel must be in [0, 1]")
-        if self.novel_bias_spread < 0.0:
-            raise ValueError("novel_bias_spread must be >= 0")
-        object.__setattr__(self, "novel_extra_bias", bias)
-
-    def novel_dist(self, instance_bias: np.ndarray | None = None) -> DiagonalGaussian4:
-        extra = self.novel_extra_bias if instance_bias is None else self.novel_extra_bias + instance_bias
-        return DiagonalGaussian4(self.offset_dist.mu + extra, self.offset_dist.var)
-
-
-def make_rpn_model(config: ExperimentConfig) -> BiasedRpnModel:
-    return BiasedRpnModel(
-        DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2),
-        np.array(config.novel_extra_bias),
-        config.miss_rate_novel,
-        config.novel_bias_spread,
-    )
 
 
 @dataclass(frozen=True)
@@ -391,31 +382,33 @@ def _proposal_set(
 
 
 def rpn_proposals(
-    ds: SimDataset,
-    split: Split,
-    model: BiasedRpnModel,
-    config: ExperimentConfig,
-    seed: int,
-    purpose: str,
+    ds: SimDataset, split: Split, config: ExperimentConfig, seed: int, purpose: str
 ) -> ProposalSet:
-    """Biased detector proposals for the object of every scene of ``split`` not missed."""
+    """Biased detector proposals for the object of every scene of ``split`` not missed.
+
+    Offsets are drawn from N(``rpn_mu``, ``rpn_sigma``^2). A novel object is
+    missed with probability ``miss_rate_novel``; otherwise its offsets are
+    shifted by ``novel_extra_bias`` plus an instance bias with per-dimension
+    standard deviation ``novel_bias_spread``, so the source mislocates novel
+    objects, each in its own way.
+    """
+    dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
+    extra_bias = np.array(config.novel_extra_bias)
+    image_size = (config.image_w, config.image_h)
     rows, boxes = [], []
     for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
         rng = stream_rng(seed, purpose, sid)
+        model = dist
         if label in ds.novel_classes:
-            if rng.random() < model.miss_rate_novel:
+            if rng.random() < config.miss_rate_novel:
                 continue
             # instance-specific bias: a fixed property of the object, not of
             # the draw, so fine-tuning cannot see the test instances' biases;
             # the 0 is the object index of the earlier objects-per-scene
             # layout, kept so the stream keys do not change
-            inst = model.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)
-            dist = model.novel_dist(inst)
-        else:
-            dist = model.offset_dist
-        boxes.append(sample_boxes_for_gt(
-            gt, config.rpn_per_object, dist, rng, (config.image_w, config.image_h), 16
-        ))
+            inst = config.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)
+            model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
+        boxes.append(sample_boxes_for_gt(gt, config.rpn_per_object, model, rng, image_size))
         rows.append(r)
     if not rows:
         return _empty_set(config.feature_dim)
@@ -631,7 +624,8 @@ def evaluate(
 
     ``oracle_regressor`` replaces the head's offset predictions by the true
     offsets (an upper-bound check for the refinement path). Raises
-    ValueError when no novel test proposal is foreground.
+    ValueError when no novel test proposal is foreground, or when a compared
+    metric is not finite.
     """
     if pset.size == 0:
         raise ValueError("evaluation produced no proposals")
@@ -666,11 +660,17 @@ def evaluate(
     mmd_novel = diagnostics.mmd_rbf(novel_offsets, ref_sample)
 
     novel = pset.novel
-    return EvalMetrics(
+    metrics = EvalMetrics(
         mean_iou, novel_acc, base_acc, mmd_novel, np.clip(refined_iou, 0.0, 1.0),
         pset.q[novel], pred_labels[novel] == pset.labels[novel],
         int(fg.sum()), int(novel_fg.sum()),
     )
+    # a head whose outputs overflowed scores NaN, which loses every comparison
+    for name, *_ in METRICS:
+        value = getattr(metrics, name)
+        if not math.isfinite(value):
+            raise ValueError(f"seed {seed}: {name} is {value!r}; lower learning_rate")
+    return metrics
 
 
 @dataclass(frozen=True)
@@ -696,6 +696,10 @@ class ExperimentReport:
     def n_seeds(self) -> int:
         return len(self.results)
 
+    def comparisons(self) -> list[tuple[str, tuple[float, float], int]]:
+        """(metric, (baseline mean, pdc mean), pdc wins) for each of METRICS, in order."""
+        return [(m, getattr(self, mean), getattr(self, wins)) for m, mean, wins, _ in METRICS]
+
 
 def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     """Run both arms for one seed from a shared base-trained head.
@@ -704,14 +708,13 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     test proposals.
     """
     ds = generate_dataset(config, seed)
-    rpn_model = make_rpn_model(config)
     base_head, stats = base_train(
         init_head(config, seed),
-        rpn_proposals(ds, ds.base, rpn_model, config, seed, "base-rpn"),
+        rpn_proposals(ds, ds.base, config, seed, "base-rpn"),
         config.epochs_base, config,
     )
-    ft = rpn_proposals(ds, ds.finetune, rpn_model, config, seed, "ft-rpn")
-    test = rpn_proposals(ds, ds.test, rpn_model, config, seed, "eval-rpn")
+    ft = rpn_proposals(ds, ds.finetune, config, seed, "ft-rpn")
+    test = rpn_proposals(ds, ds.test, config, seed, "eval-rpn")
     sampled = sampled_proposals(ds, ds.finetune, stats, config, seed)
     arms = {}
     for name, enabled in (("baseline", False), ("pdc", True)):
@@ -727,30 +730,13 @@ def run_experiment(config: ExperimentConfig, out_root: Path | str | None = None)
     ``out_root/<config hash>/``.
     """
     results = tuple(run_seed(config, s) for s in config.seeds)
-    iou_wins = sum(r.pdc.mean_iou > r.baseline.mean_iou for r in results)
-    acc_wins = sum(r.pdc.novel_accuracy > r.baseline.novel_accuracy for r in results)
-    mmd_wins = sum(r.pdc.mmd_novel < r.baseline.mmd_novel for r in results)
-    n = max(len(results), 1)
-    report = ExperimentReport(
-        config_hash=config.config_hash(),
-        results=results,
-        iou_wins=iou_wins,
-        acc_wins=acc_wins,
-        mmd_wins=mmd_wins,
-        mean_iou=(
-            sum(r.baseline.mean_iou for r in results) / n,
-            sum(r.pdc.mean_iou for r in results) / n,
-        ),
-        mean_novel_acc=(
-            sum(r.baseline.novel_accuracy for r in results) / n,
-            sum(r.pdc.novel_accuracy for r in results) / n,
-        ),
-        mean_mmd=(
-            sum(r.baseline.mmd_novel for r in results) / n,
-            sum(r.pdc.mmd_novel for r in results) / n,
-        ),
-        output_dir=None,
-    )
+    fields = {}
+    for metric, mean_field, wins_field, lower_wins in METRICS:
+        base = [getattr(r.baseline, metric) for r in results]
+        pdc = [getattr(r.pdc, metric) for r in results]
+        fields[mean_field] = (sum(base) / len(results), sum(pdc) / len(results))
+        fields[wins_field] = sum((p < b) if lower_wins else (p > b) for b, p in zip(base, pdc))
+    report = ExperimentReport(config.config_hash(), results, output_dir=None, **fields)
     if out_root is not None:
         outdir = Path(out_root) / config.config_hash()
         write_report(report, config, outdir)
@@ -772,22 +758,20 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
             )
     (outdir / "per_seed.csv").write_text("\n".join(lines) + "\n")
 
-    n = report.n_seeds
-    summary = [
-        "metric,baseline_mean,pdc_mean,pdc_wins,n_seeds",
-        f"mean_iou,{report.mean_iou[0]!r},{report.mean_iou[1]!r},{report.iou_wins},{n}",
-        f"novel_accuracy,{report.mean_novel_acc[0]!r},{report.mean_novel_acc[1]!r},{report.acc_wins},{n}",
-        f"mmd_novel,{report.mean_mmd[0]!r},{report.mean_mmd[1]!r},{report.mmd_wins},{n}",
-    ]
+    summary = ["metric,baseline_mean,pdc_mean,pdc_wins,n_seeds"]
+    for metric, (b, p), wins in report.comparisons():
+        summary.append(f"{metric},{b!r},{p!r},{wins},{report.n_seeds}")
     (outdir / "summary.csv").write_text("\n".join(summary) + "\n")
 
     for arm in ("baseline", "pdc"):
         metrics = [getattr(r, arm) for r in report.results]
-        hist = diagnostics.histogram(np.concatenate([m.refined_iou for m in metrics]), _IOU_EDGES)
+        hist = diagnostics.histogram(
+            np.concatenate([m.refined_iou for m in metrics]), diagnostics.IOU_EDGES
+        )
         prec = diagnostics.precision_by_iou(
             np.concatenate([m.novel_iou for m in metrics]),
             np.concatenate([m.novel_correct for m in metrics]),
-            _IOU_EDGES,
+            diagnostics.IOU_EDGES,
         )
         (outdir / f"iou_hist_{arm}.csv").write_text(diagnostics.histogram_to_csv(hist))
         (outdir / f"iou_hist_{arm}.svg").write_text(

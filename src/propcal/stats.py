@@ -183,6 +183,6 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
         raise ValueError(f"{kind} model document lacks field(s): {', '.join(missing)}")
     try:
         a, b = (np.asarray(doc[n], dtype=np.float64) for n in names)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ValueError(f"{kind} model fields {' and '.join(names)} must be numeric arrays") from None
     return DiagonalGaussian4(a, b) if kind == "gaussian" else Uniform4(a, b)

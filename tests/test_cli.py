@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -310,6 +311,12 @@ def test_cli_simulate(tmp_path, capsys):
     ({"min_box": -10, "max_box": 5}, "need 0 < min_box <= max_box"),
     ({"min_box": 0}, "need 0 < min_box <= max_box"),
     ({"min_box": 50, "max_box": 40}, "need 0 < min_box <= max_box"),
+    ({"margin": -40}, "margin must be at least max_box / 2"),
+    ({"margin": 20}, "margin must be at least max_box / 2"),
+    ({"miss_rate_novel": -0.1}, "miss_rate_novel must be in [0, 1)"),
+    ({"novel_bias_spread": -1}, "novel_bias_spread must be >= 0"),
+    ({"lam": math.nan}, "lam must be finite"),
+    ({"rpn_sigma": [0.1, 0.1, -math.inf, 0.1]}, "rpn_sigma must be finite"),
 ])
 def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message):
     cfg_file = tmp_path / "config.json"
@@ -332,6 +339,68 @@ def test_cli_simulate_without_novel_foreground_exits_1(tmp_path, capsys):
     assert err.startswith("error: seed ") and "no foreground novel test proposal" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_simulate_with_diverging_head_exits_1(tmp_path, capsys):
+    # valid, but the head's weights grow to about 1e299 and mmd_novel is NaN
+    cfg = {"learning_rate": 1e300, "seeds": [0], "base_per_class": 20, "test_per_class": 6,
+           "epochs_base": 2, "epochs_finetune": 2}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    out = tmp_path / "reports"
+    assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 0: ") and "is nan" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# an integer JSON reads exactly but float() cannot hold, and a line too deep to decode
+HUGE = "1" + "0" * 400
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE_LOG_LINE = record_line().replace("50.0", HUGE)
+GT_LINE = '{"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}'
+MODEL = '{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}'
+
+
+@pytest.mark.parametrize("argv,files,message", [
+    (["fit-stats", "{log}"], {"log": HUGE_LOG_LINE},
+     "line 1: gt holds an integer beyond the float range"),
+    (["fit-stats", "{log}"], {"log": DEEP}, "line 1: malformed JSON (nested too deeply)"),
+    (["sample", "{gts}", "--model", "{model}"],
+     {"gts": GT_LINE.replace("60.0", HUGE), "model": MODEL},
+     "line 1: gt holds an integer beyond the float range"),
+    (["sample", "{gts}", "--model", "{model}"], {"gts": DEEP, "model": MODEL},
+     "line 1: malformed JSON (nested too deeply)"),
+    (["fit-uniform", "{model}"], {"model": MODEL.replace('"mu": [0', '"mu": [' + HUGE)},
+     "gaussian model fields mu and var must be numeric arrays"),
+    (["sample", "{gts}", "--model", "{model}"],
+     {"gts": GT_LINE, "model": MODEL.replace('"mu": [0', '"mu": [' + HUGE)},
+     "gaussian model fields mu and var must be numeric arrays"),
+    (["simulate", "{config}", "--out", "{out}"], {"config": '{"image_w": 1e400}'},
+     "image_w must be finite"),
+    (["simulate", "{config}", "--out", "{out}"], {"config": '{"image_w": %s}' % HUGE},
+     "image_w must be finite"),
+    (["simulate", "{config}", "--out", "{out}"], {"config": '{"rpn_mu": [0, 0, 0, %s]}' % HUGE},
+     "rpn_mu must be finite"),
+])
+def test_cli_numbers_beyond_float_range_exit_1(tmp_path, capsys, argv, files, message):
+    paths = {"out": tmp_path / "out"}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text + "\n")
+    assert dispatch([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not paths["out"].exists()
+
+
+def test_lenient_mode_skips_numbers_beyond_float_range():
+    records, errors = parse_log([record_line(), HUGE_LOG_LINE, DEEP, record_line()], lenient=True)
+    assert len(records) == 2
+    assert errors == [
+        "line 2: gt holds an integer beyond the float range",
+        "line 3: malformed JSON (nested too deeply)",
+    ]
 
 
 @pytest.mark.parametrize("argv", [

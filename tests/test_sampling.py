@@ -17,7 +17,7 @@ UNIT_GT = np.array([0.0, 0.0, 1.0, 1.0])
 
 def drawn_offsets(model, n, rng):
     """n offsets drawn by the proposal sampler, unclipped, re-encoded against a unit gt."""
-    boxes = sample_boxes_for_gt(UNIT_GT, n, model, rng, image_size=None, max_resample=16)
+    boxes = sample_boxes_for_gt(UNIT_GT, n, model, rng, image_size=None)
     return encode_offsets_array(boxes, np.tile(UNIT_GT, (n, 1)))
 
 
@@ -76,7 +76,7 @@ def test_border_clipping_keeps_boxes_inside():
 def test_resample_budget_exhausted():
     # every draw lands far outside the tiny image: nothing can be decoded
     off_image = Uniform4([10.0, 10.0, -0.01, -0.01], [11.0, 11.0, 0.01, 0.01])
-    cfg = SamplerConfig(model=off_image, j_per_instance=4, seed=4, max_resample=3)
+    cfg = SamplerConfig(model=off_image, j_per_instance=4, seed=4)
     with pytest.raises(RuntimeError, match="resampling budget"):
         sample_proposals_for_gt(BBox(5, 5, 4, 4), 0, cfg, image_size=(12, 12))
 
@@ -144,8 +144,6 @@ def test_golden_stream_pin():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(model=GAUSS, j_per_instance=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(model=GAUSS, max_resample=0)
 
 
 def test_unsupported_model_type():

@@ -1,12 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from propcal.geometry import BBox, corners_array, encode_offsets_array
 from propcal.simulator import (
-    BiasedRpnModel,
     ExperimentConfig,
     Split,
     base_train,
@@ -14,7 +14,6 @@ from propcal.simulator import (
     finetune,
     generate_dataset,
     init_head,
-    make_rpn_model,
     rpn_proposals,
     run_experiment,
     run_seed,
@@ -123,8 +122,7 @@ def test_proposal_feature_deterministic():
 def test_base_train_recovers_statistics():
     cfg = dataclasses.replace(SMALL, base_per_class=60)
     ds = generate_dataset(cfg, 6)
-    rpn = make_rpn_model(cfg)
-    base = rpn_proposals(ds, ds.base, rpn, cfg, 6, "base-rpn")
+    base = rpn_proposals(ds, ds.base, cfg, 6, "base-rpn")
     _, stats = base_train(init_head(cfg, 6), base, 0, cfg)
     mu = np.array(cfg.rpn_mu)
     sigma = np.array(cfg.rpn_sigma)
@@ -134,29 +132,26 @@ def test_base_train_recovers_statistics():
 
 def test_base_train_zero_epochs_keeps_head():
     ds = generate_dataset(SMALL, 7)
-    rpn = make_rpn_model(SMALL)
     head = init_head(SMALL, 7)
-    trained, _ = base_train(head, rpn_proposals(ds, ds.base, rpn, SMALL, 7, "base-rpn"), 0, SMALL)
+    trained, _ = base_train(head, rpn_proposals(ds, ds.base, SMALL, 7, "base-rpn"), 0, SMALL)
     assert heads_equal(head, trained)
 
 
 def test_base_train_reaches_base_accuracy():
     cfg = SMALL
     ds = generate_dataset(cfg, 8)
-    rpn = make_rpn_model(cfg)
-    base = rpn_proposals(ds, ds.base, rpn, cfg, 8, "base-rpn")
+    base = rpn_proposals(ds, ds.base, cfg, 8, "base-rpn")
     head, stats = base_train(init_head(cfg, 8), base, cfg.epochs_base, cfg)
-    m = evaluate(head, rpn_proposals(ds, ds.test, rpn, cfg, 8, "eval-rpn"), cfg, 8, stats)
+    m = evaluate(head, rpn_proposals(ds, ds.test, cfg, 8, "eval-rpn"), cfg, 8, stats)
     assert m.base_accuracy >= 0.9
 
 
 def _finetune_inputs(cfg, seed, base_epochs):
     """(dataset, base-trained head, ft-rpn set, sampled set) for one seed."""
     ds = generate_dataset(cfg, seed)
-    rpn = make_rpn_model(cfg)
-    base = rpn_proposals(ds, ds.base, rpn, cfg, seed, "base-rpn")
+    base = rpn_proposals(ds, ds.base, cfg, seed, "base-rpn")
     head, stats = base_train(init_head(cfg, seed), base, base_epochs, cfg)
-    ft = rpn_proposals(ds, ds.finetune, rpn, cfg, seed, "ft-rpn")
+    ft = rpn_proposals(ds, ds.finetune, cfg, seed, "ft-rpn")
     return ds, head, ft, sampled_proposals(ds, ds.finetune, stats, cfg, seed)
 
 
@@ -207,12 +202,11 @@ def test_finetune_does_not_mutate_proposal_sets():
 def test_evaluate_zero_regressor_is_identity_refinement():
     cfg = SMALL
     ds = generate_dataset(cfg, 13)
-    rpn = make_rpn_model(cfg)
     head = init_head(cfg, 13)
     head.w_reg[:] = 0.0
     head.b_reg[:] = 0.0
     stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
-    test = rpn_proposals(ds, ds.test, rpn, cfg, 13, "eval-rpn")
+    test = rpn_proposals(ds, ds.test, cfg, 13, "eval-rpn")
     m = evaluate(head, test, cfg, 13, stats)
     # zero offsets decode to the proposals themselves: mean refined IoU equals raw
     assert m.mean_iou == pytest.approx(float(test.q.mean()), abs=1e-12)
@@ -221,10 +215,9 @@ def test_evaluate_zero_regressor_is_identity_refinement():
 def test_evaluate_oracle_regressor():
     cfg = SMALL
     ds = generate_dataset(cfg, 14)
-    rpn = make_rpn_model(cfg)
     head = init_head(cfg, 14)
     stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
-    test = rpn_proposals(ds, ds.test, rpn, cfg, 14, "eval-rpn")
+    test = rpn_proposals(ds, ds.test, cfg, 14, "eval-rpn")
     m = evaluate(head, test, cfg, 14, stats, oracle_regressor=True)
     assert m.mean_iou >= 0.99
 
@@ -232,10 +225,9 @@ def test_evaluate_oracle_regressor():
 def test_evaluate_deterministic():
     cfg = SMALL
     ds = generate_dataset(cfg, 15)
-    rpn = make_rpn_model(cfg)
-    base = rpn_proposals(ds, ds.base, rpn, cfg, 15, "base-rpn")
+    base = rpn_proposals(ds, ds.base, cfg, 15, "base-rpn")
     head, stats = base_train(init_head(cfg, 15), base, 10, cfg)
-    test = rpn_proposals(ds, ds.test, rpn, cfg, 15, "eval-rpn")
+    test = rpn_proposals(ds, ds.test, cfg, 15, "eval-rpn")
     m1 = evaluate(head, test, cfg, 15, stats)
     m2 = evaluate(head, test, cfg, 15, stats)
     assert m1.mean_iou == m2.mean_iou
@@ -246,16 +238,15 @@ def test_evaluate_deterministic():
 def test_arm_isolation_same_proposals():
     # proposals are keyed by (seed, purpose, scene), never by arm
     ds = generate_dataset(SMALL, 16)
-    rpn = make_rpn_model(SMALL)
-    a = rpn_proposals(ds, ds.finetune, rpn, SMALL, 16, "ft-rpn")
-    b = rpn_proposals(ds, ds.finetune, rpn, SMALL, 16, "ft-rpn")
+    a = rpn_proposals(ds, ds.finetune, SMALL, 16, "ft-rpn")
+    b = rpn_proposals(ds, ds.finetune, SMALL, 16, "ft-rpn")
     np.testing.assert_array_equal(a.boxes, b.boxes)
     np.testing.assert_array_equal(a.feats, b.feats)
     # nor by a scene's position in its split: dropping the first scene leaves
     # every other scene's proposals as they were
     ft = ds.finetune
     rest = Split(ft.ids[1:], ft.boxes[1:], ft.labels[1:], ft.appearance[1:], ft.feature_keys[1:])
-    c = rpn_proposals(ds, rest, rpn, SMALL, 16, "ft-rpn")
+    c = rpn_proposals(ds, rest, SMALL, 16, "ft-rpn")
     np.testing.assert_array_equal(c.boxes, a.boxes[SMALL.rpn_per_object:])
     np.testing.assert_array_equal(c.feats, a.feats[SMALL.rpn_per_object:])
 
@@ -274,8 +265,7 @@ def test_rpn_novel_bias_shifts_offsets():
         novel_extra_bias=(0.4, 0.0, 0.0, 0.0), rpn_per_object=50,
     )
     ds = generate_dataset(cfg, 18)
-    rpn = make_rpn_model(cfg)
-    pset = rpn_proposals(ds, ds.test, rpn, cfg, 18, "x")
+    pset = rpn_proposals(ds, ds.test, cfg, 18, "x")
     dx = encode_offsets_array(pset.boxes, pset.gt_boxes)[:, 0]
     # nothing is missed, so scene r owns rows [50 r, 50 r + 50)
     novel_scene = next(r for r, label in enumerate(ds.test.labels) if label in ds.novel_classes)
@@ -286,11 +276,11 @@ def test_rpn_novel_bias_shifts_offsets():
 
 
 def test_rpn_miss_rate_drops_novel_objects():
-    # a config cannot set a miss rate of 1, but the proposal source accepts it
-    cfg = SMALL
+    # Generator.random() never exceeds the largest float below 1, so every
+    # novel object is missed
+    cfg = dataclasses.replace(SMALL, miss_rate_novel=math.nextafter(1.0, 0.0))
     ds = generate_dataset(cfg, 19)
-    rpn = dataclasses.replace(make_rpn_model(cfg), miss_rate_novel=1.0)
-    pset = rpn_proposals(ds, ds.test, rpn, cfg, 19, "x")
+    pset = rpn_proposals(ds, ds.test, cfg, 19, "x")
     assert not pset.novel.any()
     base_rows = np.array([label not in ds.novel_classes for label in ds.test.labels])
     np.testing.assert_array_equal(
@@ -364,10 +354,3 @@ def test_config_float_fields_keep_one_json_form():
     assert cfg.config_hash() == ExperimentConfig().config_hash() == "27a47c13d729"
     assert '"image_w": 160.0' in cfg.to_json()
 
-
-def test_biased_rpn_model_validation():
-    dist = DiagonalGaussian4(np.zeros(4), np.full(4, 0.01))
-    with pytest.raises(ValueError):
-        BiasedRpnModel(dist, np.zeros(4), miss_rate_novel=-0.1)
-    with pytest.raises(ValueError):
-        BiasedRpnModel(dist, np.zeros(4), 0.0, novel_bias_spread=-1.0)
