@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -43,6 +43,9 @@ from .stats import (
 _SOURCES = ("rpn", "sampled")
 _GT_FIELDS = ("image_id", "gt", "gt_class")
 _RECORD_FIELDS = _GT_FIELDS + ("proposal", "source")
+_RECORD_KEYS = frozenset(_RECORD_FIELDS)
+_INT64_MAX = 2**63 - 1  # gt_class is an int64 column
+_FLOAT4 = (float,) * 4
 
 
 class LogParseError(ValueError):
@@ -89,6 +92,8 @@ def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
         raise ValueError("gt_class must be an integer")
     if gt_class < 0:
         raise ValueError(f"gt_class must be >= 0, got {gt_class}")
+    if gt_class > _INT64_MAX:
+        raise ValueError("gt_class holds an integer beyond the int64 range")
     return doc["image_id"], _parse_box(doc["gt"], "gt"), gt_class
 
 
@@ -123,25 +128,99 @@ def parse_record(text: str, line_no: int = 1) -> ProposalLogRecord:
     return _parse_line(text, line_no, _RECORD_FIELDS, _build_record)
 
 
-def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[list[ProposalLogRecord], list[str]]:
-    """Parse a JSONL proposal log.
+@dataclass(frozen=True, eq=False)  # field-wise == is ambiguous on arrays
+class ProposalColumns:
+    """The records of a proposal log as columns, one row per record in line order."""
 
-    Strict mode raises on the first bad line; lenient mode skips bad lines
-    and returns their error messages alongside the good records. Blank
-    lines are ignored in both modes.
+    image_id: list[str]
+    gt: np.ndarray        # (n, 4) float64
+    gt_class: np.ndarray  # (n,) int64
+    proposal: np.ndarray  # (n, 4) float64
+    source: list[str]
+
+    def __len__(self) -> int:
+        return len(self.image_id)
+
+
+def _checked_boxes(coords: list[float], line_nos: list[int], texts: list[str],
+                   lenient: bool, errors: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2, 4) gt/proposal boxes of the rows and the mask of rows whose boxes are valid.
+
+    A row with a non-finite value or a size <= 0 is re-run through
+    ``parse_record`` for its message: raised in strict mode, appended to
+    ``errors`` as (line_no, message) in lenient mode.
     """
-    records: list[ProposalLogRecord] = []
-    errors: list[str] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    boxes = np.array(coords, dtype=np.float64).reshape(-1, 2, 4)
+    valid = np.isfinite(boxes).all(axis=(1, 2)) & (boxes[:, :, 2:] > 0).all(axis=(1, 2))
+    for i in np.flatnonzero(~valid).tolist():
         try:
-            records.append(parse_record(line, line_no))
+            parse_record(texts[i], line_nos[i])
         except LogParseError as e:
             if not lenient:
                 raise
-            errors.append(str(e))
-    return records, errors
+            errors.append((line_nos[i], str(e)))
+    return boxes, valid
+
+
+def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColumns, list[str]]:
+    """Parse a JSONL proposal log into columns.
+
+    Each decoded line gets a cheap accept test: exactly the record fields, a
+    string id, an int64 class >= 0, a known source and two lists of four
+    floats. A line that fails it goes through ``parse_record``, the one
+    validator, which raises its message or returns the record (integer
+    coordinates, say). Finite values and positive sizes are then checked on
+    the arrays, and every row they refuse is re-run through ``parse_record``.
+    So the columns and messages are those of parsing line by line: strict
+    mode raises on the first bad line; lenient mode skips bad lines and
+    returns their messages in line order. Blank lines are ignored in both
+    modes.
+    """
+    line_nos: list[int] = []
+    texts: list[str] = []  # kept for the messages of rows the array checks refuse
+    image_id: list[str] = []
+    gt_class: list[int] = []
+    source: list[str] = []
+    coords: list[float] = []  # gt then proposal, eight per row
+    errors: list[tuple[int, str]] = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError):
+            doc = None
+        if not (type(doc) is dict and doc.keys() == _RECORD_KEYS
+                and type(iid := doc["image_id"]) is str
+                and type(cls := doc["gt_class"]) is int and 0 <= cls <= _INT64_MAX
+                and (src := doc["source"]) in _SOURCES
+                and type(gt := doc["gt"]) is list and tuple(map(type, gt)) == _FLOAT4
+                and type(prop := doc["proposal"]) is list and tuple(map(type, prop)) == _FLOAT4):
+            if not line.strip():
+                continue
+            try:
+                rec = parse_record(line, line_no)
+            except LogParseError as e:
+                if not lenient:
+                    _checked_boxes(coords, line_nos, texts, False, errors)  # raises an earlier bad line
+                    raise
+                errors.append((line_no, str(e)))
+                continue
+            iid, cls, src = rec.image_id, rec.gt_class, rec.source
+            gt, prop = astuple(rec.gt), astuple(rec.proposal)
+        line_nos.append(line_no)
+        texts.append(line)
+        image_id.append(iid)
+        gt_class.append(cls)
+        source.append(src)
+        coords.extend(gt)
+        coords.extend(prop)
+    boxes, valid = _checked_boxes(coords, line_nos, texts, lenient, errors)
+    if not valid.all():
+        image_id = [v for v, ok in zip(image_id, valid.tolist()) if ok]
+        source = [v for v, ok in zip(source, valid.tolist()) if ok]
+    columns = ProposalColumns(
+        image_id, boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1], source
+    )
+    return columns, [message for _, message in sorted(errors)]
 
 
 def serialize_record(rec: ProposalLogRecord) -> str:
@@ -156,24 +235,17 @@ def serialize_record(rec: ProposalLogRecord) -> str:
     return json.dumps(doc)
 
 
-def _read_log(path: str, lenient: bool) -> list[ProposalLogRecord]:
+def _read_log(path: str, lenient: bool) -> ProposalColumns:
     """The records of a log; raises ValueError when it holds none."""
     with open(path, encoding="utf-8") as fh:
-        records, errors = parse_log(fh, lenient=lenient)
+        columns, errors = parse_log(fh, lenient=lenient)
     for msg in errors:
         print(f"{path}: skipped {msg}", file=sys.stderr)
     if errors:
         print(f"{path}: skipped {len(errors)} malformed lines", file=sys.stderr)
-    if not records:
+    if not len(columns):
         raise ValueError(f"{path} contains no records")
-    return records
-
-
-def _record_boxes(records: list[ProposalLogRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(proposals, gts) of the records as (n, 4) arrays."""
-    props = np.array([(r.proposal.cx, r.proposal.cy, r.proposal.w, r.proposal.h) for r in records])
-    gts = np.array([(r.gt.cx, r.gt.cy, r.gt.w, r.gt.h) for r in records])
-    return props.reshape(-1, 4), gts.reshape(-1, 4)
+    return columns
 
 
 def _log_offsets(props: np.ndarray, gts: np.ndarray) -> np.ndarray:
@@ -197,8 +269,9 @@ def _write_or_print(text: str, path: str | None) -> None:
 # Subcommand implementations. Each returns an exit code.
 
 def _cmd_fit_stats(args) -> int:
+    cols = _read_log(args.log, args.lenient)
     acc = OffsetAccumulator()
-    acc.add_many(_log_offsets(*_record_boxes(_read_log(args.log, args.lenient))))
+    acc.add_many(_log_offsets(cols.proposal, cols.gt))
     _write_or_print(model_to_json(acc.finalize()), args.output)
     return 0
 
@@ -264,9 +337,11 @@ def _cmd_supcon_check(args) -> int:
 def _cmd_mmd(args) -> int:
     sets = []
     for path in (args.log_a, args.log_b):
-        records = _read_log(path, args.lenient)
-        props, gts = _record_boxes(records)
-        sets.append(corners_array(props) if args.raw_corners else _log_offsets(props, gts))
+        cols = _read_log(path, args.lenient)
+        if args.raw_corners:
+            sets.append(corners_array(cols.proposal))
+        else:
+            sets.append(_log_offsets(cols.proposal, cols.gt))
     if args.kernel == "linear":
         value = diagnostics.mmd_linear(sets[0], sets[1])
     else:
@@ -276,8 +351,8 @@ def _cmd_mmd(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    props, gts = _record_boxes(_read_log(args.log, args.lenient))
-    report = diagnostics.offset_report(_log_offsets(props, gts))
+    cols = _read_log(args.log, args.lenient)
+    report = diagnostics.offset_report(_log_offsets(cols.proposal, cols.gt))
     outdir = Path(args.figures)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):
@@ -286,7 +361,7 @@ def _cmd_diagnose(args) -> int:
             diagnostics.histogram_to_svg(hist, f"offset {name}")
         )
     (outdir / "model.json").write_text(model_to_json(report.gaussian) + "\n")
-    hist = diagnostics.iou_histogram(props, gts, diagnostics.IOU_EDGES)
+    hist = diagnostics.iou_histogram(cols.proposal, cols.gt, diagnostics.IOU_EDGES)
     (outdir / "iou_hist.csv").write_text(diagnostics.histogram_to_csv(hist))
     (outdir / "iou_hist.svg").write_text(diagnostics.histogram_to_svg(hist, "proposal IoU"))
     print(f"wrote 11 files to {outdir}")
@@ -297,7 +372,9 @@ def _cmd_simulate(args) -> int:
     from .simulator import ExperimentConfig, run_experiment
 
     config = ExperimentConfig.from_json(Path(args.config).read_text())
-    report = run_experiment(config, out_root=args.out)
+    # a diverging head overflows in numpy before evaluate reports it as one error line
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_experiment(config, out_root=args.out)
     n = report.n_seeds
     print(f"config {report.config_hash}: {n} seeds")
     for metric, (b, p), wins in report.comparisons():

@@ -181,8 +181,13 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
     missing = [n for n in names if n not in doc]
     if missing:
         raise ValueError(f"{kind} model document lacks field(s): {', '.join(missing)}")
+    for n in names:
+        value = doc[n]
+        if not (isinstance(value, list) and len(value) == 4
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+            raise ValueError(f"{kind} model field {n} must be a flat array of four numeric values")
     try:
-        a, b = (np.asarray(doc[n], dtype=np.float64) for n in names)
-    except (TypeError, OverflowError):
+        a, b = (np.array([float(v) for v in doc[n]]) for n in names)
+    except OverflowError:
         raise ValueError(f"{kind} model fields {' and '.join(names)} must be numeric arrays") from None
     return DiagonalGaussian4(a, b) if kind == "gaussian" else Uniform4(a, b)

@@ -43,7 +43,7 @@ def random_record(rng) -> ProposalLogRecord:
 
 def test_parse_empty_file():
     records, errors = parse_log([])
-    assert records == [] and errors == []
+    assert len(records) == 0 and errors == []
 
 
 def test_parse_single_line_round_trip():
@@ -183,8 +183,8 @@ def test_cli_sample_pipeline(tmp_path):
     assert rc == 0
     records, _ = parse_log(out.read_text().splitlines())
     assert len(records) == 30
-    assert all(r.source == "sampled" for r in records)
-    assert all(r.gt_class == 2 for r in records)
+    assert records.source == ["sampled"] * 30
+    assert records.gt_class.tolist() == [2] * 30
     # determinism: running again produces the identical file
     out2 = tmp_path / "sampled2.jsonl"
     dispatch(["sample", str(gts), "--model", str(model), "-J", "10",
@@ -248,6 +248,28 @@ def test_cli_model_missing_field_exits_1(tmp_path, capsys, doc, field):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    '{"kind": "gaussian", "mu": [[0, 0], [0.5, 1]], "var": [1, 1, 1, 1]}',
+    '{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [1, "1", 1, 1]}',
+    '{"kind": "gaussian", "mu": [0, 0, 0, true], "var": [1, 1, 1, 1]}',
+    '{"kind": "gaussian", "mu": [0, 0, 0], "var": [1, 1, 1, 1]}',
+    '{"kind": "uniform", "lo": [0, 0, 0, 0], "hi": [[1, 1, 1, 1]]}',
+    '{"kind": "uniform", "lo": ["0", 0, 0, 0], "hi": [1, 1, 1, 1]}',
+    '{"kind": "uniform", "lo": [0, 0, 0, 0], "hi": [1, false, 1, 1]}',
+    '{"kind": "uniform", "lo": [0, 0, 0, 0], "hi": [1, 1, 1]}',
+])
+def test_cli_model_field_not_four_numbers_exits_1(tmp_path, capsys, doc):
+    model = tmp_path / "m.json"
+    model.write_text(doc)
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}\n')
+    for argv in (["fit-uniform", str(model)], ["sample", str(gts), "--model", str(model)]):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be a flat array of four numeric values" in err
+        assert err.count("\n") == 1
 
 
 def test_cli_diagnose(tmp_path):
@@ -353,6 +375,20 @@ def test_cli_simulate_with_diverging_head_exits_1(tmp_path, capsys):
     assert err.startswith("error: seed 0: ") and "is nan" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_simulate_with_diverging_head_prints_one_stderr_line(tmp_path):
+    # in process, pytest captures numpy's overflow warnings; a real process shows them on stderr
+    cfg = {"learning_rate": 1e300, "seeds": [0], "base_per_class": 20, "test_per_class": 6,
+           "epochs_base": 2, "epochs_finetune": 2}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "propcal.cli", "simulate", str(cfg_file), "--out", str(tmp_path / "r")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: seed 0: ") and proc.stderr.count("\n") == 1
 
 
 # an integer JSON reads exactly but float() cannot hold, and a line too deep to decode

@@ -1,18 +1,21 @@
 """Arbitrary JSON in every field of the three input formats: a proposal-log
 line, a model file and an experiment config. Each parser either accepts the
 document or raises its own error type; no other exception escapes, so the
-CLI always ends with a one-line message.
+CLI always ends with a one-line message. The columnar log reader is checked
+against ``parse_record`` applied line by line.
 """
 
 import dataclasses
 import json
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propcal.cli import LogParseError, parse_record, serialize_record
+from propcal.cli import LogParseError, parse_log, parse_record, serialize_record
 from propcal.simulator import ExperimentConfig
-from propcal.stats import model_from_json
+from propcal.stats import model_from_json, model_to_json
 
 scalars = st.one_of(
     st.none(),
@@ -76,9 +79,15 @@ def test_parse_record_accepts_canonically_or_raises_log_parse_error(doc):
 @given(models)
 def test_model_from_json_raises_only_value_error(doc):
     try:
-        model_from_json(json.dumps(doc))
+        model = model_from_json(json.dumps(doc))
     except ValueError:
-        pass
+        return
+    # an accepted document holds exactly the values the model writes back
+    names = ("mu", "var") if doc["kind"] == "gaussian" else ("lo", "hi")
+    again = model_from_json(model_to_json(model))
+    for name in names:
+        assert getattr(model, name).tolist() == [float(v) for v in doc[name]]
+        assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,3 +99,94 @@ def test_config_from_json_raises_only_value_error(doc):
         return
     assert ExperimentConfig.from_json(config.to_json()) == config
 
+
+# Proposal logs mixing every line kind the reader treats differently: lines
+# its per-line test accepts, lines only parse_record accepts (integer
+# coordinates), blank lines, lines the array checks refuse and lines that
+# fail before them.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+size = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+float_box = st.tuples(finite, finite, size, size).map(list)
+int_box = st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80),
+                    st.integers(1, 2**80), st.integers(1, 2**80)).map(list)
+good_doc = st.fixed_dictionaries({
+    "image_id": st.text(max_size=6),
+    "gt": float_box,
+    "gt_class": st.integers(0, 2**63 - 1),
+    "proposal": float_box,
+    "source": st.sampled_from(["rpn", "sampled"]),
+})
+
+
+def _with(field, value):
+    return good_doc.map(lambda d: json.dumps({**d, field: value}))
+
+
+def _box_with(value, at):
+    return good_doc.map(lambda d: json.dumps({**d, "gt": d["gt"][:at] + [value] + d["gt"][at + 1:]}))
+
+
+good_line = good_doc.map(json.dumps)
+int_line = st.builds(lambda d, g, p: json.dumps({**d, "gt": g, "proposal": p}), good_doc, int_box, int_box)
+blank_line = st.sampled_from(["", "   ", "\t"])
+at = st.integers(0, 3)
+bad_line = st.one_of(
+    at.flatmap(lambda i: _box_with(True, i)),                   # bool coordinate
+    at.flatmap(lambda i: _box_with("1.0", i)),                  # string coordinate
+    at.flatmap(lambda i: _box_with(10**400, i)),                # integer beyond the float range
+    at.flatmap(lambda i: _box_with(1e400, i).map(lambda line: line.replace("Infinity", "1e400"))),
+    at.flatmap(lambda i: _box_with(float("nan"), i)),
+    st.sampled_from([0.0, -1.0, -0.0, -5e-324]).flatmap(lambda v: _box_with(v, 2)),  # w <= 0
+    st.sampled_from([0, -3]).flatmap(lambda v: _box_with(v, 3)),                    # h <= 0
+    _with("proposal", [1.0, 2.0, 3.0]),                          # wrong arity
+    st.just("[" * 100_000 + "]" * 100_000),                      # nested too deeply
+    good_doc.map(lambda d: json.dumps({**d, "extra": 1})),       # unknown field
+    good_doc.map(lambda d: json.dumps({k: v for k, v in d.items() if k != "source"})),
+    st.sampled_from(["[1, 2]", "3", '"rpn"', "null", "{broken"]),  # not an object
+    _with("source", "oracle"),
+    _with("gt_class", -1),
+    _with("gt_class", 2**63),
+    _with("gt_class", True),
+    _with("image_id", 7),
+)
+logs = st.lists(st.one_of(good_line, int_line, blank_line, bad_line), max_size=25)
+
+
+def _line_by_line(lines):
+    """(records, LogParseErrors) of parse_record applied to each non-blank line."""
+    records, errors = [], []
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                records.append(parse_record(line, line_no))
+            except LogParseError as e:
+                errors.append(e)
+    return records, errors
+
+
+def _boxes(boxes):
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs)
+def test_parse_log_equals_parse_record_line_by_line(lines):
+    records, errors = _line_by_line(lines)
+    cols, messages = parse_log(lines, lenient=True)
+    assert len(cols) == len(records)
+    assert cols.image_id == [r.image_id for r in records]
+    assert cols.source == [r.source for r in records]
+    assert cols.gt_class.dtype == np.int64 and cols.gt_class.tolist() == [r.gt_class for r in records]
+    for got, boxes in ((cols.gt, [r.gt for r in records]), (cols.proposal, [r.proposal for r in records])):
+        want = _boxes(boxes)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert messages == [str(e) for e in errors]
+    if errors:
+        with pytest.raises(LogParseError) as raised:
+            parse_log(lines)
+        assert str(raised.value) == str(errors[0])
+        assert raised.value.line_no == errors[0].line_no
+    else:
+        strict, none = parse_log(lines)
+        assert none == [] and strict.gt.tobytes() == cols.gt.tobytes()

@@ -5,6 +5,7 @@ these tests make it break tier-1 too.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from propcal import cli, diagnostics, geometry, simulator
@@ -51,3 +52,23 @@ def test_traced_run_seed_builds_each_proposal_set_once():
     assert totals["simulator.rpn_proposals.calls"] == 3  # base-rpn, ft-rpn, eval-rpn
     assert totals["simulator.sampled_proposals.calls"] == 1
     assert totals["simulator.feature_rows"] > 0
+
+
+def test_traced_lenient_fit_stats_counts_parsed_records_and_errors(tmp_path):
+    line = json.dumps({"image_id": "im0", "gt": [50.0, 60.0, 20.0, 30.0], "gt_class": 1,
+                       "proposal": [52.0, 58.0, 22.0, 28.0], "source": "rpn"})
+    log = tmp_path / "log.jsonl"
+    log.write_text("\n".join([line, line, "{broken", "", line.replace("52.0", "52")]) + "\n")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        rc = cli.dispatch(["fit-stats", str(log), "--lenient", "-o", str(tmp_path / "m.json")])
+    finally:
+        tracer.restore()
+    assert rc == 0
+    totals = tracer.totals()
+    # the hook reads len() of parse_log's columns and of its error list
+    assert totals["cli.parse_log.calls"] == 1
+    assert totals["cli.parse_log.records"] == 3
+    assert totals["cli.parse_log.errors"] == 1
