@@ -17,7 +17,7 @@ from .losses import (
     supcon_grad,
     supcon_loss,
 )
-from .sampling import OffsetModel, SampledProposal, SamplerConfig, build_calibrated_set
+from .sampling import OffsetModel, SamplerConfig, build_calibrated_set
 from .stats import DiagonalGaussian4, OffsetAccumulator, Uniform4, fit_optimal_uniform
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "OffsetAccumulator",
     "OffsetModel",
     "OffsetVec",
-    "SampledProposal",
     "SamplerConfig",
     "Uniform4",
     "apply_offset",

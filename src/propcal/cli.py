@@ -137,6 +137,7 @@ class ProposalColumns:
     gt_class: np.ndarray  # (n,) int64
     proposal: np.ndarray  # (n, 4) float64
     source: list[str]
+    line_no: np.ndarray   # (n,) int64, the 1-based line each row was read from
 
     def __len__(self) -> int:
         return len(self.image_id)
@@ -218,21 +219,31 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
         image_id = [v for v, ok in zip(image_id, valid.tolist()) if ok]
         source = [v for v, ok in zip(source, valid.tolist()) if ok]
     columns = ProposalColumns(
-        image_id, boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1], source
+        image_id, boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1], source,
+        np.array(line_nos, dtype=np.int64)[valid],
     )
     return columns, [message for _, message in sorted(errors)]
 
 
+def _format_records(image_id: str, gt, gt_class: int, proposals, source: str) -> list[str]:
+    """Canonical lines of the records that share one gt, one per proposal [cx, cy, w, h].
+
+    Each line is what ``json.dumps`` writes for the record's fields in order.
+    Coordinates must be Python ints or finite floats, which it writes as
+    their ``repr``.
+    """
+    head = (f'{{"image_id": {json.dumps(image_id)}, "gt": [{", ".join(map(repr, gt))}], '
+            f'"gt_class": {gt_class}, "proposal": [')
+    tail = f'], "source": {json.dumps(source)}}}'
+    return [head + ", ".join(map(repr, box)) + tail for box in proposals]
+
+
 def serialize_record(rec: ProposalLogRecord) -> str:
     """Canonical single-line JSON form; parse/serialize is idempotent."""
-    doc = {
-        "image_id": rec.image_id,
-        "gt": [rec.gt.cx, rec.gt.cy, rec.gt.w, rec.gt.h],
-        "gt_class": rec.gt_class,
-        "proposal": [rec.proposal.cx, rec.proposal.cy, rec.proposal.w, rec.proposal.h],
-        "source": rec.source,
-    }
-    return json.dumps(doc)
+    gt, prop = rec.gt, rec.proposal
+    (line,) = _format_records(rec.image_id, (gt.cx, gt.cy, gt.w, gt.h), rec.gt_class,
+                              [(prop.cx, prop.cy, prop.w, prop.h)], rec.source)
+    return line
 
 
 def _read_log(path: str, lenient: bool) -> ProposalColumns:
@@ -248,14 +259,14 @@ def _read_log(path: str, lenient: bool) -> ProposalColumns:
     return columns
 
 
-def _log_offsets(props: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """Offset of each proposal against its gt; raises ValueError if one overflows."""
+def _log_offsets(cols: ProposalColumns) -> np.ndarray:
+    """Offset of each proposal against its gt; raises ValueError naming the line of one that overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets = encode_offsets_array(props, gts)
+        offsets = encode_offsets_array(cols.proposal, cols.gt)
     finite = np.isfinite(offsets).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"record {i + 1}: offset {offsets[i].tolist()} is not finite")
+        raise ValueError(f"line {cols.line_no[i]}: offset {offsets[i].tolist()} is not finite")
     return offsets
 
 
@@ -271,7 +282,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 def _cmd_fit_stats(args) -> int:
     cols = _read_log(args.log, args.lenient)
     acc = OffsetAccumulator()
-    acc.add_many(_log_offsets(cols.proposal, cols.gt))
+    acc.add_many(_log_offsets(cols))
     _write_or_print(model_to_json(acc.finalize()), args.output)
     return 0
 
@@ -289,7 +300,7 @@ def _cmd_sample(args) -> int:
     model = model_from_json(Path(args.model).read_text())
     config = SamplerConfig(model=model, j_per_instance=args.j, seed=args.seed)
     image_size = tuple(args.image_size) if args.image_size else None
-    lines = []
+    lines: list[str] = []
     gt_index: dict[str, int] = {}
     with open(args.gts, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -298,14 +309,9 @@ def _cmd_sample(args) -> int:
             image_id, gt, gt_class = _parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
             idx = gt_index.get(image_id, 0)
             gt_index[image_id] = idx + 1
-            for prop in sample_proposals_for_gt(
-                gt, gt_class, config, image_size, gt_index=idx, image_id=image_id
-            ):
-                lines.append(
-                    serialize_record(
-                        ProposalLogRecord(image_id, gt, gt_class, prop.box, "sampled")
-                    )
-                )
+            gt_row = gt.as_array()
+            boxes = sample_proposals_for_gt(gt_row, config, image_size, idx, image_id)
+            lines += _format_records(image_id, gt_row.tolist(), gt_class, boxes.tolist(), "sampled")
     _write_or_print("\n".join(lines), args.output)
     return 0
 
@@ -341,7 +347,7 @@ def _cmd_mmd(args) -> int:
         if args.raw_corners:
             sets.append(corners_array(cols.proposal))
         else:
-            sets.append(_log_offsets(cols.proposal, cols.gt))
+            sets.append(_log_offsets(cols))
     if args.kernel == "linear":
         value = diagnostics.mmd_linear(sets[0], sets[1])
     else:
@@ -352,7 +358,7 @@ def _cmd_mmd(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     cols = _read_log(args.log, args.lenient)
-    report = diagnostics.offset_report(_log_offsets(cols.proposal, cols.gt))
+    report = diagnostics.offset_report(_log_offsets(cols))
     outdir = Path(args.figures)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):

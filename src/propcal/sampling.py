@@ -20,23 +20,13 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import BBox, apply_offsets_array, clip_boxes_array
+from .geometry import apply_offsets_array, clip_boxes_array
 from .stats import DiagonalGaussian4, Uniform4
 
 OffsetModel = Union[DiagonalGaussian4, Uniform4]
 
 # Re-draw rounds a slot gets after its first draw before sampling gives up
 MAX_RESAMPLE = 16
-
-
-@dataclass(frozen=True)
-class SampledProposal:
-    """One calibrated proposal, tagged with its source ground truth."""
-
-    box: BBox
-    class_label: int
-    source_gt: int
-    image_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,9 @@ def sample_boxes_for_gt(
 ) -> np.ndarray:
     """Array core of proposal sampling: n decoded (and clipped) boxes for one gt.
 
-    Raises RuntimeError when some slot still decodes invalid after
+    A draw is invalid, and re-drawn, when its box has a size <= 0, lies
+    outside the image, or holds a non-finite value (an overflowing decode).
+    Raises RuntimeError when some slot is still invalid after
     ``MAX_RESAMPLE`` re-draw rounds.
     """
     gt_row = np.asarray(gt_box, dtype=np.float64).reshape(1, 4)
@@ -90,12 +82,13 @@ def sample_boxes_for_gt(
         if pending.size == 0:
             break
         offs = _draw_raw(model, pending.size, rng)
-        decoded = apply_offsets_array(np.repeat(gt_row, pending.size, axis=0), offs)
-        ok = (decoded[:, 2] > 0) & (decoded[:, 3] > 0)
-        if image_size is not None:
-            clipped, inside = clip_boxes_array(decoded, image_size[0], image_size[1])
-            decoded = clipped
-            ok &= inside
+        with np.errstate(over="ignore", invalid="ignore"):
+            decoded = apply_offsets_array(np.repeat(gt_row, pending.size, axis=0), offs)
+            ok = (decoded[:, 2] > 0) & (decoded[:, 3] > 0)
+            if image_size is not None:
+                decoded, inside = clip_boxes_array(decoded, image_size[0], image_size[1])
+                ok &= inside
+        ok &= np.isfinite(decoded).all(axis=1)
         boxes[pending[ok]] = decoded[ok]
         pending = pending[~ok]
     if pending.size:
@@ -107,31 +100,29 @@ def sample_boxes_for_gt(
 
 
 def sample_proposals_for_gt(
-    gt: BBox,
-    class_label: int,
+    gt: np.ndarray,
     config: SamplerConfig,
     image_size: tuple[float, float] | None = None,
     gt_index: int = 0,
     image_id: str = "",
-) -> list[SampledProposal]:
-    """Sample ``j_per_instance`` calibrated proposals sharing the gt's label."""
+) -> np.ndarray:
+    """The ``(j_per_instance, 4)`` calibrated proposal boxes for one gt ``[cx, cy, w, h]``.
+
+    The draw uses the gt's own stream, keyed by (seed, image_id, gt_index).
+    """
     rng = stream_rng(config.seed, "sample", image_id, gt_index)
-    boxes = sample_boxes_for_gt(gt.as_array(), config.j_per_instance, config.model, rng, image_size)
-    return [
-        SampledProposal(BBox.from_array(row), class_label, gt_index, image_id)
-        for row in boxes
-    ]
+    return sample_boxes_for_gt(gt, config.j_per_instance, config.model, rng, image_size)
 
 
 def build_calibrated_set(
-    gts: list[tuple[BBox, int]],
+    gts: np.ndarray,
     config: SamplerConfig,
     image_size: tuple[float, float] | None = None,
     image_id: str = "",
-) -> list[SampledProposal]:
-    """Calibrated proposals for every gt of one image, in gt order."""
-    return [
-        p
-        for i, (gt, label) in enumerate(gts)
-        for p in sample_proposals_for_gt(gt, label, config, image_size, gt_index=i, image_id=image_id)
+) -> np.ndarray:
+    """The ``(n * j_per_instance, 4)`` calibrated proposals of one image's ``(n, 4)`` gts, in gt order."""
+    boxes = [
+        sample_proposals_for_gt(gt, config, image_size, gt_index=i, image_id=image_id)
+        for i, gt in enumerate(gts)
     ]
+    return np.concatenate(boxes) if boxes else np.empty((0, 4))

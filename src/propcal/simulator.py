@@ -33,12 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .geometry import (
-    BBox,
-    apply_offsets_array,
-    encode_offsets_array,
-    iou_paired_array,
-)
+from .geometry import apply_offsets_array, encode_offsets_array, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou as iou_scalar  # noqa: F401
 from .losses import (
@@ -432,12 +427,9 @@ def sampled_proposals(
         seed=derive_seed(seed, "ft-sample"),
     )
     image_size = (config.image_w, config.image_h)
-    boxes = np.stack([
-        p.box.as_array()
-        for sid, gt, label in zip(split.ids, split.boxes, split.labels)
-        for p in build_calibrated_set(
-            [(BBox.from_array(gt), int(label))], sampler, image_size=image_size, image_id=sid
-        )
+    boxes = np.concatenate([
+        build_calibrated_set(gt[None], sampler, image_size=image_size, image_id=sid)
+        for sid, gt in zip(split.ids, split.boxes)
     ])
     rows = np.repeat(np.arange(split.size), config.j_per_instance)
     return _proposal_set(ds, split, rows, boxes, config)

@@ -186,8 +186,10 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
         if not (isinstance(value, list) and len(value) == 4
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
             raise ValueError(f"{kind} model field {n} must be a flat array of four numeric values")
-    try:
-        a, b = (np.array([float(v) for v in doc[n]]) for n in names)
-    except OverflowError:
-        raise ValueError(f"{kind} model fields {' and '.join(names)} must be numeric arrays") from None
-    return DiagonalGaussian4(a, b) if kind == "gaussian" else Uniform4(a, b)
+    fields = []
+    for n in names:
+        try:
+            fields.append(np.array([float(v) for v in doc[n]]))
+        except OverflowError:
+            raise ValueError(f"{kind} model field {n} holds an integer beyond the float range") from None
+    return DiagonalGaussian4(*fields) if kind == "gaussian" else Uniform4(*fields)

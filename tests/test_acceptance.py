@@ -17,9 +17,9 @@ from helpers import (
     mmd_rbf_double_loop,
     two_pass_stats,
 )
-from propcal.cli import dispatch, parse_record, serialize_record
+from propcal.cli import dispatch, parse_log, parse_record, serialize_record
 from propcal.diagnostics import mmd_linear, mmd_rbf
-from propcal.geometry import BBox, apply_offset, encode_offset
+from propcal.geometry import BBox, apply_offset, encode_offset, encode_offsets_array
 from propcal.losses import (
     ContrastiveBatch,
     Embedding,
@@ -28,9 +28,8 @@ from propcal.losses import (
     supcon_loss,
     supcon_loss_arrays,
 )
-from propcal.sampling import SamplerConfig, sample_proposals_for_gt
 from propcal.simulator import ExperimentConfig, run_experiment
-from propcal.stats import DiagonalGaussian4, OffsetAccumulator, fit_optimal_uniform
+from propcal.stats import DiagonalGaussian4, OffsetAccumulator, fit_optimal_uniform, model_to_json
 
 
 def test_offset_round_trip():
@@ -70,22 +69,31 @@ def test_streaming_statistics_fidelity():
           f"generator 2%, {elapsed:.2f}s)")
 
 
-def test_sampling_fidelity():
+def test_sampling_fidelity(tmp_path):
+    # through `propcal sample`: the sampler draws the boxes, the writer gives each its gt and class
     t0 = time.monotonic()
     model = DiagonalGaussian4([0.05, -0.04, 0.08, 0.06], [0.01, 0.01, 0.0144, 0.0144])
-    cfg = SamplerConfig(model=model, j_per_instance=50, seed=103)
     rng = np.random.default_rng(103)
-    rows, label_ok = [], 0
+    gts, labels = [], []
     n_gts = 200
-    for i in range(n_gts):
-        gt = BBox(rng.uniform(50, 150), rng.uniform(50, 150),
-                  rng.uniform(10, 40), rng.uniform(10, 40))
-        label = int(rng.integers(0, 9))
-        props = sample_proposals_for_gt(gt, label, cfg, image_size=None,
-                                        gt_index=i, image_id="acc")
-        label_ok += sum(p.class_label == label for p in props)
-        rows.extend(encode_offset(p.box, gt).as_array() for p in props)
-    rows = np.array(rows)
+    for _ in range(n_gts):
+        gts.append([rng.uniform(50, 150), rng.uniform(50, 150),
+                    rng.uniform(10, 40), rng.uniform(10, 40)])
+        labels.append(int(rng.integers(0, 9)))
+    gt_file = tmp_path / "gts.jsonl"
+    gt_file.write_text("".join(
+        json.dumps({"image_id": "acc", "gt": gt, "gt_class": label}) + "\n"
+        for gt, label in zip(gts, labels)
+    ))
+    model_file = tmp_path / "model.json"
+    model_file.write_text(model_to_json(model))
+    out = tmp_path / "sampled.jsonl"
+    assert dispatch(["sample", str(gt_file), "--model", str(model_file), "-J", "50",
+                     "--seed", "103", "-o", str(out)]) == 0
+    cols, _ = parse_log(out.read_text().splitlines())
+    np.testing.assert_array_equal(cols.gt, np.repeat(gts, 50, axis=0))
+    label_ok = int((cols.gt_class == np.repeat(labels, 50)).sum())
+    rows = encode_offsets_array(cols.proposal, cols.gt)
     assert rows.shape == (10_000, 4)
     assert label_ok == 10_000  # label fidelity 100%
     sigma = np.sqrt(model.var)

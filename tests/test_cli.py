@@ -203,6 +203,26 @@ def test_cli_sample_rejects_bad_gts(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("image_size", [[], ["--image-size", "640", "480"]])
+def test_cli_sample_overflowing_draws_exit_1(tmp_path, image_size):
+    # every draw decodes to an infinite box, which is no JSON; a real process shows
+    # numpy's overflow warnings on stderr, which pytest would capture in process
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"image_id": "a", "gt": [0, 0, 1e308, 1e308], "gt_class": 0}\n')
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [1e300, 0, 1, 1], "var": [0.01, 0.01, 0.01, 0.01]}')
+    out = tmp_path / "out.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "propcal.cli", "sample", str(gts), "--model", str(model),
+         *image_size, "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: resampling budget exhausted for gt [0.0, 0.0, 1e+308, 1e+308]")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fields,message", [
     ({"gt_class": "x"}, "gt_class must be an integer"),
     ({"gt_class": 1.5}, "gt_class must be an integer"),
@@ -409,16 +429,18 @@ MODEL = '{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01
     (["sample", "{gts}", "--model", "{model}"], {"gts": DEEP, "model": MODEL},
      "line 1: malformed JSON (nested too deeply)"),
     (["fit-uniform", "{model}"], {"model": MODEL.replace('"mu": [0', '"mu": [' + HUGE)},
-     "gaussian model fields mu and var must be numeric arrays"),
+     "gaussian model field mu holds an integer beyond the float range"),
     (["sample", "{gts}", "--model", "{model}"],
      {"gts": GT_LINE, "model": MODEL.replace('"mu": [0', '"mu": [' + HUGE)},
-     "gaussian model fields mu and var must be numeric arrays"),
+     "gaussian model field mu holds an integer beyond the float range"),
     (["simulate", "{config}", "--out", "{out}"], {"config": '{"image_w": 1e400}'},
      "image_w must be finite"),
     (["simulate", "{config}", "--out", "{out}"], {"config": '{"image_w": %s}' % HUGE},
      "image_w must be finite"),
     (["simulate", "{config}", "--out", "{out}"], {"config": '{"rpn_mu": [0, 0, 0, %s]}' % HUGE},
      "rpn_mu must be finite"),
+    (["fit-uniform", "{model}"], {"model": MODEL.replace('"var": [0.01', '"var": [' + HUGE)},
+     "gaussian model field var holds an integer beyond the float range"),
 ])
 def test_cli_numbers_beyond_float_range_exit_1(tmp_path, capsys, argv, files, message):
     paths = {"out": tmp_path / "out"}
@@ -455,12 +477,15 @@ def test_cli_empty_log_exits_1(tmp_path, capsys, argv):
 
 
 def test_cli_fit_stats_rejects_overflowing_offset(tmp_path, capsys):
+    overflowing = record_line(gt=(0.0, 0.0, 1e-308, 1.0), proposal=(1e10, 0.0, 1.0, 1.0))
     log = tmp_path / "log.jsonl"
-    log.write_text(record_line(gt=(0.0, 0.0, 1e-308, 1.0), proposal=(1e10, 0.0, 1.0, 1.0)) + "\n")
-    assert dispatch(["fit-stats", str(log)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: record 1: offset ") and "is not finite" in err
-    assert err.count("\n") == 1
+    # the message names the line, not the row's index among the records read
+    for text, line in ((overflowing, 1), ("\n" + overflowing, 2)):
+        log.write_text(text + "\n")
+        assert dispatch(["fit-stats", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: offset ") and "is not finite" in err
+        assert err.count("\n") == 1
 
 
 def test_cli_exit_codes():

@@ -15,7 +15,7 @@ from propcal.diagnostics import (
     precision_by_iou,
     precision_to_csv,
 )
-from propcal.geometry import BBox, encode_offset
+from propcal.geometry import encode_offsets_array
 from propcal.sampling import SamplerConfig, sample_proposals_for_gt
 from propcal.stats import DiagonalGaussian4
 
@@ -215,10 +215,10 @@ def test_offset_report_round_trip_with_sampler():
     cfg = SamplerConfig(model=model, j_per_instance=50, seed=11)
     offs = []
     for i in range(200):
-        gt = BBox(100, 100, 20 + (i % 11), 24 + (i % 7))
-        for p in sample_proposals_for_gt(gt, 0, cfg, image_size=None, gt_index=i, image_id="rt"):
-            offs.append(encode_offset(p.box, gt).as_array())
-    rep = offset_report(np.array(offs))
+        gt = np.array([100, 100, 20 + (i % 11), 24 + (i % 7)], dtype=np.float64)
+        props = sample_proposals_for_gt(gt, cfg, image_size=None, gt_index=i, image_id="rt")
+        offs.append(encode_offsets_array(props, np.tile(gt, (len(props), 1))))
+    rep = offset_report(np.concatenate(offs))
     sigma = np.sqrt(model.var)
     assert np.all(np.abs(rep.gaussian.mu - model.mu) <= 0.05 * sigma)
     assert np.all(np.abs(np.sqrt(rep.gaussian.var) - sigma) <= 0.05 * sigma)

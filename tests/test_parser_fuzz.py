@@ -2,18 +2,23 @@
 line, a model file and an experiment config. Each parser either accepts the
 document or raises its own error type; no other exception escapes, so the
 CLI always ends with a one-line message. The columnar log reader is checked
-against ``parse_record`` applied line by line.
+against ``parse_record`` applied line by line, and every log ``propcal
+sample`` writes is checked against that parser.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propcal.cli import LogParseError, parse_log, parse_record, serialize_record
+from propcal.cli import LogParseError, dispatch, parse_log, parse_record, serialize_record
 from propcal.simulator import ExperimentConfig
 from propcal.stats import model_from_json, model_to_json
 
@@ -153,15 +158,16 @@ logs = st.lists(st.one_of(good_line, int_line, blank_line, bad_line), max_size=2
 
 
 def _line_by_line(lines):
-    """(records, LogParseErrors) of parse_record applied to each non-blank line."""
-    records, errors = [], []
+    """(records, their line numbers, LogParseErrors) of parse_record applied to each non-blank line."""
+    records, line_nos, errors = [], [], []
     for line_no, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 records.append(parse_record(line, line_no))
+                line_nos.append(line_no)
             except LogParseError as e:
                 errors.append(e)
-    return records, errors
+    return records, line_nos, errors
 
 
 def _boxes(boxes):
@@ -171,9 +177,10 @@ def _boxes(boxes):
 @settings(max_examples=300, deadline=None)
 @given(logs)
 def test_parse_log_equals_parse_record_line_by_line(lines):
-    records, errors = _line_by_line(lines)
+    records, line_nos, errors = _line_by_line(lines)
     cols, messages = parse_log(lines, lenient=True)
     assert len(cols) == len(records)
+    assert cols.line_no.dtype == np.int64 and cols.line_no.tolist() == line_nos
     assert cols.image_id == [r.image_id for r in records]
     assert cols.source == [r.source for r in records]
     assert cols.gt_class.dtype == np.int64 and cols.gt_class.tolist() == [r.gt_class for r in records]
@@ -190,3 +197,51 @@ def test_parse_log_equals_parse_record_line_by_line(lines):
     else:
         strict, none = parse_log(lines)
         assert none == [] and strict.gt.tobytes() == cols.gt.tobytes()
+
+
+# Ground-truth files for `propcal sample`: ids JSON must escape, float and
+# integer coordinates, sizes down to the smallest subnormal, coordinates up to
+# the float range (whose decodes can overflow) and the largest int64 class.
+gt_box = st.one_of(
+    st.tuples(st.floats(-50, 700), st.floats(-50, 700), st.floats(1e-3, 300), st.floats(1e-3, 300)).map(list),
+    st.tuples(st.integers(-50, 700), st.integers(-50, 700), st.integers(1, 300), st.integers(1, 300)).map(list),
+    float_box,
+    int_box,
+)
+gt_doc = st.fixed_dictionaries({
+    "image_id": st.one_of(st.text(max_size=6), st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028 a'), max_size=6)),
+    "gt": gt_box,
+    "gt_class": st.one_of(st.integers(0, 2**63 - 1), st.just(2**63 - 1)),
+})
+SAMPLE_MODEL = '{"kind": "gaussian", "mu": [0.02, -0.01, 0.04, 0.03], "var": [0.0144, 0.0144, 0.01, 0.01]}'
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(gt_doc, max_size=6), st.integers(1, 4), st.integers(0, 2**32),
+       st.sampled_from([[], ["--image-size", "640", "480"]]))
+def test_sample_writes_lines_its_parser_reads_back_byte_for_byte(docs, j, seed, image_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        gts, model, out = Path(tmp, "gts.jsonl"), Path(tmp, "model.json"), Path(tmp, "out.jsonl")
+        gts.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        model.write_text(SAMPLE_MODEL)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = dispatch(["sample", str(gts), "--model", str(model), "-J", str(j),
+                           "--seed", str(seed), *image_size, "-o", str(out)])
+        if rc != 0:  # a gt none of whose draws stay finite (and in the image) after every redraw
+            assert rc == 1 and not out.exists()
+            assert err.getvalue().startswith("error: resampling budget exhausted")
+            assert err.getvalue().count("\n") == 1
+            return
+        assert err.getvalue() == ""
+        lines = out.read_text().splitlines()
+    assert len(lines) == j * len(docs)
+    for line_no, line in enumerate(lines, start=1):
+        rec = parse_record(line, line_no)
+        assert serialize_record(rec) == line
+        fields = {"image_id": rec.image_id, "gt": list(dataclasses.astuple(rec.gt)), "gt_class": rec.gt_class,
+                  "proposal": list(dataclasses.astuple(rec.proposal)), "source": rec.source}
+        assert line == json.dumps(fields)  # the canonical form is what json.dumps writes
+        doc = docs[(line_no - 1) // j]
+        assert (rec.image_id, rec.gt_class, rec.source) == (doc["image_id"], doc["gt_class"], "sampled")
+        assert [rec.gt.cx, rec.gt.cy, rec.gt.w, rec.gt.h] == [float(v) for v in doc["gt"]]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from propcal.geometry import BBox, encode_offset, encode_offsets_array
+from propcal.geometry import corners_array, encode_offsets_array
 from propcal.sampling import (
     SamplerConfig,
     build_calibrated_set,
@@ -47,30 +47,27 @@ def test_sample_offsets_zero_count():
     assert drawn_offsets(GAUSS, 0, stream_rng(0, "z")).shape == (0, 4)
 
 
-def test_proposals_count_and_labels():
+def test_proposals_count_and_shape():
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=1)
-    props = sample_proposals_for_gt(BBox(60, 70, 24, 18), 7, cfg, image_size=(160, 160))
-    assert len(props) == 50
-    assert all(p.class_label == 7 for p in props)
-    assert all(p.source_gt == 0 for p in props)
+    props = sample_proposals_for_gt(np.array([60.0, 70, 24, 18]), cfg, image_size=(160, 160))
+    assert props.shape == (50, 4) and props.dtype == np.float64
+    assert np.isfinite(props).all() and (props[:, 2:] > 0).all()
 
 
 def test_zero_noise_model_reproduces_gt():
     cfg = SamplerConfig(model=DiagonalGaussian4(np.zeros(4), np.zeros(4)), j_per_instance=8, seed=2)
-    gt = BBox(50, 50, 20, 30)
-    props = sample_proposals_for_gt(gt, 1, cfg, image_size=(128, 128))
-    for p in props:
-        np.testing.assert_allclose(p.box.as_array(), gt.as_array(), atol=1e-12)
+    gt = np.array([50.0, 50, 20, 30])
+    props = sample_proposals_for_gt(gt, cfg, image_size=(128, 128))
+    np.testing.assert_allclose(props, np.tile(gt, (8, 1)), atol=1e-12)
 
 
 def test_border_clipping_keeps_boxes_inside():
     wide = Uniform4([-0.6, -0.6, -0.3, -0.3], [0.6, 0.6, 0.3, 0.3])
     cfg = SamplerConfig(model=wide, j_per_instance=200, seed=3)
-    props = sample_proposals_for_gt(BBox(6, 6, 10, 10), 0, cfg, image_size=(64, 64))
-    for p in props:
-        x1, y1, x2, y2 = p.box.corners()
-        assert x1 >= -1e-9 and y1 >= -1e-9
-        assert x2 <= 64 + 1e-9 and y2 <= 64 + 1e-9
+    props = sample_proposals_for_gt(np.array([6.0, 6, 10, 10]), cfg, image_size=(64, 64))
+    corners = corners_array(props)
+    assert (corners[:, :2] >= -1e-9).all()
+    assert (corners[:, 2:] <= 64 + 1e-9).all()
 
 
 def test_resample_budget_exhausted():
@@ -78,7 +75,18 @@ def test_resample_budget_exhausted():
     off_image = Uniform4([10.0, 10.0, -0.01, -0.01], [11.0, 11.0, 0.01, 0.01])
     cfg = SamplerConfig(model=off_image, j_per_instance=4, seed=4)
     with pytest.raises(RuntimeError, match="resampling budget"):
-        sample_proposals_for_gt(BBox(5, 5, 4, 4), 0, cfg, image_size=(12, 12))
+        sample_proposals_for_gt(np.array([5.0, 5, 4, 4]), cfg, image_size=(12, 12))
+
+
+def test_non_finite_draws_are_redrawn():
+    # every draw decodes to an overflowing box: refused like a degenerate one, not returned
+    overflowing = DiagonalGaussian4([1e300, 0.0, 1.0, 1.0], np.zeros(4))
+    with pytest.raises(RuntimeError, match="resampling budget exhausted"):
+        sample_boxes_for_gt(np.array([0.0, 0.0, 1e308, 1e308]), 3, overflowing, stream_rng(0, "inf"), None)
+    # only the overflowing draws of a mixed batch are redrawn
+    half = Uniform4([0.0, 0.0, 0.0, 0.0], [3.6e298, 1e-9, 1e-9, 1e-9])  # cx overflows above 1.8e298
+    boxes = sample_boxes_for_gt(np.array([0.0, 0.0, 1e10, 1.0]), 64, half, stream_rng(1, "inf"), None)
+    assert np.isfinite(boxes).all()
 
 
 def test_distribution_fidelity_unclipped():
@@ -86,10 +94,10 @@ def test_distribution_fidelity_unclipped():
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=5)
     rows = []
     for i in range(200):
-        gt = BBox(100 + (i % 7), 90 + (i % 5), 20 + (i % 9), 25 + (i % 4))
-        for p in sample_proposals_for_gt(gt, 1, cfg, image_size=None, gt_index=i, image_id="fid"):
-            rows.append(encode_offset(p.box, gt).as_array())
-    rows = np.array(rows)
+        gt = np.array([100 + (i % 7), 90 + (i % 5), 20 + (i % 9), 25 + (i % 4)], dtype=np.float64)
+        props = sample_proposals_for_gt(gt, cfg, image_size=None, gt_index=i, image_id="fid")
+        rows.append(encode_offsets_array(props, np.tile(gt, (len(props), 1))))
+    rows = np.concatenate(rows)
     assert rows.shape[0] == 10_000
     sigma = np.sqrt(GAUSS.var)
     assert np.all(np.abs(rows.mean(axis=0) - GAUSS.mu) <= 0.05 * sigma)
@@ -97,44 +105,44 @@ def test_distribution_fidelity_unclipped():
 
 
 def test_build_calibrated_set_counts_and_order():
-    gts = [(BBox(40, 40, 16, 16), 0), (BBox(80, 80, 20, 24), 1), (BBox(120, 60, 24, 12), 2)]
+    gts = np.array([[40.0, 40, 16, 16], [80, 80, 20, 24], [120, 60, 24, 12]])
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=6)
     ps = build_calibrated_set(gts, cfg, image_size=(160, 160), image_id="im0")
-    assert len(ps) == 150
-    assert [p.source_gt for p in ps] == [0] * 50 + [1] * 50 + [2] * 50  # gt order
-    labels = {p.source_gt: p.class_label for p in ps}
-    assert labels == {0: 0, 1: 1, 2: 2}
+    assert ps.shape == (150, 4)
+    for i, gt in enumerate(gts):  # gt order: rows 50i..50i+49 are gt i's own stream
+        solo = sample_proposals_for_gt(gt, cfg, image_size=(160, 160), gt_index=i, image_id="im0")
+        np.testing.assert_array_equal(ps[50 * i:50 * (i + 1)], solo)
 
 
 def test_build_calibrated_set_empty_gts():
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=6)
-    assert build_calibrated_set([], cfg) == []
+    assert build_calibrated_set(np.empty((0, 4)), cfg).shape == (0, 4)
 
 
 def test_determinism_same_seed():
-    gts = [(BBox(40, 40, 16, 16), 3)]
+    gts = np.array([[40.0, 40, 16, 16]])
     cfg = SamplerConfig(model=GAUSS, j_per_instance=20, seed=42)
     a = build_calibrated_set(gts, cfg, image_size=(128, 128), image_id="im0")
     b = build_calibrated_set(gts, cfg, image_size=(128, 128), image_id="im0")
-    assert a == b
+    np.testing.assert_array_equal(a, b)
 
 
 def test_streams_are_order_independent():
     # per-gt keyed streams: the same gt yields the same samples regardless of
     # which other gts are in the batch
-    g1 = (BBox(40, 40, 16, 16), 0)
-    g2 = (BBox(90, 90, 20, 20), 1)
+    g1 = np.array([40.0, 40, 16, 16])
+    g2 = np.array([90.0, 90, 20, 20])
     cfg = SamplerConfig(model=GAUSS, j_per_instance=10, seed=7)
-    solo = sample_proposals_for_gt(*g2, cfg, image_size=(160, 160), gt_index=1, image_id="im0")
-    both = build_calibrated_set([g1, g2], cfg, image_size=(160, 160), image_id="im0")
-    assert both[10:] == solo
+    solo = sample_proposals_for_gt(g2, cfg, image_size=(160, 160), gt_index=1, image_id="im0")
+    both = build_calibrated_set(np.stack([g1, g2]), cfg, image_size=(160, 160), image_id="im0")
+    np.testing.assert_array_equal(both[10:], solo)
 
 
 def test_golden_stream_pin():
     # pins the Philox/blake2b stream layout; a change here is a format break
     cfg = SamplerConfig(model=GAUSS, j_per_instance=5, seed=42)
-    props = sample_proposals_for_gt(BBox(50, 50, 20, 30), 3, cfg, image_size=(128, 128), image_id="im0")
-    got = props[0].box.as_array()
+    props = sample_proposals_for_gt(np.array([50.0, 50, 20, 30]), cfg, image_size=(128, 128), image_id="im0")
+    got = props[0]
     want = np.array(
         [51.80450404436533, 49.2281401629851, 25.22247751584257, 31.615403466490953]
     )

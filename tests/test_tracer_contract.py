@@ -8,7 +8,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from propcal import cli, diagnostics, geometry, simulator
+from propcal import cli, diagnostics, geometry, sampling, simulator
 from propcal.simulator import ExperimentConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -32,6 +32,10 @@ def test_tracer_installs_and_restores_every_bound_name():
     assert simulator.iou_scalar is geometry.iou
     assert diagnostics.iou is geometry.iou
     assert cli.encode_offset is geometry.encode_offset
+    # the sampler's entry points are patched where simulator and cli call them
+    assert simulator.build_calibrated_set is sampling.build_calibrated_set
+    assert simulator.sample_boxes_for_gt is sampling.sample_boxes_for_gt
+    assert cli.sample_proposals_for_gt is sampling.sample_proposals_for_gt
 
 
 def test_traced_run_seed_builds_each_proposal_set_once():
@@ -72,3 +76,29 @@ def test_traced_lenient_fit_stats_counts_parsed_records_and_errors(tmp_path):
     assert totals["cli.parse_log.calls"] == 1
     assert totals["cli.parse_log.records"] == 3
     assert totals["cli.parse_log.errors"] == 1
+
+
+def test_traced_sample_counts_one_draw_per_gt(tmp_path):
+    j = 7
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text("".join(
+        json.dumps({"image_id": f"im{i // 2}", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": i}) + "\n"
+        for i in range(3)
+    ))
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        rc = cli.dispatch(["sample", str(gts), "--model", str(model), "-J", str(j),
+                           "--image-size", "128", "128", "-o", str(tmp_path / "out.jsonl")])
+    finally:
+        tracer.restore()
+    assert rc == 0
+    totals = tracer.totals()
+    # one array call per ground truth, and the hook reads sample_boxes_for_gt's n
+    assert totals["sampling.sample_proposals_for_gt.calls"] == 3
+    assert totals["sampling.sample_boxes_for_gt.calls"] == 3
+    assert totals["sampling.rows_requested"] == 3 * j
+    assert totals["sampling.rows_drawn"] >= 3 * j
