@@ -97,11 +97,22 @@ def mmd_linear(set_a, set_b) -> float:
 def median_heuristic_bandwidth(set_a, set_b) -> float:
     """Median pairwise distance over the pooled samples (1.0 if it degenerates)."""
     pooled = np.concatenate([np.asarray(set_a, dtype=np.float64), np.asarray(set_b, dtype=np.float64)])
+    n = pooled.shape[0]
+    if n < 2:
+        return 1.0
     sq = np.sum(pooled * pooled, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    dists = np.sqrt(np.maximum(d2[iu], 0.0))
-    med = float(np.median(dists)) if dists.size else 0.0
+    pairs = np.arange(n)[:, None] < np.arange(n)  # i < j
+    twice_gram = 2.0 * (pooled @ pooled.T)[pairs]  # gathered first: the n x n product is freed at once
+    d2 = np.broadcast_to(sq[:, None], (n, n))[pairs] + np.broadcast_to(sq, (n, n))[pairs]
+    d2 -= twice_gram
+    # sqrt is monotone, so the middle distances are the roots of the middle
+    # squared distances; as in np.median, a NaN (partitioned last) makes it NaN
+    k = (d2.size - 1) // 2
+    d2.partition(k)
+    if np.isnan(d2[k:].max()):
+        return 1.0
+    lo, hi = np.sqrt(np.maximum([d2[k], d2[k + 1:].min() if d2.size % 2 == 0 else d2[k]], 0.0))
+    med = float((lo + hi) / 2)
     return med if med > 0.0 else 1.0
 
 
@@ -123,8 +134,11 @@ def mmd_rbf(set_a, set_b, bandwidth: float | str = "median-heuristic") -> float:
     def kmean(x: np.ndarray, y: np.ndarray) -> float:
         sqx = np.sum(x * x, axis=1)
         sqy = np.sum(y * y, axis=1)
-        d2 = np.maximum(sqx[:, None] + sqy[None, :] - 2.0 * (x @ y.T), 0.0)
-        return float(np.exp(-d2 / (2.0 * h * h)).mean())
+        # in place, so at most two (len(x), len(y)) arrays are alive at once
+        d2 = sqx[:, None] + sqy[None, :] - 2.0 * (x @ y.T)
+        np.negative(np.maximum(d2, 0.0, out=d2), out=d2)
+        d2 /= 2.0 * h * h
+        return float(np.exp(d2, out=d2).mean())
 
     mmd2 = kmean(a, a) + kmean(b, b) - 2.0 * kmean(a, b)
     return float(np.sqrt(max(mmd2, 0.0)))

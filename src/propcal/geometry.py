@@ -85,8 +85,7 @@ class OffsetVec:
 
 def encode_offset(proposal: BBox, gt: BBox) -> OffsetVec:
     """Encode ``proposal`` against ``gt``: (proposal - gt) / (gt.w, gt.h, gt.w, gt.h)."""
-    offset = encode_offsets_array(proposal.as_array()[None], gt.as_array()[None])[0]
-    return OffsetVec.from_array(offset)
+    return OffsetVec(*encode_offsets_array(proposal.as_array()[None], gt.as_array()[None])[0].tolist())
 
 
 def apply_offset(gt: BBox, off: OffsetVec) -> BBox:
@@ -94,10 +93,10 @@ def apply_offset(gt: BBox, off: OffsetVec) -> BBox:
 
     Raises ValueError if the decoded width or height is not positive.
     """
-    box = apply_offsets_array(gt.as_array()[None], off.as_array()[None])[0]
-    if box[2] <= 0 or box[3] <= 0:
-        raise ValueError(f"decoded box is degenerate: w={box[2]!r}, h={box[3]!r}")
-    return BBox.from_array(box)
+    cx, cy, w, h = apply_offsets_array(gt.as_array()[None], off.as_array()[None])[0].tolist()
+    if w <= 0 or h <= 0:
+        raise ValueError(f"decoded box is degenerate: w={w!r}, h={h!r}")
+    return BBox(cx, cy, w, h)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -116,7 +115,7 @@ def clip_to_image(b: BBox, img_w: float, img_h: float) -> BBox:
     clipped, valid = clip_boxes_array(b.as_array()[None], img_w, img_h)
     if not valid[0]:
         raise ValueError(f"box {b} is empty after clipping to {img_w} x {img_h}")
-    return BBox.from_array(clipped[0])
+    return BBox(*clipped[0].tolist())
 
 
 # Array forms: (n, 4) float64 rows of (cx, cy, w, h) or (dx, dy, dw, dh).
@@ -150,7 +149,7 @@ def iou_paired_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     ca, cb = corners_array(a), corners_array(b)
     overlap = np.minimum(ca[:, 2:], cb[:, 2:]) - np.maximum(ca[:, :2], cb[:, :2])
-    overlap = np.clip(overlap, 0.0, None)
+    overlap = np.maximum(overlap, 0.0)
     inter = overlap[:, 0] * overlap[:, 1]
     union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
     # corner rounding can push the ratio one ulp past 1 for identical boxes

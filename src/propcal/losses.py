@@ -77,7 +77,13 @@ def supcon_grad(batch: ContrastiveBatch) -> list[np.ndarray]:
     return [g[i] for i in range(len(batch.embeddings))]
 
 
-def _supcon_parts(z: np.ndarray, labels: np.ndarray, tau: float):
+def supcon_loss_and_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """Supervised contrastive loss on raw (n, d) embeddings and its gradient for every embedding.
+
+    This entry point does not enforce unit norms; it is what the
+    finite-difference check perturbs and what training code calls after
+    normalizing projections itself.
+    """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels)
     n = z.shape[0]
@@ -85,57 +91,40 @@ def _supcon_parts(z: np.ndarray, labels: np.ndarray, tau: float):
         raise ValueError("contrastive batch must be non-empty")
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau!r}")
-    sim = (z @ z.T) / tau
-    off_diag = ~np.eye(n, dtype=bool)
-    pos = (labels[:, None] == labels[None, :]) & off_diag
-    n_pos = pos.sum(axis=1)
-    # log of the anchor-excluded denominator, stabilized per row
     if n == 1:
-        return sim, off_diag, pos, n_pos, None, None
-    row_max = np.max(np.where(off_diag, sim, -np.inf), axis=1)
-    exp_shift = np.where(off_diag, np.exp(sim - row_max[:, None]), 0.0)
-    log_den = row_max + np.log(exp_shift.sum(axis=1))
-    return sim, off_diag, pos, n_pos, exp_shift, log_den
+        return 0.0, np.zeros_like(z)
+    sim = (z @ z.T) / tau
+    pos = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos, False)
+    n_pos = pos.sum(axis=1)
+    has_pos = n_pos > 0
+    # the anchor-excluded softmax denominator, stabilized per row
+    masked = sim.copy()
+    np.fill_diagonal(masked, -np.inf)
+    row_max = masked.max(axis=1)
+    exp_shift = np.exp(sim - row_max[:, None])
+    np.fill_diagonal(exp_shift, 0.0)
+    den = exp_shift.sum(axis=1, keepdims=True)
+    # softmax minus the uniform weight on the positives; an anchor without one adds nothing
+    coeff = exp_shift / den - pos / np.maximum(n_pos, 1)[:, None]
+    coeff[~has_pos] = 0.0
+    grad = (coeff @ z + coeff.T @ z) / (n * tau)
+    if not np.any(has_pos):
+        return 0.0, grad
+    log_ratio = sim - (row_max + np.log(den[:, 0]))[:, None]
+    per_anchor = np.zeros(n)
+    np.divide(-(log_ratio * pos).sum(axis=1), n_pos, out=per_anchor, where=has_pos)
+    return float(per_anchor.sum() / n), grad
 
 
 def supcon_loss_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> float:
-    """Supervised contrastive loss on raw (n, d) embeddings.
-
-    This entry point does not enforce unit norms; it is what the
-    finite-difference check perturbs and what training code calls after
-    normalizing projections itself.
-    """
-    sim, off_diag, pos, n_pos, exp_shift, log_den = _supcon_parts(z, labels, tau)
-    n = sim.shape[0]
-    if n == 1:
-        return 0.0
-    has_pos = n_pos > 0
-    if not np.any(has_pos):
-        return 0.0
-    log_ratio = sim - log_den[:, None]
-    per_anchor = np.zeros(n)
-    np.divide(
-        -(log_ratio * pos).sum(axis=1),
-        n_pos,
-        out=per_anchor,
-        where=has_pos,
-    )
-    return float(per_anchor.sum() / n)
+    """The loss of :func:`supcon_loss_and_grad_arrays`."""
+    return supcon_loss_and_grad_arrays(z, labels, tau)[0]
 
 
 def supcon_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarray:
-    """Gradient of :func:`supcon_loss_arrays` with respect to every embedding."""
-    sim, off_diag, pos, n_pos, exp_shift, log_den = _supcon_parts(z, labels, tau)
-    n = sim.shape[0]
-    z = np.asarray(z, dtype=np.float64)
-    if n == 1:
-        return np.zeros_like(z)
-    has_pos = n_pos > 0
-    softmax = exp_shift / exp_shift.sum(axis=1, keepdims=True)
-    pos_weight = np.zeros_like(softmax)
-    np.divide(pos, n_pos[:, None], out=pos_weight, where=has_pos[:, None])
-    coeff = np.where(has_pos[:, None], softmax - pos_weight, 0.0)
-    return (coeff @ z + coeff.T @ z) / (n * tau)
+    """The gradient of :func:`supcon_loss_and_grad_arrays`."""
+    return supcon_loss_and_grad_arrays(z, labels, tau)[1]
 
 
 def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -72,11 +72,11 @@ def sample_boxes_for_gt(
 
     A draw is invalid, and re-drawn, when its box has a size <= 0, lies
     outside the image, or holds a non-finite value (an overflowing decode).
-    Raises RuntimeError when some slot is still invalid after
-    ``MAX_RESAMPLE`` re-draw rounds.
+    A slot still invalid after ``MAX_RESAMPLE`` re-draw rounds is returned
+    as a row of NaN: the budget is exhausted.
     """
     gt_row = np.asarray(gt_box, dtype=np.float64).reshape(1, 4)
-    boxes = np.empty((n, 4))
+    boxes = np.full((n, 4), np.nan)
     pending = np.arange(n)
     for _ in range(MAX_RESAMPLE + 1):
         if pending.size == 0:
@@ -91,11 +91,6 @@ def sample_boxes_for_gt(
         ok &= np.isfinite(decoded).all(axis=1)
         boxes[pending[ok]] = decoded[ok]
         pending = pending[~ok]
-    if pending.size:
-        raise RuntimeError(
-            f"resampling budget exhausted for gt {gt_row[0].tolist()}: "
-            f"{pending.size} of {n} draws still invalid after {MAX_RESAMPLE} rounds"
-        )
     return boxes
 
 
@@ -109,9 +104,16 @@ def sample_proposals_for_gt(
     """The ``(j_per_instance, 4)`` calibrated proposal boxes for one gt ``[cx, cy, w, h]``.
 
     The draw uses the gt's own stream, keyed by (seed, image_id, gt_index).
+    Raises RuntimeError when the re-draw budget is exhausted.
     """
     rng = stream_rng(config.seed, "sample", image_id, gt_index)
-    return sample_boxes_for_gt(gt, config.j_per_instance, config.model, rng, image_size)
+    boxes = sample_boxes_for_gt(gt, config.j_per_instance, config.model, rng, image_size)
+    if invalid := np.count_nonzero(np.isnan(boxes[:, 0])):
+        raise RuntimeError(
+            f"resampling budget exhausted for gt {np.asarray(gt, dtype=np.float64).tolist()}: "
+            f"{invalid} of {len(boxes)} draws still invalid after {MAX_RESAMPLE} rounds"
+        )
+    return boxes
 
 
 def build_calibrated_set(

@@ -36,13 +36,9 @@ from . import diagnostics
 from .geometry import apply_offsets_array, encode_offsets_array, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou as iou_scalar  # noqa: F401
-from .losses import (
-    assemble_loss,
-    cross_entropy_batch,
-    smooth_l1_batch,
-    supcon_grad_arrays,
-    supcon_loss_arrays,
-)
+from .losses import assemble_loss, cross_entropy_batch, smooth_l1_batch, supcon_loss_and_grad_arrays
+# bound only because the benchmark tracer counts supcon calls through these names
+from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
 from .sampling import SamplerConfig, build_calibrated_set, sample_boxes_for_gt, stream_rng
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
@@ -292,17 +288,21 @@ def _features_for(
 ) -> np.ndarray:
     """IoU-weighted appearance/background mix with keyed noise; box i belongs to scene ``rows[i]``.
 
-    Deterministic in (scene, box): each row's noise stream is keyed by the
-    scene's feature key and the box's exact coordinates.
+    Deterministic in (scene, box): each row's noise stream is
+    ``Philox(key=(feature key << 64) | box hash)``, the box hash being the
+    blake2b word of its exact coordinates. One generator is re-keyed per
+    row (counter 0, empty buffer), which draws the same bits.
     """
     app = split.appearance[rows]
     q = iou_paired_array(boxes, split.boxes[rows])[:, None]
     noise = np.empty_like(app)
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i, (r, box) in enumerate(zip(rows, boxes)):
-        key = (split.feature_keys[r] << 64) | int.from_bytes(
-            hashlib.blake2b(np.ascontiguousarray(box).tobytes(), digest_size=8).digest(), "little"
-        )
-        noise[i] = np.random.Generator(np.random.Philox(key=key)).normal(size=app.shape[1])
+        word = int.from_bytes(hashlib.blake2b(box.tobytes(), digest_size=8).digest(), "little")
+        state["state"] = {"counter": (0,) * 4, "key": (word, split.feature_keys[r])}
+        gen.bit_generator.state = state
+        noise[i] = gen.normal(size=app.shape[1])
     return q * app + (1.0 - q) * background + noise_scale * noise
 
 
@@ -352,6 +352,7 @@ class ProposalSet:
     feats: np.ndarray       # (n, d)
     novel: np.ndarray       # (n,) bool
     q: np.ndarray           # (n,) IoU against the matched gt
+    budget_misses: int = 0  # objects dropped because their draws exhausted the re-draw budget
 
     @property
     def size(self) -> int:
@@ -385,12 +386,13 @@ def rpn_proposals(
     missed with probability ``miss_rate_novel``; otherwise its offsets are
     shifted by ``novel_extra_bias`` plus an instance bias with per-dimension
     standard deviation ``novel_bias_spread``, so the source mislocates novel
-    objects, each in its own way.
+    objects, each in its own way. An object whose draws exhaust the re-draw
+    budget is missed too; the returned set counts these in ``budget_misses``.
     """
     dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
     extra_bias = np.array(config.novel_extra_bias)
     image_size = (config.image_w, config.image_h)
-    rows, boxes = [], []
+    rows, boxes, budget_misses = [], [], 0
     for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
         rng = stream_rng(seed, purpose, sid)
         model = dist
@@ -403,12 +405,17 @@ def rpn_proposals(
             # layout, kept so the stream keys do not change
             inst = config.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)
             model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
-        boxes.append(sample_boxes_for_gt(gt, config.rpn_per_object, model, rng, image_size))
+        drawn = sample_boxes_for_gt(gt, config.rpn_per_object, model, rng, image_size)
+        if np.isnan(drawn[:, 0]).any():
+            budget_misses += 1
+            continue
+        boxes.append(drawn)
         rows.append(r)
-    if not rows:
-        return _empty_set(config.feature_dim)
-    rows = np.repeat(rows, config.rpn_per_object)
-    return _proposal_set(ds, split, rows, np.concatenate(boxes), config)
+    pset = _empty_set(config.feature_dim)
+    if rows:
+        pset = _proposal_set(ds, split, np.repeat(rows, config.rpn_per_object), np.concatenate(boxes), config)
+    pset.budget_misses = budget_misses
+    return pset
 
 
 def sampled_proposals(
@@ -472,8 +479,7 @@ def _con_loss_grads(feats, labels, w_proj, tau):
     raw = feats @ w_proj.T
     norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
     z = raw / norms
-    loss = supcon_loss_arrays(z, labels, tau)
-    dz = supcon_grad_arrays(z, labels, tau)
+    loss, dz = supcon_loss_and_grad_arrays(z, labels, tau)
     draw = (dz - (dz * z).sum(axis=1, keepdims=True) * z) / norms
     return loss, draw.T @ feats
 

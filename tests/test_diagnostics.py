@@ -96,6 +96,43 @@ def test_median_heuristic_degenerate():
     assert median_heuristic_bandwidth(a, a) == 1.0
 
 
+def _bandwidth_reference(a, b):
+    """The median heuristic as np.median over the rooted distances of every pair i < j."""
+    pooled = np.concatenate([a, b])
+    sq = np.sum(pooled * pooled, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
+    dists = np.sqrt(np.maximum(d2[np.triu_indices(pooled.shape[0], k=1)], 0.0))
+    med = float(np.median(dists)) if dists.size else 0.0
+    return med if med > 0.0 else 1.0
+
+
+@pytest.mark.parametrize("n_a,n_b,levels", [
+    (1, 1, 0),     # n = 2: one pair
+    (2, 2, 0),     # 6 pairs, even
+    (3, 4, 0),     # 21 pairs, odd
+    (5, 3, 3),     # 28 pairs, even, with tied distances
+    (40, 27, 3),   # 2211 pairs, odd, with tied distances
+    (64, 64, 0),   # 8128 pairs, even
+    (1, 0, 0),     # no pair
+])
+def test_partition_median_equals_np_median(n_a, n_b, levels):
+    rng = np.random.default_rng(n_a * 100 + n_b)
+    pool = rng.integers(0, levels, size=(n_a + n_b, 4)) * 0.25 if levels else rng.normal(size=(n_a + n_b, 4))
+    a, b = pool[:n_a], pool[n_a:]
+    assert median_heuristic_bandwidth(a, b) == _bandwidth_reference(a, b)
+
+
+def test_partition_median_degenerate_cases():
+    # all rows equal: every distance is 0 (or a rounding residue clamped to 0), so 1.0
+    same = np.tile([3.7, -1.1, 0.3, 12.5], (9, 1))
+    assert median_heuristic_bandwidth(same[:4], same[4:]) == _bandwidth_reference(same[:4], same[4:]) == 1.0
+    # a NaN among the distances makes the median NaN, which degenerates to 1.0 too
+    a = np.random.default_rng(3).normal(size=(6, 4))
+    a[2, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert median_heuristic_bandwidth(a[:3], a[3:]) == _bandwidth_reference(a[:3], a[3:]) == 1.0
+
+
 def test_calibration_monotonicity():
     # shifting the sampled distribution away from the base one increases the
     # mean discrepancy monotonically in the shift magnitude

@@ -3,9 +3,11 @@
 The report hashes were recorded before the loss kernels and the
 training-step helpers were consolidated, the sample hashes before the
 writer formatted rows from arrays; a refactor that keeps behaviour must
-keep them. A deliberate change to the simulator's numerics or to the
-sampling streams re-pins them, with a CHANGES.md entry saying why the
-bytes moved.
+keep them. The third report pin covers a detector draw that exhausts its
+re-draw budget; it was recorded when such an object became a miss (the
+code before raised RuntimeError on that config). A deliberate change to
+the simulator's numerics or to the sampling streams re-pins them, with a
+CHANGES.md entry saying why the bytes moved.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import json
 import pytest
 
 from propcal.cli import dispatch
-from propcal.simulator import ExperimentConfig, run_experiment
+from propcal.simulator import ExperimentConfig, generate_dataset, rpn_proposals, run_experiment
 
 _SMALL = ExperimentConfig(
     c_base=3,
@@ -29,7 +31,11 @@ _SMALL = ExperimentConfig(
     seeds=(0,),
 )
 
-# the second config drives the sampled-in-main and "both" contrastive branches
+# a wide instance-bias spread: one novel test object of seed 3 exhausts its draws
+_BUDGET_MISS = dataclasses.replace(_SMALL, novel_bias_spread=0.5, seeds=(3,))
+
+# the second config drives the sampled-in-main and "both" contrastive branches,
+# the third the budget-miss path of the detector
 GOLDEN = [
     (
         _SMALL,
@@ -40,6 +46,11 @@ GOLDEN = [
         dataclasses.replace(_SMALL, sampled_in_main=True, contrastive_set="both", seeds=(1,)),
         "a9b5f43799dbceb8a86b0901c3bbb889b580d2a6feba69de35e617a079e38c1f",
         "74863e45195b18d295d3f407c11ec096c7277b91531636a9f5076eff341daff9",
+    ),
+    (
+        _BUDGET_MISS,
+        "6adedfc4380f8add4490f410e16f3ece5254aa852c813a99495da2b39ab4cd38",
+        "e821817b2ce1f700487d1e344ec7be2dffbfa583ccda58ac23a948b538f82cb8",
     ),
 ]
 
@@ -52,6 +63,13 @@ def test_golden_report_bytes(tmp_path, config, per_seed_sha, summary_sha):
         for name in ("per_seed.csv", "summary.csv")
     }
     assert digest == {"per_seed.csv": per_seed_sha, "summary.csv": summary_sha}
+
+
+def test_budget_miss_config_takes_the_miss_path():
+    ds = generate_dataset(_BUDGET_MISS, 3)
+    misses = [rpn_proposals(ds, split, _BUDGET_MISS, 3, purpose).budget_misses
+              for split, purpose in ((ds.finetune, "ft-rpn"), (ds.test, "eval-rpn"))]
+    assert misses == [0, 1]
 
 
 # a repeated image id (gt_index 1), integer coordinates, gts cut by the left

@@ -15,6 +15,7 @@ from propcal.losses import (
     supcon_grad,
     supcon_grad_arrays,
     supcon_loss,
+    supcon_loss_and_grad_arrays,
     supcon_loss_arrays,
 )
 
@@ -116,6 +117,50 @@ def test_grad_on_duplicated_batch():
     analytic = supcon_grad_arrays(z2, labels2, 0.2)
     fd = fd_gradient(lambda zz: supcon_loss_arrays(zz, labels2, 0.2), z2)
     assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-5
+
+
+def _supcon_separate(z, labels, tau):
+    """The loss and the gradient as two independent passes, each building every term itself."""
+    n = z.shape[0]
+    if n == 1:
+        return 0.0, np.zeros_like(z)
+
+    def parts():
+        sim = (z @ z.T) / tau
+        off_diag = ~np.eye(n, dtype=bool)
+        pos = (labels[:, None] == labels[None, :]) & off_diag
+        row_max = np.max(np.where(off_diag, sim, -np.inf), axis=1)
+        exp_shift = np.where(off_diag, np.exp(sim - row_max[:, None]), 0.0)
+        return sim, pos, pos.sum(axis=1), exp_shift, row_max + np.log(exp_shift.sum(axis=1))
+
+    sim, pos, n_pos, _, log_den = parts()
+    has_pos = n_pos > 0
+    loss = 0.0
+    if np.any(has_pos):
+        per_anchor = np.zeros(n)
+        np.divide(-((sim - log_den[:, None]) * pos).sum(axis=1), n_pos, out=per_anchor, where=has_pos)
+        loss = float(per_anchor.sum() / n)
+    _, pos, n_pos, exp_shift, _ = parts()
+    softmax = exp_shift / exp_shift.sum(axis=1, keepdims=True)
+    pos_weight = np.zeros_like(softmax)
+    np.divide(pos, n_pos[:, None], out=pos_weight, where=has_pos[:, None])
+    coeff = np.where(has_pos[:, None], softmax - pos_weight, 0.0)
+    return loss, (coeff @ z + coeff.T @ z) / (n * tau)
+
+
+@pytest.mark.parametrize("n,classes", [(1, 1), (2, 1), (7, 7), (12, 3), (256, 9)])
+def test_fused_supcon_kernel_matches_separate_loss_and_grad(n, classes):
+    # (7, 7) relabels the batch so that no anchor has a positive
+    z, labels = random_batch(np.random.default_rng(n), n=n, d=8, classes=classes)
+    if n == classes:
+        labels = np.arange(n)
+    loss, grad = supcon_loss_and_grad_arrays(z, labels, 0.2)
+    ref_loss, ref_grad = _supcon_separate(z, labels, 0.2)
+    assert type(loss) is float and loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+    # the single-result entry points are views of the fused kernel
+    assert supcon_loss_arrays(z, labels, 0.2) == loss
+    assert np.array_equal(supcon_grad_arrays(z, labels, 0.2), grad)
 
 
 def test_supcon_grad_batch_api():

@@ -78,11 +78,27 @@ def test_resample_budget_exhausted():
         sample_proposals_for_gt(np.array([5.0, 5, 4, 4]), cfg, image_size=(12, 12))
 
 
+def test_exhausted_budget_leaves_nan_rows_and_the_public_draw_names_their_count():
+    # mean dh -1.14: about nine in ten draws have a height <= 0
+    model = DiagonalGaussian4([0.0, 0.0, 0.0, -1.14], [0.01] * 4)
+    gt = np.array([50.0, 50, 20, 20])
+    boxes = sample_boxes_for_gt(gt, 8, model, stream_rng(1, "sample", "a", 0), (100, 100))
+    unfilled = np.isnan(boxes).all(axis=1)
+    assert unfilled.sum() == 3 and (boxes[~unfilled, 3] > 0).all()
+    cfg = SamplerConfig(model=model, j_per_instance=8, seed=1)
+    message = ("resampling budget exhausted for gt [50.0, 50.0, 20.0, 20.0]: "
+               "3 of 8 draws still invalid after 16 rounds")
+    with pytest.raises(RuntimeError) as err:
+        sample_proposals_for_gt(gt, cfg, image_size=(100, 100), image_id="a")
+    assert str(err.value) == message
+
+
 def test_non_finite_draws_are_redrawn():
-    # every draw decodes to an overflowing box: refused like a degenerate one, not returned
+    # every draw decodes to an overflowing box: refused like a degenerate one, not returned,
+    # so no slot is filled and each comes back as the NaN row of an exhausted budget
     overflowing = DiagonalGaussian4([1e300, 0.0, 1.0, 1.0], np.zeros(4))
-    with pytest.raises(RuntimeError, match="resampling budget exhausted"):
-        sample_boxes_for_gt(np.array([0.0, 0.0, 1e308, 1e308]), 3, overflowing, stream_rng(0, "inf"), None)
+    boxes = sample_boxes_for_gt(np.array([0.0, 0.0, 1e308, 1e308]), 3, overflowing, stream_rng(0, "inf"), None)
+    assert boxes.shape == (3, 4) and np.isnan(boxes).all()
     # only the overflowing draws of a mixed batch are redrawn
     half = Uniform4([0.0, 0.0, 0.0, 0.0], [3.6e298, 1e-9, 1e-9, 1e-9])  # cx overflows above 1.8e298
     boxes = sample_boxes_for_gt(np.array([0.0, 0.0, 1e10, 1.0]), 64, half, stream_rng(1, "inf"), None)

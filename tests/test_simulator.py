@@ -1,13 +1,16 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from propcal.geometry import BBox, corners_array, encode_offsets_array
+from propcal.geometry import BBox, corners_array, encode_offsets_array, iou_paired_array
+from propcal.sampling import stream_rng
 from propcal.simulator import (
     ExperimentConfig,
+    SimDataset,
     Split,
     base_train,
     evaluate,
@@ -117,6 +120,22 @@ def test_proposal_feature_deterministic():
         _features_for(ds.test, np.array([1, 1]), batch, ds.background, SMALL.feature_noise)[1],
         proposal_feature(ds, ds.test, 1, box, SMALL),
     )
+
+
+def test_features_for_draws_one_fresh_philox_stream_per_row():
+    # the re-keyed generator must draw what Philox(key=(feature key << 64) | box hash)
+    # draws, row after row; a numpy whose Philox state layout differs fails here
+    ds = generate_dataset(SMALL, 5)
+    rows = np.array([0, 3, 3, 7, 0])
+    boxes = ds.test.boxes[rows] + np.random.default_rng(0).normal(0.0, 2.0, size=(5, 4))
+    got = _features_for(ds.test, rows, boxes, ds.background, SMALL.feature_noise)
+    q = iou_paired_array(boxes, ds.test.boxes[rows])
+    for i, (r, box) in enumerate(zip(rows, boxes)):
+        word = int.from_bytes(hashlib.blake2b(box.tobytes(), digest_size=8).digest(), "little")
+        rng = np.random.Generator(np.random.Philox(key=(ds.test.feature_keys[r] << 64) | word))
+        noise = rng.normal(size=SMALL.feature_dim)
+        want = q[i] * ds.test.appearance[r] + (1.0 - q[i]) * ds.background + SMALL.feature_noise * noise
+        assert np.array_equal(got[i], want)
 
 
 def test_base_train_recovers_statistics():
@@ -281,11 +300,29 @@ def test_rpn_miss_rate_drops_novel_objects():
     cfg = dataclasses.replace(SMALL, miss_rate_novel=math.nextafter(1.0, 0.0))
     ds = generate_dataset(cfg, 19)
     pset = rpn_proposals(ds, ds.test, cfg, 19, "x")
-    assert not pset.novel.any()
+    assert not pset.novel.any() and pset.budget_misses == 0  # missed objects drew nothing
     base_rows = np.array([label not in ds.novel_classes for label in ds.test.labels])
     np.testing.assert_array_equal(
         pset.gt_boxes, np.repeat(ds.test.boxes[base_rows], cfg.rpn_per_object, axis=0)
     )
+
+
+def test_rpn_proposals_drop_an_object_whose_draws_exhaust_the_budget():
+    # with seed 2074645526 the novel object of scene ft/6/1 has mean dh of about
+    # -1.14, so about nine in ten of its draws have a height <= 0 and its eight
+    # slots cannot all be filled in the re-draw budget: it is missed, not an error
+    cfg, seed = ExperimentConfig(), 2074645526
+    inst = cfg.novel_bias_spread * stream_rng(seed, "novel-bias", "ft/6/1", 0).normal(size=4)
+    assert cfg.rpn_mu[3] + cfg.novel_extra_bias[3] + inst[3] < -1.1
+    d = cfg.feature_dim
+    split = Split(("ft/0/0", "ft/6/1"), np.array([[60.0, 70.0, 30.0, 24.0], [90.0, 80.0, 36.0, 28.0]]),
+                  np.array([0, 6]), np.zeros((2, d)), (1, 2))
+    ds = SimDataset(split, split, split, np.zeros((9, d)), np.eye(d)[0], frozenset({6, 7, 8}))
+    pset = rpn_proposals(ds, split, cfg, seed, "ft-rpn")
+    assert pset.budget_misses == 1
+    assert pset.size == cfg.rpn_per_object and not pset.novel.any()
+    np.testing.assert_array_equal(pset.gt_boxes, np.repeat(split.boxes[:1], cfg.rpn_per_object, axis=0))
+    assert np.isfinite(pset.boxes).all()
 
 
 def test_run_seed_deterministic():
