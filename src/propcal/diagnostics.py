@@ -25,6 +25,9 @@ from .stats import DiagonalGaussian4, OffsetAccumulator
 # Ten equal IoU buckets on [0, 1], shared by every IoU histogram and precision report
 IOU_EDGES = np.linspace(0.0, 1.0, 11)
 
+BLOCK = 128  # rows per block of the RBF pair distances and kernel sums
+MEDIAN_CAP = 4096  # above this many pooled rows, the median heuristic runs on a subsample this size
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -97,14 +100,20 @@ def mmd_linear(set_a, set_b) -> float:
 def median_heuristic_bandwidth(set_a, set_b) -> float:
     """Median pairwise distance over the pooled samples (1.0 if it degenerates)."""
     pooled = np.concatenate([np.asarray(set_a, dtype=np.float64), np.asarray(set_b, dtype=np.float64)])
+    if len(pooled) > MEDIAN_CAP:  # a fixed key, so the same subsample on every call
+        pooled = np.random.Generator(np.random.Philox(key=0)).permutation(pooled)[:MEDIAN_CAP]
     n = pooled.shape[0]
     if n < 2:
         return 1.0
     sq = np.sum(pooled * pooled, axis=1)
-    pairs = np.arange(n)[:, None] < np.arange(n)  # i < j
-    twice_gram = 2.0 * (pooled @ pooled.T)[pairs]  # gathered first: the n x n product is freed at once
-    d2 = np.broadcast_to(sq[:, None], (n, n))[pairs] + np.broadcast_to(sq, (n, n))[pairs]
-    d2 -= twice_gram
+    d2, start = np.empty(n * (n - 1) // 2), 0
+    for i0 in range(0, n - 1, BLOCK):  # the squared distances of the pairs i < j, BLOCK rows of i at a time
+        i1 = min(i0 + BLOCK, n - 1)
+        block = sq[i0:i1, None] + sq[i0 + 1:]
+        block -= 2.0 * (pooled[i0:i1] @ pooled[i0 + 1:].T)
+        upper = block[np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None]]  # column c is j = i0 + 1 + c
+        d2[start:start + upper.size] = upper
+        start += upper.size
     # sqrt is monotone, so the middle distances are the roots of the middle
     # squared distances; as in np.median, a NaN (partitioned last) makes it NaN
     k = (d2.size - 1) // 2
@@ -132,13 +141,15 @@ def mmd_rbf(set_a, set_b, bandwidth: float | str = "median-heuristic") -> float:
             raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
 
     def kmean(x: np.ndarray, y: np.ndarray) -> float:
-        sqx = np.sum(x * x, axis=1)
-        sqy = np.sum(y * y, axis=1)
-        # in place, so at most two (len(x), len(y)) arrays are alive at once
-        d2 = sqx[:, None] + sqy[None, :] - 2.0 * (x @ y.T)
-        np.negative(np.maximum(d2, 0.0, out=d2), out=d2)
-        d2 /= 2.0 * h * h
-        return float(np.exp(d2, out=d2).mean())
+        sqy, minus_twice_yt = np.sum(y * y, axis=1), -2.0 * y.T
+        total = 0.0
+        for xb in np.split(x, range(BLOCK, len(x), BLOCK)):  # in place: one (BLOCK, len(y)) array at a time
+            d2 = xb @ minus_twice_yt
+            d2 += np.sum(xb * xb, axis=1)[:, None]
+            d2 += sqy
+            np.divide(np.maximum(d2, 0.0, out=d2), -2.0 * h * h, out=d2)
+            total += float(np.exp(d2, out=d2).sum())
+        return total / (len(x) * len(y))
 
     mmd2 = kmean(a, a) + kmean(b, b) - 2.0 * kmean(a, b)
     return float(np.sqrt(max(mmd2, 0.0)))

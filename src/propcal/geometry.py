@@ -136,20 +136,24 @@ def apply_offsets_array(refs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return refs + offs * refs.take(_SCALE_COLS, axis=1)
 
 
+def _corner_pair(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, y1) and (x2, y2) columns of float64 center-form boxes, as new arrays."""
+    center, half = boxes[:, :2], boxes[:, 2:] / 2
+    return center - half, center + half
+
+
 def corners_array(boxes: np.ndarray) -> np.ndarray:
     """(x1, y1, x2, y2) rows of center-form boxes."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    half = boxes[:, 2:] / 2
-    return np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half], axis=1)
+    return np.concatenate(_corner_pair(np.asarray(boxes, dtype=np.float64)), axis=1)
 
 
 def iou_paired_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise IoU of two equally long stacks of center-form boxes."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ca, cb = corners_array(a), corners_array(b)
-    overlap = np.minimum(ca[:, 2:], cb[:, 2:]) - np.maximum(ca[:, :2], cb[:, :2])
-    overlap = np.maximum(overlap, 0.0)
+    (lo_a, hi_a), (lo_b, hi_b) = _corner_pair(a), _corner_pair(b)
+    overlap = np.minimum(hi_a, hi_b, out=hi_a) - np.maximum(lo_a, lo_b, out=lo_a)
+    np.maximum(overlap, 0.0, out=overlap)
     inter = overlap[:, 0] * overlap[:, 1]
     union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
     # corner rounding can push the ratio one ulp past 1 for identical boxes
@@ -162,9 +166,9 @@ def clip_boxes_array(boxes: np.ndarray, img_w: float, img_h: float) -> tuple[np.
     Rows with empty intersection are flagged invalid and returned unchanged.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
-    corners = corners_array(boxes)
-    lo = np.maximum(corners[:, :2], 0.0)
-    hi = np.minimum(corners[:, 2:], (img_w, img_h))
+    lo, hi = _corner_pair(boxes)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, (img_w, img_h), out=hi)
     valid = (hi > lo).all(axis=1)
     clipped = np.concatenate([(lo + hi) / 2, hi - lo], axis=1)
     return np.where(valid[:, None], clipped, boxes), valid

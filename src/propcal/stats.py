@@ -1,10 +1,10 @@
 """Offset distribution fitting: streaming Gaussian statistics and uniform fits.
 
-The accumulator keeps running per-dimension mean and sum of squared
-deviations (Welford updates), so a single pass over an offset stream is
-numerically stable and two partial accumulators can be merged for parallel
-reduction. Finalizing divides the squared deviations by the total count
-(population variance).
+The accumulator keeps per-dimension mean and sum of squared deviations,
+folding in each batch's two-pass moments by the Chan-Golub-LeVeque merge,
+so batches of an offset stream stay numerically stable and two partial
+accumulators can be merged for parallel reduction. Finalizing divides the
+squared deviations by the total count (population variance).
 
 The uniform helpers support the sampling-distribution ablation: given a
 fitted diagonal Gaussian, :func:`fit_optimal_uniform` finds, per dimension,
@@ -85,15 +85,15 @@ class OffsetAccumulator:
 
     def add(self, offset) -> None:
         """Fold one offset (OffsetVec or length-4 array) into the stream."""
-        x = offset.as_array() if hasattr(offset, "as_array") else np.asarray(offset, dtype=np.float64)
-        self.count += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (x - self.mean)
+        self.add_many(offset.as_array() if hasattr(offset, "as_array") else offset)
 
     def add_many(self, offsets: np.ndarray) -> None:
-        for row in np.asarray(offsets, dtype=np.float64).reshape(-1, 4):
-            self.add(row)
+        """Fold (n, 4) offsets in: the batch's two-pass moments, merged by :meth:`merge`."""
+        x = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
+        if x.shape[0]:
+            mean = x.mean(axis=0)
+            merged = self.merge(OffsetAccumulator(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)))
+            self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
 
     def merge(self, other: OffsetAccumulator) -> OffsetAccumulator:
         """Combine two accumulators as if their streams were concatenated."""

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import mmd_rbf_double_loop
+from propcal import diagnostics
 from propcal.diagnostics import (
     Histogram,
     histogram,
@@ -55,6 +58,27 @@ def test_mmd_rbf_matches_double_loop_oracle():
     a = rng.normal(0.0, 1.0, size=(60, 3))
     b = rng.normal(0.5, 1.3, size=(80, 3))
     assert mmd_rbf(a, b) == pytest.approx(mmd_rbf_double_loop(a, b), abs=1e-9)
+
+
+def test_mmd_rbf_blocked_sums_match_double_loop_oracle():
+    rng = np.random.default_rng(13)
+    a = rng.normal(0.0, 1.0, size=(diagnostics.BLOCK + 37, 4))
+    b = rng.normal(0.4, 1.2, size=(70, 4))
+    assert mmd_rbf(a, b) == pytest.approx(mmd_rbf_double_loop(a, b), abs=1e-9)
+
+
+def test_mmd_rbf_memory_is_bounded_on_large_inputs():
+    # the dense path holds several (8000, 8000) float64 arrays, over 1 GB
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(4_000, 4)), rng.normal(0.2, 1.1, size=(4_000, 4))
+    tracemalloc.start()
+    try:
+        value = mmd_rbf(a, b)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0
+    assert peak_mb < 150.0
 
 
 def test_mmd_rbf_separated_clouds():
@@ -120,6 +144,23 @@ def test_partition_median_equals_np_median(n_a, n_b, levels):
     pool = rng.integers(0, levels, size=(n_a + n_b, 4)) * 0.25 if levels else rng.normal(size=(n_a + n_b, 4))
     a, b = pool[:n_a], pool[n_a:]
     assert median_heuristic_bandwidth(a, b) == _bandwidth_reference(a, b)
+
+
+def test_blocked_median_spans_several_blocks():
+    rng = np.random.default_rng(41)
+    a, b = rng.normal(size=(350, 4)), rng.normal(0.5, 2.0, size=(250, 4))
+    assert len(a) + len(b) > 4 * diagnostics.BLOCK
+    assert median_heuristic_bandwidth(a, b) == pytest.approx(_bandwidth_reference(a, b), rel=1e-12)
+
+
+def test_median_above_the_cap_uses_a_fixed_subsample(monkeypatch):
+    rng = np.random.default_rng(43)
+    a, b = rng.normal(size=(600, 4)), rng.normal(0.3, 1.5, size=(400, 4))
+    exact = median_heuristic_bandwidth(a, b)
+    monkeypatch.setattr(diagnostics, "MEDIAN_CAP", 300)
+    capped = median_heuristic_bandwidth(a, b)
+    assert capped != exact and capped == pytest.approx(exact, rel=0.05)
+    assert median_heuristic_bandwidth(a, b) == capped  # fixed key: the same subsample every call
 
 
 def test_partition_median_degenerate_cases():

@@ -1,11 +1,12 @@
 """Byte-identity pins for simulator reports and for ``propcal sample`` output.
 
-The report hashes were recorded before the loss kernels and the
-training-step helpers were consolidated, the sample hashes before the
-writer formatted rows from arrays; a refactor that keeps behaviour must
-keep them. The third report pin covers a detector draw that exhausts its
-re-draw budget; it was recorded when such an object became a miss (the
-code before raised RuntimeError on that config). A deliberate change to
+The report hashes were re-recorded when the offset statistics moved from
+a per-row Welford loop to batch moments and the RBF MMD to blocked kernel
+sums (both move report bits at the last-digit level), the sample hashes
+before the writer formatted rows from arrays; a refactor that keeps
+behaviour must keep them. The third report pin covers a detector draw
+that exhausts its re-draw budget (the code before the budget-miss change
+raised RuntimeError on that config). A deliberate change to
 the simulator's numerics or to the sampling streams re-pins them, with a
 CHANGES.md entry saying why the bytes moved.
 """
@@ -39,23 +40,24 @@ _BUDGET_MISS = dataclasses.replace(_SMALL, novel_bias_spread=0.5, seeds=(3,))
 GOLDEN = [
     (
         _SMALL,
-        "6c4b77ed1f306d2f4cf12b1c428443e9b9104de69be279185582b951621486be",
-        "5f66f91c8d589dd7aa4340e4a26a6241ac94f900e338ac72683784ea80db5ab1",
+        "51b7370b468727ba354a42031d2677b15e2b9d8d1c017d6a34e26ac7956f0bbd",
+        "1724239c375bbd644ff7cea23dd7d9b0244fbcdbbb69d550a6168bcd21479686",
     ),
     (
         dataclasses.replace(_SMALL, sampled_in_main=True, contrastive_set="both", seeds=(1,)),
-        "a9b5f43799dbceb8a86b0901c3bbb889b580d2a6feba69de35e617a079e38c1f",
-        "74863e45195b18d295d3f407c11ec096c7277b91531636a9f5076eff341daff9",
+        "d2e19154bb1757b68d5ac1d15e7d4865f91ba23f69f21ec106fcad9d4c351518",
+        "37263f7be861c9db8e8f85fd837a054f7bebdd92b016689b70c68f9bff63375d",
     ),
     (
         _BUDGET_MISS,
-        "6adedfc4380f8add4490f410e16f3ece5254aa852c813a99495da2b39ab4cd38",
-        "e821817b2ce1f700487d1e344ec7be2dffbfa583ccda58ac23a948b538f82cb8",
+        "108cae6b06aa572a25befe688d3b1339e7d1a17c7dfc6c274fcc18b9504cd88e",
+        "d0b768f7bf63ee2f3735b75a84187c85a6773c84a165dfd9d0226a3660c90283",
     ),
 ]
 
 
-@pytest.mark.parametrize("config,per_seed_sha,summary_sha", GOLDEN)
+# named ids, so a re-pin keeps the test names
+@pytest.mark.parametrize("config,per_seed_sha,summary_sha", GOLDEN, ids=["small", "sampled-in-main", "budget-miss"])
 def test_golden_report_bytes(tmp_path, config, per_seed_sha, summary_sha):
     outdir = run_experiment(config, out_root=tmp_path).output_dir
     digest = {

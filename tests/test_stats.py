@@ -70,6 +70,35 @@ def test_merge_equals_concatenated_stream():
     np.testing.assert_allclose(g.var, var, rtol=1e-9)
 
 
+def test_add_many_single_batch_is_two_pass_exactly():
+    rows = np.random.default_rng(23).normal(0.03, 0.15, size=(1_000, 4))
+    acc = OffsetAccumulator()
+    acc.add_many(rows)
+    g = acc.finalize()
+    mean, var = two_pass_stats(rows)
+    assert acc.count == 1_000
+    assert np.array_equal(g.mu, mean) and np.array_equal(g.var, var)
+
+
+def test_add_many_chunks_fold_in_through_merge():
+    rng = np.random.default_rng(29)
+    a = rng.normal(0.1, 0.2, size=(300, 4))
+    b = rng.normal(-0.2, 0.05, size=(170, 4))
+    acc_a, acc_b, acc = OffsetAccumulator(), OffsetAccumulator(), OffsetAccumulator()
+    acc_a.add_many(a)
+    acc_b.add_many(b)
+    acc.add_many(a)
+    acc.add_many(b)
+    merged = acc_a.merge(acc_b)
+    assert acc.count == merged.count == 470
+    assert np.array_equal(acc.mean, merged.mean) and np.array_equal(acc.m2, merged.m2)
+    # an empty batch leaves the accumulator as it was
+    before = (acc.count, acc.mean.copy(), acc.m2.copy())
+    acc.add_many(np.empty((0, 4)))
+    assert acc.count == before[0]
+    assert np.array_equal(acc.mean, before[1]) and np.array_equal(acc.m2, before[2])
+
+
 def test_merge_with_empty():
     acc = OffsetAccumulator()
     acc.add(OffsetVec(0.1, 0.2, 0.3, 0.4))
