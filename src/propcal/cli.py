@@ -31,7 +31,7 @@ from .geometry import BBox, corners_array, encode_offsets_array
 # bound only because the benchmark tracer counts geometry.encode_offset calls through this name
 from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
-from .sampling import SamplerConfig, sample_proposals_for_gt
+from .sampling import SamplerConfig, philox_rng, sample_proposals_for_gt
 from .stats import (
     DiagonalGaussian4,
     OffsetAccumulator,
@@ -300,6 +300,8 @@ def _cmd_sample(args) -> int:
     model = model_from_json(Path(args.model).read_text())
     config = SamplerConfig(model=model, j_per_instance=args.j, seed=args.seed)
     image_size = tuple(args.image_size) if args.image_size else None
+    if image_size and not all(0 < v < np.inf for v in image_size):
+        raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
     lines: list[str] = []
     gt_index: dict[str, int] = {}
     with open(args.gts, encoding="utf-8") as fh:
@@ -317,7 +319,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_supcon_check(args) -> int:
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
+    rng = philox_rng(args.seed)
     worst = 0.0
     for _ in range(5):
         z = rng.normal(size=(12, 8))

@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou  # noqa: F401
+from .sampling import philox_rng
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
 # Ten equal IoU buckets on [0, 1], shared by every IoU histogram and precision report
@@ -101,7 +102,7 @@ def median_heuristic_bandwidth(set_a, set_b) -> float:
     """Median pairwise distance over the pooled samples (1.0 if it degenerates)."""
     pooled = np.concatenate([np.asarray(set_a, dtype=np.float64), np.asarray(set_b, dtype=np.float64)])
     if len(pooled) > MEDIAN_CAP:  # a fixed key, so the same subsample on every call
-        pooled = np.random.Generator(np.random.Philox(key=0)).permutation(pooled)[:MEDIAN_CAP]
+        pooled = philox_rng(0).permutation(pooled)[:MEDIAN_CAP]
     n = pooled.shape[0]
     if n < 2:
         return 1.0

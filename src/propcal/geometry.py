@@ -77,11 +77,6 @@ class OffsetVec:
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dw, self.dh], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr) -> OffsetVec:
-        dx, dy, dw, dh = np.asarray(arr, dtype=np.float64).tolist()
-        return cls(dx, dy, dw, dh)
-
 
 def encode_offset(proposal: BBox, gt: BBox) -> OffsetVec:
     """Encode ``proposal`` against ``gt``: (proposal - gt) / (gt.w, gt.h, gt.w, gt.h)."""

@@ -6,10 +6,10 @@ Draws that decode to a degenerate box, or fall entirely outside the image,
 are re-drawn rather than clamped so the configured distribution is not
 distorted near boundaries.
 
-Randomness is counter-based: every (seed, image_id, gt_index) triple keys
-an independent Philox stream, so sampling is reproducible regardless of
-iteration order and safe to parallelize across images. The stream layout
-is pinned by golden tests; changing it is a format break.
+Randomness is counter-based, and this module owns the stream format: every
+draw comes from a Philox stream keyed by 64-bit blake2b words, so sampling
+is reproducible regardless of iteration order. The stream layout is pinned
+by golden tests; changing it is a format break.
 """
 
 from __future__ import annotations
@@ -38,17 +38,42 @@ class SamplerConfig:
     def __post_init__(self):
         if self.j_per_instance < 1:
             raise ValueError(f"j_per_instance must be >= 1, got {self.j_per_instance}")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def hash_word(data: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def stream_key(seed: int, *parts) -> int:
-    """Derive a 128-bit Philox key from a seed and a label path."""
-    label = "/".join(str(p) for p in parts)
-    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64 | int.from_bytes(digest, "little")
+    """The 128-bit Philox key ``seed << 64 | word(label path)`` of a seed in ``[0, 2**64)``."""
+    check_seed(seed)
+    return int(seed) << 64 | hash_word("/".join(str(p) for p in parts).encode("utf-8"))
+
+
+def derive_seed(seed: int, *parts) -> int:
+    """64-bit sub-seed ``word("seed/label path")`` for a labeled purpose under a master seed."""
+    return hash_word((f"{int(seed)}/" + "/".join(str(p) for p in parts)).encode("utf-8"))
+
+
+def philox_rng(key: int, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """What ``Philox(key=key)`` draws; given ``rng``, re-keys that in place (no one else may draw from it)."""
+    if not 0 <= key < 2**128:  # numpy's own message; the state setter alone raises OverflowError
+        raise ValueError("key must be positive and less than 2**128.")
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0, "buffer_pos": 4,
+        "buffer": (0,) * 4, "state": {"counter": (0,) * 4, "key": (key % 2**64, key >> 64)}}
+    return rng
 
 
 def stream_rng(seed: int, *parts) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *parts)))
+    return philox_rng(stream_key(seed, *parts))
 
 
 def _draw_raw(model: OffsetModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -39,7 +39,8 @@ from .geometry import iou as iou_scalar  # noqa: F401
 from .losses import assemble_loss, cross_entropy_batch, smooth_l1_batch, supcon_loss_and_grad_arrays
 # bound only because the benchmark tracer counts supcon calls through these names
 from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
-from .sampling import SamplerConfig, build_calibrated_set, sample_boxes_for_gt, stream_rng
+from .sampling import (SamplerConfig, build_calibrated_set, check_seed, derive_seed, hash_word, philox_rng,
+                       sample_boxes_for_gt, stream_key, stream_rng)
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
 # Regressor outputs are clamped to this range before decoding so a refined
@@ -56,12 +57,6 @@ METRICS = (
     ("novel_accuracy", "mean_novel_acc", "acc_wins", False),
     ("mmd_novel", "mean_mmd", "mmd_wins", True),
 )
-
-
-def derive_seed(seed: int, *parts) -> int:
-    """64-bit sub-seed for a labeled purpose under a master seed."""
-    label = f"{int(seed)}/" + "/".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "little")
 
 
 # JSON value types a config field accepts, by the type of its default, and
@@ -170,6 +165,8 @@ class ExperimentConfig:
             raise ValueError("novel_bias_spread must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        for seed in self.seeds:
+            check_seed(seed)
         if self.contrastive_set not in ("sampled", "rpn", "both"):
             raise ValueError(f"unknown contrastive_set {self.contrastive_set!r}")
 
@@ -254,11 +251,11 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> SimDataset:
     novel = frozenset(range(config.c_base, c_total))
 
     def make_split(split: str, n_classes: int, per_class: int) -> Split:
-        ids, boxes, labels, appearance, keys = [], [], [], [], []
+        ids, boxes, labels, appearance, keys, rng = [], [], [], [], [], None
         for label in range(n_classes):
             for index in range(per_class):
                 sid = f"{split}/{label}/{index}"
-                rng = stream_rng(seed, "scene", sid)
+                rng = philox_rng(stream_key(seed, "scene", sid), rng)
                 w = rng.uniform(config.min_box, config.max_box)
                 h = rng.uniform(config.min_box, config.max_box)
                 cx = rng.uniform(config.margin, config.image_w - config.margin)
@@ -288,21 +285,13 @@ def _features_for(
 ) -> np.ndarray:
     """IoU-weighted appearance/background mix with keyed noise; box i belongs to scene ``rows[i]``.
 
-    Deterministic in (scene, box): each row's noise stream is
-    ``Philox(key=(feature key << 64) | box hash)``, the box hash being the
-    blake2b word of its exact coordinates. One generator is re-keyed per
-    row (counter 0, empty buffer), which draws the same bits.
+    Deterministic in (scene, box): a row's noise stream is keyed ``feature key << 64 | hash_word(box)``.
     """
     app = split.appearance[rows]
     q = iou_paired_array(boxes, split.boxes[rows])[:, None]
-    noise = np.empty_like(app)
-    gen = np.random.Generator(np.random.Philox(key=0))
-    state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    noise, rng, keys = np.empty_like(app), philox_rng(0), split.feature_keys
     for i, (r, box) in enumerate(zip(rows, boxes)):
-        word = int.from_bytes(hashlib.blake2b(box.tobytes(), digest_size=8).digest(), "little")
-        state["state"] = {"counter": (0,) * 4, "key": (word, split.feature_keys[r])}
-        gen.bit_generator.state = state
-        noise[i] = gen.normal(size=app.shape[1])
+        noise[i] = philox_rng(keys[r] << 64 | hash_word(box.tobytes()), rng).normal(size=app.shape[1])
     return q * app + (1.0 - q) * background + noise_scale * noise
 
 
@@ -392,18 +381,17 @@ def rpn_proposals(
     dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
     extra_bias = np.array(config.novel_extra_bias)
     image_size = (config.image_w, config.image_h)
-    rows, boxes, budget_misses = [], [], 0
+    rows, boxes, budget_misses, rng, bias_rng = [], [], 0, None, None
     for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
-        rng = stream_rng(seed, purpose, sid)
+        rng = philox_rng(stream_key(seed, purpose, sid), rng)
         model = dist
         if label in ds.novel_classes:
             if rng.random() < config.miss_rate_novel:
                 continue
-            # instance-specific bias: a fixed property of the object, not of
-            # the draw, so fine-tuning cannot see the test instances' biases;
-            # the 0 is the object index of the earlier objects-per-scene
-            # layout, kept so the stream keys do not change
-            inst = config.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)
+            # a fixed per-object bias, so fine-tuning cannot see the test ones; its own
+            # generator, as rng is drawn from after it; the 0 keeps the old stream keys
+            bias_rng = philox_rng(stream_key(seed, "novel-bias", sid, 0), bias_rng)
+            inst = config.novel_bias_spread * bias_rng.normal(size=4)
             model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
         drawn = sample_boxes_for_gt(gt, config.rpn_per_object, model, rng, image_size)
         if np.isnan(drawn[:, 0]).any():

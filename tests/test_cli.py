@@ -223,6 +223,56 @@ def test_cli_sample_overflowing_draws_exit_1(tmp_path, image_size):
     assert not out.exists()
 
 
+def _sample_inputs(tmp_path):
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}\n')
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
+    return gts, model
+
+
+@pytest.mark.parametrize("size", [["0", "100"], ["-5", "100"], ["nan", "nan"], ["inf", "inf"], ["100", "inf"]])
+def test_cli_sample_rejects_image_size_not_positive_and_finite(tmp_path, capsys, size):
+    gts, model = _sample_inputs(tmp_path)
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "--image-size", *size, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --image-size must be two positive, finite numbers, got [")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_seed_outside_64_bits_exits_1(tmp_path, capsys, seed):
+    # a masked seed would alias -1 with 2**64 - 1 and 2**64 with 0, writing the same file
+    gts, model = _sample_inputs(tmp_path)
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "--seed", str(seed), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({"seeds": [0, seed]}))
+    assert dispatch(["simulate", str(cfg_file), "--out", str(tmp_path / "reports")]) == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert not (tmp_path / "reports").exists()
+    # supcon-check seeds a raw 128-bit Philox key: -1 is out of range, 2**64 is not
+    assert dispatch(["supcon-check", "--seed", str(seed)]) == (1 if seed < 0 else 0)
+    if seed < 0:
+        assert capsys.readouterr().err == "error: key must be positive and less than 2**128.\n"
+
+
+def test_cli_largest_64_bit_seed_is_accepted(tmp_path):
+    gts, model = _sample_inputs(tmp_path)
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "--seed", str(2**64 - 1), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 50
+    cfg = {"c_base": 2, "c_novel": 2, "k_shot": 2, "base_per_class": 20, "test_per_class": 6,
+           "epochs_base": 5, "epochs_finetune": 5, "j_per_instance": 10, "seeds": [2**64 - 1]}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert dispatch(["simulate", str(cfg_file), "--out", str(tmp_path / "reports")]) == 0
+
+
 @pytest.mark.parametrize("fields,message", [
     ({"gt_class": "x"}, "gt_class must be an integer"),
     ({"gt_class": 1.5}, "gt_class must be an integer"),

@@ -1,14 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import propcal
 from propcal.geometry import corners_array, encode_offsets_array
 from propcal.sampling import (
     SamplerConfig,
     build_calibrated_set,
+    philox_rng,
     sample_boxes_for_gt,
     sample_proposals_for_gt,
+    stream_key,
     stream_rng,
 )
+from propcal.simulator import ExperimentConfig
 from propcal.stats import DiagonalGaussian4, Uniform4
 
 GAUSS = DiagonalGaussian4([0.05, -0.04, 0.08, 0.06], [0.01, 0.01, 0.0144, 0.0144])
@@ -173,3 +180,64 @@ def test_sampler_config_validation():
 def test_unsupported_model_type():
     with pytest.raises(TypeError):
         drawn_offsets(object(), 3, stream_rng(0, "x"))
+
+
+def _every_draw_kind(rng):
+    # the int32 draw comes first: it would take a stale buffered uint32 if one survived
+    return [
+        rng.integers(0, 2**31, size=3, dtype=np.int32), rng.normal(size=5), rng.uniform(-2.0, 3.0, size=4),
+        rng.random(6), rng.integers(0, 1000, size=5), rng.permutation(11),
+    ]
+
+
+REKEY_KEYS = [0, 1, 2**63, 2**64 - 1, 2**64, 2**128 - 1,
+              stream_key(2**63, "scene", "ft/3/1"), stream_key(2**64 - 1, "novel-bias", "test/0/2", 0)]
+
+
+def test_rekeyed_philox_draws_what_a_fresh_philox_draws():
+    # pins the re-key against numpy's Philox state layout: a numpy that changes it fails here
+    rng = philox_rng(12345)
+    for key in REKEY_KEYS:
+        rng.normal(size=3)  # a part-used buffer of 64-bit words
+        while not rng.bit_generator.state["has_uint32"]:  # and half of one such word
+            rng.integers(0, 2**31, dtype=np.int32)
+        want = _every_draw_kind(np.random.Generator(np.random.Philox(key=key)))
+        assert philox_rng(key, rng) is rng
+        for got, expected in zip(_every_draw_kind(rng), want):
+            np.testing.assert_array_equal(got, expected)
+        for got, expected in zip(_every_draw_kind(philox_rng(key)), want):
+            np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("key", [-1, 2**128])
+def test_philox_rng_rejects_keys_outside_128_bits(key):
+    for rng in (None, philox_rng(0)):
+        with pytest.raises(ValueError, match=r"^key must be positive and less than 2\*\*128\.$"):
+            philox_rng(key, rng)
+
+
+def test_stream_seeds_must_fit_64_bits():
+    assert stream_key(2**64 - 1, "a") >> 64 == 2**64 - 1
+    assert SamplerConfig(model=GAUSS, seed=2**64 - 1).seed == 2**64 - 1
+    assert ExperimentConfig(seeds=(2**64 - 1,)).seeds == (2**64 - 1,)
+    for seed in (-1, 2**64):  # masking to 64 bits would alias them with 2**64 - 1 and 0
+        message = rf"^seed must be in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            stream_key(seed, "a")
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(model=GAUSS, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(seeds=(0, seed))
+
+
+def test_only_sampling_builds_philox_or_hashes_stream_keys():
+    # the stream format has one owner; a second key formula elsewhere is a silent format fork
+    package = Path(propcal.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+        for path in sorted(package.glob("*.py")) if path.name != "sampling.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in {"Philox", "Generator", "blake2b"}
+    ]
+    assert found == []
