@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import diagnostics
-from .geometry import BBox, corners_array, encode_offsets_array
+from .geometry import BBox, corners_array, encode_offsets_array, valid_boxes_array
 # bound only because the benchmark tracer counts geometry.encode_offset calls through this name
 from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
@@ -152,7 +152,7 @@ def _checked_boxes(coords: list[float], line_nos: list[int], texts: list[str],
     ``errors`` as (line_no, message) in lenient mode.
     """
     boxes = np.array(coords, dtype=np.float64).reshape(-1, 2, 4)
-    valid = np.isfinite(boxes).all(axis=(1, 2)) & (boxes[:, :, 2:] > 0).all(axis=(1, 2))
+    valid = valid_boxes_array(boxes).all(axis=1)
     for i in np.flatnonzero(~valid).tolist():
         try:
             parse_record(texts[i], line_nos[i])

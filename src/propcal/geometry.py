@@ -131,6 +131,12 @@ def apply_offsets_array(refs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return refs + offs * refs.take(_SCALE_COLS, axis=1)
 
 
+def valid_boxes_array(boxes: np.ndarray) -> np.ndarray:
+    """Mask over the last axis of center-form boxes: every value finite, w and h > 0."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    return np.isfinite(boxes).all(axis=-1) & (boxes[..., 2:] > 0).all(axis=-1)
+
+
 def _corner_pair(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x1, y1) and (x2, y2) columns of float64 center-form boxes, as new arrays."""
     center, half = boxes[:, :2], boxes[:, 2:] / 2

@@ -2,9 +2,9 @@
 
 Offsets are drawn from a fitted distribution model (Gaussian or uniform),
 decoded against each ground-truth box, and optionally clipped to the image.
-Draws that decode to a degenerate box, or fall entirely outside the image,
-are re-drawn rather than clamped so the configured distribution is not
-distorted near boundaries.
+Draws that decode to a degenerate or non-finite box, or fall entirely
+outside the image, are re-drawn rather than clamped so the configured
+distribution is not distorted near boundaries.
 
 Randomness is counter-based, and this module owns the stream format: every
 draw comes from a Philox stream keyed by 64-bit blake2b words, so sampling
@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import apply_offsets_array, clip_boxes_array
+from .geometry import apply_offsets_array, clip_boxes_array, valid_boxes_array
 from .stats import DiagonalGaussian4, Uniform4
 
 OffsetModel = Union[DiagonalGaussian4, Uniform4]
@@ -95,8 +95,9 @@ def sample_boxes_for_gt(
 ) -> np.ndarray:
     """Array core of proposal sampling: n decoded (and clipped) boxes for one gt.
 
-    A draw is invalid, and re-drawn, when its box has a size <= 0, lies
-    outside the image, or holds a non-finite value (an overflowing decode).
+    A draw is invalid, and re-drawn, when its decoded box, before clipping,
+    holds a non-finite value (an overflowing decode) or a size <= 0, or
+    when it lies outside the image.
     A slot still invalid after ``MAX_RESAMPLE`` re-draw rounds is returned
     as a row of NaN: the budget is exhausted.
     """
@@ -109,11 +110,11 @@ def sample_boxes_for_gt(
         offs = _draw_raw(model, pending.size, rng)
         with np.errstate(over="ignore", invalid="ignore"):
             decoded = apply_offsets_array(np.repeat(gt_row, pending.size, axis=0), offs)
-            ok = (decoded[:, 2] > 0) & (decoded[:, 3] > 0)
+            # before clipping, which would turn an overflowed corner into the image edge
+            ok = valid_boxes_array(decoded)
             if image_size is not None:
                 decoded, inside = clip_boxes_array(decoded, image_size[0], image_size[1])
                 ok &= inside
-        ok &= np.isfinite(decoded).all(axis=1)
         boxes[pending[ok]] = decoded[ok]
         pending = pending[~ok]
     return boxes

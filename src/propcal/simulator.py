@@ -119,18 +119,23 @@ class ExperimentConfig:
     margin: float = 48.0
 
     def __post_init__(self):
-        # one JSON form per value: 160 and 160.0 give the same config hash;
-        # every float, alone or in a tuple, is finite
+        # the JSON value types (a tuple field also takes a list); one JSON form per
+        # value: 160 and 160.0 give the same config hash; every float is finite
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, tuple):
-                if isinstance(f.default[0], float):
-                    value = tuple(_finite_float(f.name, v) for v in value)
-                else:
-                    value = tuple(type(f.default[0])(v) for v in value)
-                object.__setattr__(self, f.name, value)
-            elif isinstance(f.default, float):
-                object.__setattr__(self, f.name, _finite_float(f.name, value))
+            value, default = getattr(self, f.name), f.default
+            if isinstance(default, tuple):
+                accepted, _, plural = _JSON_TYPES[type(default[0])]
+                if not (isinstance(value, (list, tuple)) and all(type(v) in accepted for v in value)):
+                    raise ValueError(f"{f.name} must be a list of {plural}, got {value!r}")
+                if isinstance(default[0], float):
+                    value = [_finite_float(f.name, v) for v in value]
+                object.__setattr__(self, f.name, tuple(value))
+            else:
+                accepted, kind, _ = _JSON_TYPES[type(default)]
+                if type(value) not in accepted:
+                    raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+                if isinstance(default, float):
+                    object.__setattr__(self, f.name, _finite_float(f.name, value))
         if self.k_shot < 1:
             raise ValueError("k_shot must be >= 1")
         for name in ("c_base", "c_novel", "epochs_base", "epochs_finetune",
@@ -178,21 +183,9 @@ class ExperimentConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("experiment config must be a JSON object")
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(doc) - set(defaults)
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in doc.items():
-            default = defaults[name]
-            if isinstance(default, tuple):
-                accepted, _, plural = _JSON_TYPES[type(default[0])]
-                ok = isinstance(value, list) and all(type(v) in accepted for v in value)
-                kind = "a list of " + plural
-            else:
-                accepted, kind, _ = _JSON_TYPES[type(default)]
-                ok = type(value) in accepted
-            if not ok:
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
         return cls(**doc)
 
     def config_hash(self) -> str:
@@ -472,6 +465,44 @@ def _con_loss_grads(feats, labels, w_proj, tau):
     return loss, draw.T @ feats
 
 
+def _subsample(n: int, cap: int, seed: int, *purpose) -> np.ndarray:
+    """Sorted keyed choice of ``cap`` of ``n`` rows without replacement; every row when ``n <= cap``."""
+    if n <= cap:
+        return np.arange(n)
+    return np.sort(stream_rng(seed, *purpose).choice(n, size=cap, replace=False))
+
+
+def _descend(head: TinyRoiHead, main, epochs: int, config: ExperimentConfig, stage: str,
+             aux=None, seed: int = 0) -> TinyRoiHead:
+    """``epochs`` full-batch descent steps of a copy of ``head`` on the main head inputs.
+
+    ``main`` is (cls_feats, cls_targets, reg_feats, reg_targets). The calibrated
+    branch ``aux`` is (feats, labels, reg_targets, con_feats, con_labels) of the
+    sampled proposals: after each main step it takes a step of ``lr * lam`` on
+    their head losses and on the contrastive loss of a keyed ``contrastive_cap``
+    subset of the contrastive rows. Raises RuntimeError naming ``stage`` and the
+    epoch when the epoch's total loss is not finite.
+    """
+    head = head.copy()
+    lr, lam = config.learning_rate, config.lam
+    cls_s = reg_s = con = 0.0
+    for epoch in range(epochs):
+        cls_loss, reg_loss, grads = _head_loss_grads(head, *main)
+        if aux is not None:
+            feats, labels, reg_targets, con_feats, con_labels = aux
+            cls_s, reg_s, grads_s = _head_loss_grads(head, feats, labels, feats, reg_targets)
+            sub = _subsample(len(con_labels), config.contrastive_cap, seed, "con-sub", epoch)
+            con, dw_proj = _con_loss_grads(con_feats[sub], con_labels[sub], head.w_proj, config.tau)
+        if not math.isfinite(cls_loss + reg_loss + lam * ((cls_s + con) + reg_s)):
+            raise RuntimeError(f"{stage} diverged at epoch {epoch}: cls={cls_loss}, reg={reg_loss}, "
+                               f"sampled cls={cls_s}, con={con}, sampled reg={reg_s}, lam={lam}")
+        assemble_loss(cls_loss + reg_loss, con, cls_s, reg_s, lam)  # the epoch's objective
+        _sgd_step(head, lr, grads)
+        if aux is not None and lam != 0.0:
+            _sgd_step(head, lr * lam, grads_s + (dw_proj,))
+    return head
+
+
 def base_train(
     head: TinyRoiHead, pset: ProposalSet, epochs: int, config: ExperimentConfig
 ) -> tuple[TinyRoiHead, DiagonalGaussian4]:
@@ -480,36 +511,14 @@ def base_train(
     The statistics pool the re-encoded offsets of every proposal in ``pset``,
     independent of the number of epochs.
     """
-    head = head.copy()
     if pset.size == 0:
         raise ValueError("base training requires at least one proposal")
     acc = OffsetAccumulator()
     acc.add_many(encode_offsets_array(pset.boxes, pset.gt_boxes))
-    stats = acc.finalize()
-
-    cls_feats, cls_targets, feats_fg, reg_targets, _ = _head_targets(
-        pset, config, head.w_cls.shape[0] - 1
-    )
-    if cls_feats.shape[0] == 0:
+    *main, _ = _head_targets(pset, config, head.w_cls.shape[0] - 1)
+    if main[0].shape[0] == 0:
         raise ValueError("base training requires at least one classifiable proposal")
-    for _ in range(epochs):
-        cls_loss, reg_loss, grads = _head_loss_grads(head, cls_feats, cls_targets, feats_fg, reg_targets)
-        if not math.isfinite(cls_loss + reg_loss):
-            raise RuntimeError(f"base training diverged: cls={cls_loss}, reg={reg_loss}")
-        _sgd_step(head, config.learning_rate, grads)
-    return head, stats
-
-
-def _cap_positives(pset: ProposalSet, n_neg: int, cap: float, seed: int) -> ProposalSet:
-    """Deterministically subsample sampled positives to cap * max(n_neg, 1)."""
-    limit = int(cap * max(n_neg, 1))
-    if pset.size <= limit:
-        return pset
-    keep = np.sort(stream_rng(seed, "pos-cap").choice(pset.size, size=limit, replace=False))
-    return ProposalSet(
-        pset.boxes[keep], pset.gt_boxes[keep], pset.labels[keep],
-        pset.feats[keep], pset.novel[keep], pset.q[keep],
-    )
+    return _descend(head, main, epochs, config, "base training"), acc.finalize()
 
 
 def finetune(
@@ -524,63 +533,30 @@ def finetune(
 
     Both arms get the same detector proposals ``rpn``, labels, schedule, and
     randomness; the calibrated arm differs only by the ``sampled`` proposals
-    and the lam-weighted auxiliary-head losses on them. The feature
-    generator (scene appearances, prototypes, noise keys) is never modified.
+    (positives capped at ``pos_neg_cap`` times the detector negatives) and the
+    lam-weighted auxiliary-head losses on them. The feature generator (scene
+    appearances, prototypes, noise keys) is never modified.
     """
-    head = head.copy()
-    cls_feats, cls_targets, feats_fg, reg_targets, fg = _head_targets(
-        rpn, config, head.w_cls.shape[0] - 1
-    )
-
+    cls_feats, cls_targets, feats_fg, reg_targets, fg = _head_targets(rpn, config, head.w_cls.shape[0] - 1)
+    main, aux = (cls_feats, cls_targets, feats_fg, reg_targets), None
     if pdc_enabled:
         n_neg = int((rpn.q < config.bg_iou).sum())
-        sampled = _cap_positives(sampled, n_neg, config.pos_neg_cap, seed)
-    branch_active = pdc_enabled and sampled.size > 0
-    if branch_active:
-        sampled_reg_targets = encode_offsets_array(sampled.gt_boxes, sampled.boxes)
-        if config.contrastive_set == "sampled":
-            con_feats, con_labels = sampled.feats, sampled.labels
-        elif config.contrastive_set == "rpn":
-            con_feats, con_labels = feats_fg, rpn.labels[fg]
-        else:  # both
-            con_feats = np.concatenate([sampled.feats, feats_fg])
-            con_labels = np.concatenate([sampled.labels, rpn.labels[fg]])
-    if config.sampled_in_main and branch_active:
-        main_feats = np.concatenate([cls_feats, sampled.feats])
-        main_cls_targets = np.concatenate([cls_targets, sampled.labels])
-        main_reg_feats = np.concatenate([feats_fg, sampled.feats])
-        main_reg_targets = np.concatenate([reg_targets, sampled_reg_targets])
-    else:
-        main_feats, main_cls_targets = cls_feats, cls_targets
-        main_reg_feats, main_reg_targets = feats_fg, reg_targets
-
-    lr = config.learning_rate
-    lam = config.lam
-    for epoch in range(config.epochs_finetune):
-        cls_loss, reg_loss, grads = _head_loss_grads(
-            head, main_feats, main_cls_targets, main_reg_feats, main_reg_targets
-        )
-        base_total = cls_loss + reg_loss
-        con = cls_s = reg_s = 0.0
-        if branch_active:
-            cls_s, reg_s, grads_s = _head_loss_grads(
-                head, sampled.feats, sampled.labels, sampled.feats, sampled_reg_targets
-            )
-            con_sub = _contrastive_subset(con_feats.shape[0], config.contrastive_cap, seed, epoch)
-            con, dwp = _con_loss_grads(con_feats[con_sub], con_labels[con_sub], head.w_proj, config.tau)
-        breakdown = assemble_loss(base_total, con, cls_s, reg_s, lam)
-        if not math.isfinite(breakdown.grand_total):
-            raise RuntimeError(f"fine-tuning diverged at epoch {epoch}: {breakdown}")
-        _sgd_step(head, lr, grads)
-        if branch_active and lam != 0.0:
-            _sgd_step(head, lr * lam, grads_s + (dwp,))
-    return head
-
-
-def _contrastive_subset(n: int, cap: int, seed: int, epoch: int) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    return np.sort(stream_rng(seed, "con-sub", epoch).choice(n, size=cap, replace=False))
+        keep = _subsample(sampled.size, int(config.pos_neg_cap * max(n_neg, 1)), seed, "pos-cap")
+        if keep.size:
+            feats, labels = sampled.feats[keep], sampled.labels[keep]
+            sampled_reg_targets = encode_offsets_array(sampled.gt_boxes[keep], sampled.boxes[keep])
+            if config.contrastive_set == "sampled":
+                con_feats, con_labels = feats, labels
+            elif config.contrastive_set == "rpn":
+                con_feats, con_labels = feats_fg, rpn.labels[fg]
+            else:  # both
+                con_feats = np.concatenate([feats, feats_fg])
+                con_labels = np.concatenate([labels, rpn.labels[fg]])
+            aux = (feats, labels, sampled_reg_targets, con_feats, con_labels)
+            if config.sampled_in_main:
+                main = (np.concatenate([cls_feats, feats]), np.concatenate([cls_targets, labels]),
+                        np.concatenate([feats_fg, feats]), np.concatenate([reg_targets, sampled_reg_targets]))
+    return _descend(head, main, config.epochs_finetune, config, "fine-tuning", aux, seed)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from propcal.cli import (
     serialize_record,
 )
 from propcal.geometry import BBox
+from propcal.simulator import ExperimentConfig
 from propcal.stats import model_from_json, DiagonalGaussian4, Uniform4
 
 
@@ -203,14 +205,22 @@ def test_cli_sample_rejects_bad_gts(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("image_size", [[], ["--image-size", "640", "480"]])
-def test_cli_sample_overflowing_draws_exit_1(tmp_path, image_size):
+_HUGE_GT = ([0, 0, 1e308, 1e308], '"mu": [1e300, 0, 1, 1], "var": [0.01, 0.01, 0.01, 0.01]')
+
+
+@pytest.mark.parametrize("gt,model_fields,image_size", [
+    (*_HUGE_GT, []),
+    (*_HUGE_GT, ["--image-size", "640", "480"]),
+    # only the width overflows; clipping would make the box finite again, [320, 100, 640, 10]
+    ([100, 100, 10, 10], '"mu": [0, 0, 1e308, 0], "var": [0, 0, 0, 0]', ["--image-size", "640", "480"]),
+], ids=["image_size0", "image_size1", "width-overflow-clipped"])
+def test_cli_sample_overflowing_draws_exit_1(tmp_path, gt, model_fields, image_size):
     # every draw decodes to an infinite box, which is no JSON; a real process shows
     # numpy's overflow warnings on stderr, which pytest would capture in process
     gts = tmp_path / "gts.jsonl"
-    gts.write_text('{"image_id": "a", "gt": [0, 0, 1e308, 1e308], "gt_class": 0}\n')
+    gts.write_text(json.dumps({"image_id": "a", "gt": gt, "gt_class": 0}) + "\n")
     model = tmp_path / "m.json"
-    model.write_text('{"kind": "gaussian", "mu": [1e300, 0, 1, 1], "var": [0.01, 0.01, 0.01, 0.01]}')
+    model.write_text('{"kind": "gaussian", ' + model_fields + "}")
     out = tmp_path / "out.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "propcal.cli", "sample", str(gts), "--model", str(model),
@@ -218,7 +228,7 @@ def test_cli_sample_overflowing_draws_exit_1(tmp_path, image_size):
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: resampling budget exhausted for gt [0.0, 0.0, 1e+308, 1e+308]")
+    assert proc.stderr.startswith(f"error: resampling budget exhausted for gt {[float(v) for v in gt]}")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
 
@@ -379,9 +389,8 @@ def test_cli_simulate(tmp_path, capsys):
     assert (subdirs[0] / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("override,message", [
-    ({"seeds": []}, "seeds must be non-empty"),
-    ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
+# values of a JSON type other than the field's
+CONFIG_TYPE_ERRORS = [
     ({"seeds": 5}, "seeds must be a list of integers, got 5"),
     ({"seeds": [0.5]}, "seeds must be a list of integers, got [0.5]"),
     ({"k_shot": "5"}, "k_shot must be an integer, got '5'"),
@@ -391,6 +400,13 @@ def test_cli_simulate(tmp_path, capsys):
     ({"sampled_in_main": 1}, "sampled_in_main must be a boolean, got 1"),
     ({"epochs_base": True}, "epochs_base must be an integer, got True"),
     ({"contrastive_set": 3}, "contrastive_set must be a string, got 3"),
+]
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"seeds": []}, "seeds must be non-empty"),
+    ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
+    *CONFIG_TYPE_ERRORS,
     ({"lam": -1}, "lam must be >= 0"),
     ({"tau": 0}, "tau must be > 0"),
     ({"contrastive_cap": 0}, "contrastive_cap must be >= 1"),
@@ -419,6 +435,18 @@ def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override,message", [
+    *CONFIG_TYPE_ERRORS,
+    ({"seeds": (1.7,)}, "seeds must be a list of integers, got (1.7,)"),
+    ({"k_shot": 2.5}, "k_shot must be an integer, got 2.5"),
+    ({"learning_rate": "1.5"}, "learning_rate must be a number, got '1.5'"),
+    ({"sampled_in_main": "no"}, "sampled_in_main must be a boolean, got 'no'"),
+])
+def test_config_constructor_rejects_what_json_rejects(override, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**override)
+
+
 def test_cli_simulate_without_novel_foreground_exits_1(tmp_path, capsys):
     # valid, but one seed's test split leaves no foreground novel proposal to score
     cfg = {"seeds": [0, 1, 2, 3], "c_novel": 1, "test_per_class": 1, "miss_rate_novel": 0.9,
@@ -443,6 +471,20 @@ def test_cli_simulate_with_diverging_head_exits_1(tmp_path, capsys):
     assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: seed 0: ") and "is nan" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_simulate_with_diverging_calibrated_step_names_stage_and_epoch(tmp_path, capsys):
+    # the lam-weighted step of epoch 0 throws the head far enough that epoch 1's loss overflows
+    cfg = {"lam": 1e300, "seeds": [0], "base_per_class": 20, "test_per_class": 6,
+           "epochs_base": 2, "epochs_finetune": 2}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    out = tmp_path / "reports"
+    assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fine-tuning diverged at epoch 1: ")
     assert err.count("\n") == 1
     assert not out.exists()
 

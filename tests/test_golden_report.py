@@ -6,9 +6,11 @@ sums (both move report bits at the last-digit level), the sample hashes
 before the writer formatted rows from arrays; a refactor that keeps
 behaviour must keep them. The third report pin covers a detector draw
 that exhausts its re-draw budget (the code before the budget-miss change
-raised RuntimeError on that config). A deliberate change to
-the simulator's numerics or to the sampling streams re-pins them, with a
-CHANGES.md entry saying why the bytes moved.
+raised RuntimeError on that config). The fine-tuned head pin covers the
+contrastive step, which moves only the projection that no report reads,
+on a config whose contrastive rows exceed ``contrastive_cap``. A
+deliberate change to the simulator's numerics or to the sampling streams
+re-pins them, with a CHANGES.md entry saying why the bytes moved.
 """
 
 import dataclasses
@@ -18,7 +20,8 @@ import json
 import pytest
 
 from propcal.cli import dispatch
-from propcal.simulator import ExperimentConfig, generate_dataset, rpn_proposals, run_experiment
+from propcal.simulator import (ExperimentConfig, base_train, finetune, generate_dataset, init_head, rpn_proposals,
+                               run_experiment, sampled_proposals)
 
 _SMALL = ExperimentConfig(
     c_base=3,
@@ -65,6 +68,19 @@ def test_golden_report_bytes(tmp_path, config, per_seed_sha, summary_sha):
         for name in ("per_seed.csv", "summary.csv")
     }
     assert digest == {"per_seed.csv": per_seed_sha, "summary.csv": summary_sha}
+
+
+def test_golden_finetuned_pdc_head_bytes():
+    config, seed = GOLDEN[1][0], 1
+    ds = generate_dataset(config, seed)
+    base = rpn_proposals(ds, ds.base, config, seed, "base-rpn")
+    head, stats = base_train(init_head(config, seed), base, config.epochs_base, config)
+    ft = rpn_proposals(ds, ds.finetune, config, seed, "ft-rpn")
+    sampled = sampled_proposals(ds, ds.finetune, stats, config, seed)
+    tuned = finetune(head, ft, sampled, True, config, seed)
+    params = (tuned.w_cls, tuned.b_cls, tuned.w_reg, tuned.b_reg, tuned.w_proj)
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
+    assert digest == "de5680a8b07730450cacd9f12e8ccd36e1684d2baa98fd6d73fd1e25df127e52"
 
 
 def test_budget_miss_config_takes_the_miss_path():

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import propcal
 from propcal.geometry import BBox, corners_array, encode_offsets_array, iou_paired_array
 from propcal.sampling import stream_rng
 from propcal.simulator import (
@@ -216,6 +219,21 @@ def test_finetune_does_not_mutate_proposal_sets():
     for p, fields in zip((ft, sampled), before):
         for now, then in zip(dataclasses.astuple(p), fields):
             np.testing.assert_array_equal(now, then)
+
+
+def test_only_the_descent_loop_computes_head_losses_or_steps():
+    # base training and both fine-tuning arms run one epoch loop; another caller is a second loop
+    package = Path(propcal.__file__).parent
+    callers = sorted({
+        f"{path.name}:{fn.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (name := ast.unparse(node.func).split(".")[-1]) in {"_sgd_step", "_head_loss_grads"}
+    })
+    assert callers == ["simulator.py:_descend: _head_loss_grads", "simulator.py:_descend: _sgd_step"]
 
 
 def test_evaluate_zero_regressor_is_identity_refinement():
