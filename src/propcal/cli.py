@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -46,6 +47,9 @@ _RECORD_FIELDS = _GT_FIELDS + ("proposal", "source")
 _RECORD_KEYS = frozenset(_RECORD_FIELDS)
 _INT64_MAX = 2**63 - 1  # gt_class is an int64 column
 _FLOAT4 = (float,) * 4
+# Logs are read with errors="surrogateescape", which maps a byte that is not
+# valid UTF-8 to one of these code points, so the bad line can be named
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class LogParseError(ValueError):
@@ -99,6 +103,8 @@ def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
 
 def _parse_line(text: str, line_no: int, fields: tuple[str, ...], build):
     """``build(doc)`` for a JSONL line holding an object with ``fields``; failures are LogParseErrors."""
+    if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
+        raise LogParseError(line_no, f"not valid UTF-8 (byte 0x{ord(bad.group()) - 0xdc00:02x})")
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -167,10 +173,10 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     """Parse a JSONL proposal log into columns.
 
     Each decoded line gets a cheap accept test: exactly the record fields, a
-    string id, an int64 class >= 0, a known source and two lists of four
-    floats. A line that fails it goes through ``parse_record``, the one
-    validator, which raises its message or returns the record (integer
-    coordinates, say). Finite values and positive sizes are then checked on
+    string id with no escaped byte, an int64 class >= 0, a known source and
+    two lists of four floats. A line that fails it goes through
+    ``parse_record``, the one validator, which raises its message or returns
+    the record (integer coordinates, say). Finite values and positive sizes are then checked on
     the arrays, and every row they refuse is re-run through ``parse_record``.
     So the columns and messages are those of parsing line by line: strict
     mode raises on the first bad line; lenient mode skips bad lines and
@@ -190,7 +196,7 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
         except (ValueError, RecursionError):
             doc = None
         if not (type(doc) is dict and doc.keys() == _RECORD_KEYS
-                and type(iid := doc["image_id"]) is str
+                and type(iid := doc["image_id"]) is str and (iid.isascii() or not _ESCAPED_BYTE.search(iid))
                 and type(cls := doc["gt_class"]) is int and 0 <= cls <= _INT64_MAX
                 and (src := doc["source"]) in _SOURCES
                 and type(gt := doc["gt"]) is list and tuple(map(type, gt)) == _FLOAT4
@@ -248,7 +254,7 @@ def serialize_record(rec: ProposalLogRecord) -> str:
 
 def _read_log(path: str, lenient: bool) -> ProposalColumns:
     """The records of a log; raises ValueError when it holds none."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         columns, errors = parse_log(fh, lenient=lenient)
     for msg in errors:
         print(f"{path}: skipped {msg}", file=sys.stderr)
@@ -304,7 +310,7 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
     lines: list[str] = []
     gt_index: dict[str, int] = {}
-    with open(args.gts, encoding="utf-8") as fh:
+    with open(args.gts, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

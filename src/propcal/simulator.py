@@ -7,17 +7,19 @@ ground-truth boxes with configurable offset noise, an extra bias and a miss
 rate for novel classes; and a proposal's feature is the IoU-weighted mix of
 object appearance and a shared background direction plus keyed noise, so a
 poorly localized proposal yields a background-contaminated feature. A tiny
-linear head (classifier, class-agnostic box regressor, contrastive
-projection) is trained by plain full-batch gradient descent.
+linear head (classifier and class-agnostic box regressor) is trained by
+plain full-batch gradient descent.
 
 Training runs the usual two steps: base training on abundant base-class
 scenes (which also fits the reusable offset statistics), then balanced
 K-shot fine-tuning over all classes. The fine-tuning baseline arm sees only
 the biased proposal source; the calibrated arm additionally samples
-proposals from the fitted base statistics and applies the auxiliary-head
-losses with weight ``lam``. Each split holds one array row per scene, and
-each proposal set is built once per seed; both arms share the fine-tuning
-and test sets. Everything is keyed off (config, seed), so reports are
+proposals from the fitted base statistics and applies the classification
+and regression losses to them with weight ``lam``. The features are fixed
+(there is no backbone), so the supervised contrastive loss of
+``propcal.losses``, which could only shape features, is not computed here.
+Each split holds one array row per scene, and each proposal set is built
+once per seed; both arms share the fine-tuning and test sets. Everything is keyed off (config, seed), so reports are
 reproducible byte for byte.
 """
 
@@ -36,7 +38,7 @@ from . import diagnostics
 from .geometry import apply_offsets_array, encode_offsets_array, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou as iou_scalar  # noqa: F401
-from .losses import assemble_loss, cross_entropy_batch, smooth_l1_batch, supcon_loss_and_grad_arrays
+from .losses import assemble_loss, cross_entropy_batch, smooth_l1_batch
 # bound only because the benchmark tracer counts supcon calls through these names
 from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
 from .sampling import (SamplerConfig, build_calibrated_set, check_seed, derive_seed, hash_word, philox_rng,
@@ -65,7 +67,6 @@ _JSON_TYPES = {
     bool: ((bool,), "a boolean", "booleans"),
     int: ((int,), "an integer", "integers"),
     float: ((int, float), "a number", "numbers"),
-    str: ((str,), "a string", "strings"),
 }
 
 
@@ -89,19 +90,15 @@ class ExperimentConfig:
     k_shot: int = 5
     j_per_instance: int = 50
     lam: float = 0.1
-    tau: float = 0.2
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
     epochs_base: int = 60
     epochs_finetune: int = 250
     learning_rate: float = 1.5
     pos_neg_cap: float = 8.0
-    contrastive_cap: int = 256
-    contrastive_set: str = "sampled"  # "sampled" | "rpn" | "both"
     sampled_in_main: bool = False
     image_w: float = 160.0
     image_h: float = 160.0
     feature_dim: int = 16
-    proj_dim: int = 128
     base_per_class: int = 200
     test_per_class: int = 30
     rpn_per_object: int = 8
@@ -140,17 +137,13 @@ class ExperimentConfig:
             raise ValueError("k_shot must be >= 1")
         for name in ("c_base", "c_novel", "epochs_base", "epochs_finetune",
                      "base_per_class", "test_per_class", "rpn_per_object",
-                     "feature_dim", "proj_dim"):
+                     "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.j_per_instance < 0:
             raise ValueError("j_per_instance must be >= 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.contrastive_cap < 1:
-            raise ValueError("contrastive_cap must be >= 1")
         if self.pos_neg_cap < 0:
             raise ValueError("pos_neg_cap must be >= 0")
         for name in ("rpn_mu", "rpn_sigma", "novel_extra_bias"):
@@ -172,8 +165,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         for seed in self.seeds:
             check_seed(seed)
-        if self.contrastive_set not in ("sampled", "rpn", "both"):
-            raise ValueError(f"unknown contrastive_set {self.contrastive_set!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -290,13 +283,12 @@ def _features_for(
 
 @dataclass
 class TinyRoiHead:
-    """Linear classifier + class-agnostic box regressor + contrastive projection."""
+    """Linear classifier + class-agnostic box regressor."""
 
     w_cls: np.ndarray
     b_cls: np.ndarray
     w_reg: np.ndarray
     b_reg: np.ndarray
-    w_proj: np.ndarray
 
     def logits(self, feats: np.ndarray) -> np.ndarray:
         return feats @ self.w_cls.T + self.b_cls
@@ -305,10 +297,7 @@ class TinyRoiHead:
         return feats @ self.w_reg.T + self.b_reg
 
     def copy(self) -> TinyRoiHead:
-        return TinyRoiHead(
-            self.w_cls.copy(), self.b_cls.copy(),
-            self.w_reg.copy(), self.b_reg.copy(), self.w_proj.copy(),
-        )
+        return TinyRoiHead(self.w_cls.copy(), self.b_cls.copy(), self.w_reg.copy(), self.b_reg.copy())
 
 
 def init_head(config: ExperimentConfig, seed: int) -> TinyRoiHead:
@@ -320,7 +309,6 @@ def init_head(config: ExperimentConfig, seed: int) -> TinyRoiHead:
         b_cls=np.zeros(c_total + 1),
         w_reg=rng.normal(0.0, _REG_INIT, size=(4, d)),
         b_reg=np.zeros(4),
-        w_proj=rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.proj_dim, d)),
     )
 
 
@@ -424,12 +412,12 @@ def sampled_proposals(
 
 
 def _head_targets(pset: ProposalSet, config: ExperimentConfig, bg: int):
-    """(cls_feats, cls_targets, reg_feats, reg_targets, fg): the ignore band is dropped."""
+    """(cls_feats, cls_targets, reg_feats, reg_targets): the ignore band is dropped."""
     fg = pset.q >= config.fg_iou
     keep = fg | (pset.q < config.bg_iou)
     cls_targets = np.where(fg, pset.labels, bg)[keep]
     reg_targets = encode_offsets_array(pset.gt_boxes[fg], pset.boxes[fg])
-    return pset.feats[keep], cls_targets, pset.feats[fg], reg_targets, fg
+    return pset.feats[keep], cls_targets, pset.feats[fg], reg_targets
 
 
 def _head_loss_grads(head: TinyRoiHead, cls_feats, cls_targets, reg_feats, reg_targets):
@@ -451,55 +439,36 @@ def _head_loss_grads(head: TinyRoiHead, cls_feats, cls_targets, reg_feats, reg_t
 
 
 def _sgd_step(head: TinyRoiHead, step: float, grads) -> None:
-    """In-place descent on (w_cls, b_cls, w_reg, b_reg[, w_proj]), as many as ``grads`` has."""
-    for param, grad in zip((head.w_cls, head.b_cls, head.w_reg, head.b_reg, head.w_proj), grads):
+    """In-place descent on (w_cls, b_cls, w_reg, b_reg)."""
+    for param, grad in zip((head.w_cls, head.b_cls, head.w_reg, head.b_reg), grads):
         param -= step * grad
 
 
-def _con_loss_grads(feats, labels, w_proj, tau):
-    raw = feats @ w_proj.T
-    norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-    z = raw / norms
-    loss, dz = supcon_loss_and_grad_arrays(z, labels, tau)
-    draw = (dz - (dz * z).sum(axis=1, keepdims=True) * z) / norms
-    return loss, draw.T @ feats
-
-
-def _subsample(n: int, cap: int, seed: int, *purpose) -> np.ndarray:
-    """Sorted keyed choice of ``cap`` of ``n`` rows without replacement; every row when ``n <= cap``."""
-    if n <= cap:
-        return np.arange(n)
-    return np.sort(stream_rng(seed, *purpose).choice(n, size=cap, replace=False))
-
-
 def _descend(head: TinyRoiHead, main, epochs: int, config: ExperimentConfig, stage: str,
-             aux=None, seed: int = 0) -> TinyRoiHead:
+             aux=None) -> TinyRoiHead:
     """``epochs`` full-batch descent steps of a copy of ``head`` on the main head inputs.
 
     ``main`` is (cls_feats, cls_targets, reg_feats, reg_targets). The calibrated
-    branch ``aux`` is (feats, labels, reg_targets, con_feats, con_labels) of the
-    sampled proposals: after each main step it takes a step of ``lr * lam`` on
-    their head losses and on the contrastive loss of a keyed ``contrastive_cap``
-    subset of the contrastive rows. Raises RuntimeError naming ``stage`` and the
-    epoch when the epoch's total loss is not finite.
+    branch ``aux`` is (feats, labels, reg_targets) of the sampled proposals:
+    after each main step it takes a step of ``lr * lam`` on their head losses.
+    Raises RuntimeError naming ``stage`` and the epoch when the epoch's total
+    loss is not finite.
     """
     head = head.copy()
     lr, lam = config.learning_rate, config.lam
-    cls_s = reg_s = con = 0.0
+    cls_s = reg_s = 0.0
     for epoch in range(epochs):
         cls_loss, reg_loss, grads = _head_loss_grads(head, *main)
         if aux is not None:
-            feats, labels, reg_targets, con_feats, con_labels = aux
+            feats, labels, reg_targets = aux
             cls_s, reg_s, grads_s = _head_loss_grads(head, feats, labels, feats, reg_targets)
-            sub = _subsample(len(con_labels), config.contrastive_cap, seed, "con-sub", epoch)
-            con, dw_proj = _con_loss_grads(con_feats[sub], con_labels[sub], head.w_proj, config.tau)
-        if not math.isfinite(cls_loss + reg_loss + lam * ((cls_s + con) + reg_s)):
+        if not math.isfinite(cls_loss + reg_loss + lam * (cls_s + reg_s)):
             raise RuntimeError(f"{stage} diverged at epoch {epoch}: cls={cls_loss}, reg={reg_loss}, "
-                               f"sampled cls={cls_s}, con={con}, sampled reg={reg_s}, lam={lam}")
-        assemble_loss(cls_loss + reg_loss, con, cls_s, reg_s, lam)  # the epoch's objective
+                               f"sampled cls={cls_s}, sampled reg={reg_s}, lam={lam}")
+        assemble_loss(cls_loss + reg_loss, 0.0, cls_s, reg_s, lam)  # the epoch's objective
         _sgd_step(head, lr, grads)
         if aux is not None and lam != 0.0:
-            _sgd_step(head, lr * lam, grads_s + (dw_proj,))
+            _sgd_step(head, lr * lam, grads_s)
     return head
 
 
@@ -515,7 +484,7 @@ def base_train(
         raise ValueError("base training requires at least one proposal")
     acc = OffsetAccumulator()
     acc.add_many(encode_offsets_array(pset.boxes, pset.gt_boxes))
-    *main, _ = _head_targets(pset, config, head.w_cls.shape[0] - 1)
+    main = _head_targets(pset, config, head.w_cls.shape[0] - 1)
     if main[0].shape[0] == 0:
         raise ValueError("base training requires at least one classifiable proposal")
     return _descend(head, main, epochs, config, "base training"), acc.finalize()
@@ -533,30 +502,24 @@ def finetune(
 
     Both arms get the same detector proposals ``rpn``, labels, schedule, and
     randomness; the calibrated arm differs only by the ``sampled`` proposals
-    (positives capped at ``pos_neg_cap`` times the detector negatives) and the
-    lam-weighted auxiliary-head losses on them. The feature generator (scene
-    appearances, prototypes, noise keys) is never modified.
+    (positives capped at ``pos_neg_cap`` times the detector negatives, a sorted
+    keyed choice) and the lam-weighted head losses on them. The feature
+    generator (scene appearances, prototypes, noise keys) is never modified.
     """
-    cls_feats, cls_targets, feats_fg, reg_targets, fg = _head_targets(rpn, config, head.w_cls.shape[0] - 1)
-    main, aux = (cls_feats, cls_targets, feats_fg, reg_targets), None
+    main, aux = _head_targets(rpn, config, head.w_cls.shape[0] - 1), None
     if pdc_enabled:
         n_neg = int((rpn.q < config.bg_iou).sum())
-        keep = _subsample(sampled.size, int(config.pos_neg_cap * max(n_neg, 1)), seed, "pos-cap")
+        cap = config.pos_neg_cap * max(n_neg, 1)  # inf when the product overflows: no cap
+        keep = np.arange(sampled.size)
+        if sampled.size > cap:
+            keep = np.sort(stream_rng(seed, "pos-cap").choice(sampled.size, size=int(cap), replace=False))
         if keep.size:
             feats, labels = sampled.feats[keep], sampled.labels[keep]
-            sampled_reg_targets = encode_offsets_array(sampled.gt_boxes[keep], sampled.boxes[keep])
-            if config.contrastive_set == "sampled":
-                con_feats, con_labels = feats, labels
-            elif config.contrastive_set == "rpn":
-                con_feats, con_labels = feats_fg, rpn.labels[fg]
-            else:  # both
-                con_feats = np.concatenate([feats, feats_fg])
-                con_labels = np.concatenate([labels, rpn.labels[fg]])
-            aux = (feats, labels, sampled_reg_targets, con_feats, con_labels)
+            reg_targets = encode_offsets_array(sampled.gt_boxes[keep], sampled.boxes[keep])
+            aux = (feats, labels, reg_targets)
             if config.sampled_in_main:
-                main = (np.concatenate([cls_feats, feats]), np.concatenate([cls_targets, labels]),
-                        np.concatenate([feats_fg, feats]), np.concatenate([reg_targets, sampled_reg_targets]))
-    return _descend(head, main, config.epochs_finetune, config, "fine-tuning", aux, seed)
+                main = tuple(map(np.concatenate, zip(main, (feats, labels, feats, reg_targets))))
+    return _descend(head, main, config.epochs_finetune, config, "fine-tuning", aux)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,40 @@ def test_cli_fit_stats_lenient(tmp_path, capsys):
     assert "skipped 1 malformed lines" in capsys.readouterr().err
 
 
+# a byte that is not valid UTF-8, inside the image id and after the record
+NOT_UTF8 = [record_line(image_id="im").encode().replace(b'"im"', b'"im\xff"'), record_line().encode() + b" \xff"]
+
+
+@pytest.mark.parametrize("command", ["fit-stats", "mmd", "diagnose"])
+@pytest.mark.parametrize("bad", NOT_UTF8, ids=["in-id", "after-record"])
+def test_cli_log_readers_name_a_line_that_is_not_utf8(tmp_path, capsys, command, bad):
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(b"\n".join([record_line().encode(), bad, record_line().encode()]) + b"\n")
+    extra = {"fit-stats": [], "mmd": [str(log)], "diagnose": ["--figures", str(tmp_path / "figs")]}[command]
+    assert dispatch([command, str(log), *extra]) == 1
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("bad", NOT_UTF8, ids=["in-id", "after-record"])
+def test_cli_lenient_skips_a_line_that_is_not_utf8(tmp_path, capsys, bad):
+    good = [record_line(proposal=(52.0 + i, 58.0, 22.0, 28.0)).encode() for i in range(3)]
+    log, clean = tmp_path / "log.jsonl", tmp_path / "clean.jsonl"
+    log.write_bytes(b"\n".join([good[0], bad, *good[1:]]) + b"\n")
+    clean.write_bytes(b"\n".join(good) + b"\n")
+    assert dispatch(["fit-stats", str(clean)]) == 0
+    expected = capsys.readouterr().out
+    assert dispatch(["fit-stats", str(log), "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == f"{log}: skipped line 2: not valid UTF-8 (byte 0xff)\n{log}: skipped 1 malformed lines\n"
+
+
+def test_json_escaped_surrogate_id_is_still_a_record():
+    line = record_line(image_id="im\udcff")  # written as the ASCII escape \udcff, which is valid UTF-8
+    records, errors = parse_log([line])
+    assert records.image_id == ["im\udcff"] and errors == []
+
+
 def test_cli_mmd_identical_logs(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text("\n".join(record_line(proposal=(52.0 + i, 58.0, 22.0, 28.0)) for i in range(5)) + "\n")
@@ -203,6 +237,18 @@ def test_cli_sample_rejects_bad_gts(tmp_path, capsys):
     model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0, 0, 0, 0]}')
     assert dispatch(["sample", str(gts), "--model", str(model)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_sample_names_a_gt_line_that_is_not_utf8(tmp_path, capsys):
+    gts = tmp_path / "gts.jsonl"
+    gts.write_bytes(b'{"image_id": "a", "gt": [60, 70, 24, 18], "gt_class": 0}\n'
+                    b'{"image_id": "b\xff", "gt": [60, 70, 24, 18], "gt_class": 0}\n')
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0, 0, 0, 0]}')
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8 (byte 0xff)\n"
+    assert not out.exists()
 
 
 _HUGE_GT = ([0, 0, 1e308, 1e308], '"mu": [1e300, 0, 1, 1], "var": [0.01, 0.01, 0.01, 0.01]')
@@ -377,7 +423,7 @@ def test_cli_simulate(tmp_path, capsys):
     cfg = {
         "c_base": 3, "c_novel": 2, "k_shot": 2, "base_per_class": 30,
         "test_per_class": 5, "epochs_base": 20, "epochs_finetune": 25,
-        "contrastive_cap": 64, "seeds": [0],
+        "seeds": [0],
     }
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(cfg))
@@ -389,8 +435,9 @@ def test_cli_simulate(tmp_path, capsys):
     assert (subdirs[0] / "summary.csv").exists()
 
 
-# values of a JSON type other than the field's
-CONFIG_TYPE_ERRORS = [
+# rejected both from JSON and by the constructor: values of a JSON type other
+# than the field's, and a repeated seed
+SHARED_CONFIG_ERRORS = [
     ({"seeds": 5}, "seeds must be a list of integers, got 5"),
     ({"seeds": [0.5]}, "seeds must be a list of integers, got [0.5]"),
     ({"k_shot": "5"}, "k_shot must be an integer, got '5'"),
@@ -399,17 +446,18 @@ CONFIG_TYPE_ERRORS = [
     ({"lam": "0.1"}, "lam must be a number, got '0.1'"),
     ({"sampled_in_main": 1}, "sampled_in_main must be a boolean, got 1"),
     ({"epochs_base": True}, "epochs_base must be an integer, got True"),
-    ({"contrastive_set": 3}, "contrastive_set must be a string, got 3"),
+    ({"seeds": [0, 0]}, "seeds must be distinct, got [0, 0]"),
 ]
 
 
 @pytest.mark.parametrize("override,message", [
     ({"seeds": []}, "seeds must be non-empty"),
     ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
-    *CONFIG_TYPE_ERRORS,
+    *SHARED_CONFIG_ERRORS,
     ({"lam": -1}, "lam must be >= 0"),
-    ({"tau": 0}, "tau must be > 0"),
-    ({"contrastive_cap": 0}, "contrastive_cap must be >= 1"),
+    ({"tau": 0.2, "contrastive_cap": 256, "contrastive_set": "sampled", "proj_dim": 128},
+     "unknown config fields: ['contrastive_cap', 'contrastive_set', 'proj_dim', 'tau']"),
+    ({"feature_dim": 0}, "feature_dim must be positive"),
     ({"pos_neg_cap": -1}, "pos_neg_cap must be >= 0"),
     ({"rpn_mu": [0.0, 0.0, 0.0]}, "rpn_mu must have 4 elements, got 3"),
     ({"rpn_sigma": [0.1]}, "rpn_sigma must have 4 elements, got 1"),
@@ -436,7 +484,7 @@ def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message
 
 
 @pytest.mark.parametrize("override,message", [
-    *CONFIG_TYPE_ERRORS,
+    *SHARED_CONFIG_ERRORS,
     ({"seeds": (1.7,)}, "seeds must be a list of integers, got (1.7,)"),
     ({"k_shot": 2.5}, "k_shot must be an integer, got 2.5"),
     ({"learning_rate": "1.5"}, "learning_rate must be a number, got '1.5'"),

@@ -6,11 +6,11 @@ sums (both move report bits at the last-digit level), the sample hashes
 before the writer formatted rows from arrays; a refactor that keeps
 behaviour must keep them. The third report pin covers a detector draw
 that exhausts its re-draw budget (the code before the budget-miss change
-raised RuntimeError on that config). The fine-tuned head pin covers the
-contrastive step, which moves only the projection that no report reads,
-on a config whose contrastive rows exceed ``contrastive_cap``. A
-deliberate change to the simulator's numerics or to the sampling streams
-re-pins them, with a CHANGES.md entry saying why the bytes moved.
+raised RuntimeError on that config). The fine-tuned head pin hashes the
+calibrated arm's four head parameter arrays on the sampled-in-main config,
+one step closer to the descent loop than the reports. A deliberate change
+to the simulator's numerics or to the sampling streams re-pins them, with
+a CHANGES.md entry saying why the bytes moved.
 """
 
 import dataclasses
@@ -31,15 +31,14 @@ _SMALL = ExperimentConfig(
     test_per_class=6,
     epochs_base=30,
     epochs_finetune=40,
-    contrastive_cap=96,
     seeds=(0,),
 )
 
 # a wide instance-bias spread: one novel test object of seed 3 exhausts its draws
 _BUDGET_MISS = dataclasses.replace(_SMALL, novel_bias_spread=0.5, seeds=(3,))
 
-# the second config drives the sampled-in-main and "both" contrastive branches,
-# the third the budget-miss path of the detector
+# the second config drives the sampled-in-main branch, the third the budget-miss
+# path of the detector
 GOLDEN = [
     (
         _SMALL,
@@ -47,7 +46,7 @@ GOLDEN = [
         "1724239c375bbd644ff7cea23dd7d9b0244fbcdbbb69d550a6168bcd21479686",
     ),
     (
-        dataclasses.replace(_SMALL, sampled_in_main=True, contrastive_set="both", seeds=(1,)),
+        dataclasses.replace(_SMALL, sampled_in_main=True, seeds=(1,)),
         "d2e19154bb1757b68d5ac1d15e7d4865f91ba23f69f21ec106fcad9d4c351518",
         "37263f7be861c9db8e8f85fd837a054f7bebdd92b016689b70c68f9bff63375d",
     ),
@@ -78,9 +77,9 @@ def test_golden_finetuned_pdc_head_bytes():
     ft = rpn_proposals(ds, ds.finetune, config, seed, "ft-rpn")
     sampled = sampled_proposals(ds, ds.finetune, stats, config, seed)
     tuned = finetune(head, ft, sampled, True, config, seed)
-    params = (tuned.w_cls, tuned.b_cls, tuned.w_reg, tuned.b_reg, tuned.w_proj)
+    params = (tuned.w_cls, tuned.b_cls, tuned.w_reg, tuned.b_reg)
     digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
-    assert digest == "de5680a8b07730450cacd9f12e8ccd36e1684d2baa98fd6d73fd1e25df127e52"
+    assert digest == "246771300bcc98792fba27a2aa750f1124833959116ab1db6741effc5213d14f"
 
 
 def test_budget_miss_config_takes_the_miss_path():

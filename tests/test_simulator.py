@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ SMALL = ExperimentConfig(
     test_per_class=6,
     epochs_base=30,
     epochs_finetune=40,
-    contrastive_cap=96,
     seeds=(0, 1),
 )
 
@@ -55,7 +55,6 @@ def heads_equal(a, b) -> bool:
         and np.array_equal(a.b_cls, b.b_cls)
         and np.array_equal(a.w_reg, b.w_reg)
         and np.array_equal(a.b_reg, b.b_reg)
-        and np.array_equal(a.w_proj, b.w_proj)
     )
 
 
@@ -398,14 +397,76 @@ def test_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError, match="seeds"):
         ExperimentConfig.from_json('{"seeds": []}')
-    with pytest.raises(ValueError):
-        ExperimentConfig(contrastive_set="everything")
+    with pytest.raises(ValueError, match=re.escape("seeds must be distinct, got [3, 1, 3]")):
+        ExperimentConfig(seeds=(3, 1, 3))
 
 
 def test_config_float_fields_keep_one_json_form():
     # an integer given for a float field is the same experiment, in the same directory
     cfg = ExperimentConfig.from_json('{"image_w": 160}')
     assert cfg == ExperimentConfig()
-    assert cfg.config_hash() == ExperimentConfig().config_hash() == "27a47c13d729"
+    assert cfg.config_hash() == ExperimentConfig().config_hash() == "8e567350983e"
     assert '"image_w": 160.0' in cfg.to_json()
 
+
+
+# one valid value per config field, other than the tiny config's own; every one
+# must move the report, so a setting that shapes nothing cannot hide in the config
+# (bg_iou moves it only from about 0.4: below, no tiny-config proposal falls in the band)
+_TINY = ExperimentConfig(c_base=3, c_novel=2, k_shot=2, base_per_class=20, test_per_class=6,
+                         epochs_base=5, epochs_finetune=8, seeds=(0,))
+REPORT_MOVERS = {
+    "c_base": 4,
+    "c_novel": 3,
+    "k_shot": 3,
+    "j_per_instance": 20,
+    "lam": 0.3,
+    "seeds": (1,),
+    "epochs_base": 6,
+    "epochs_finetune": 9,
+    "learning_rate": 1.0,
+    "pos_neg_cap": 0.5,
+    "sampled_in_main": True,
+    "image_w": 200.0,
+    "image_h": 200.0,
+    "feature_dim": 12,
+    "base_per_class": 25,
+    "test_per_class": 7,
+    "rpn_per_object": 6,
+    "rpn_mu": (0.0, 0.0, 0.0, 0.0),
+    "rpn_sigma": (0.1, 0.1, 0.12, 0.12),
+    "novel_extra_bias": (0.0, 0.0, 0.0, 0.0),
+    "miss_rate_novel": 0.2,
+    "novel_bias_spread": 0.1,
+    "fg_iou": 0.6,
+    "bg_iou": 0.45,
+    "feature_noise": 0.1,
+    "appearance_noise": 0.12,
+    "min_box": 20.0,
+    "max_box": 40.0,
+    "margin": 50.0,
+}
+
+
+def test_every_config_field_moves_the_report(tmp_path):
+    assert list(REPORT_MOVERS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+    def digest(config):
+        outdir = run_experiment(config, out_root=tmp_path).output_dir
+        return hashlib.sha256((outdir / "per_seed.csv").read_bytes()).hexdigest()
+
+    tiny = digest(_TINY)
+    inert = [name for name, value in REPORT_MOVERS.items()
+             if getattr(_TINY, name) == value or digest(dataclasses.replace(_TINY, **{name: value})) == tiny]
+    assert inert == []
+
+
+def test_overflowing_positive_cap_is_no_cap(tmp_path):
+    # 1.7e308 times the 3 detector negatives of this config is inf; it caps nothing, like
+    # any cap above the sampled count
+    def per_seed(pos_neg_cap):
+        config = dataclasses.replace(_TINY, bg_iou=0.45, pos_neg_cap=pos_neg_cap)
+        outdir = run_experiment(config, out_root=tmp_path).output_dir
+        return (outdir / "per_seed.csv").read_bytes()
+
+    assert per_seed(1.7e308) == per_seed(1e9)
