@@ -310,6 +310,7 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
     lines: list[str] = []
     gt_index: dict[str, int] = {}
+    rng = philox_rng(0)  # re-keyed to each gt's stream
     with open(args.gts, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -318,7 +319,7 @@ def _cmd_sample(args) -> int:
             idx = gt_index.get(image_id, 0)
             gt_index[image_id] = idx + 1
             gt_row = gt.as_array()
-            boxes = sample_proposals_for_gt(gt_row, config, image_size, idx, image_id)
+            boxes = sample_proposals_for_gt(gt_row, config, image_size, idx, image_id, rng)
             lines += _format_records(image_id, gt_row.tolist(), gt_class, boxes.tolist(), "sampled")
     _write_or_print("\n".join(lines), args.output)
     return 0

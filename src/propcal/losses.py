@@ -128,13 +128,20 @@ def supcon_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> np.ndar
 
 
 def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch-mean softmax cross-entropy of (n, C+1) logits and its logit gradient."""
-    shift = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(shift)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    loss = float(-(shift[np.arange(n), targets] - np.log(expl.sum(axis=1))).mean())
-    probs[np.arange(n), targets] -= 1.0
+    """Batch-mean softmax cross-entropy of (n, C+1) float logits and its logit gradient."""
+    n, c = logits.shape
+    # the row max column by column: the same values as max(axis=1), faster on short rows
+    row_max = logits[:, 0].copy()
+    for j in range(1, c):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    shift = logits - row_max[:, None]
+    rows = np.arange(n)
+    picked = shift[rows, targets]
+    probs = np.exp(shift, out=shift)
+    total = probs.sum(axis=1)
+    loss = float(-(picked - np.log(total)).mean())
+    probs /= total[:, None]
+    probs[rows, targets] -= 1.0
     probs /= n
     return loss, probs
 
@@ -143,8 +150,15 @@ def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray, beta: float = 1.0) ->
     """Smooth-L1 of (n, 4) residuals, summed per row and averaged over rows, and its gradient."""
     r = pred - targets
     a = np.abs(r)
-    loss = float(np.where(a < beta, 0.5 * a * a / beta, a - 0.5 * beta).sum(axis=1).mean())
-    return loss, np.clip(r / beta, -1.0, 1.0) / pred.shape[0]
+    per = 0.5 * a
+    per *= a
+    per /= beta
+    np.subtract(a, 0.5 * beta, out=per, where=~(a < beta))  # the linear branch
+    loss = float(per.sum(axis=1).mean())
+    r /= beta
+    np.clip(r, -1.0, 1.0, out=r)
+    r /= pred.shape[0]
+    return loss, r
 
 
 def cross_entropy_cls(logits, label: int) -> float:

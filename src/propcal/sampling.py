@@ -27,6 +27,8 @@ OffsetModel = Union[DiagonalGaussian4, Uniform4]
 
 # Re-draw rounds a slot gets after its first draw before sampling gives up
 MAX_RESAMPLE = 16
+# Gts per array pass of sample_boxes: bounds the pass's temporaries and saved stream states
+PASS_GTS = 128
 
 
 @dataclass(frozen=True)
@@ -86,30 +88,66 @@ def _draw_raw(model: OffsetModel, n: int, rng: np.random.Generator) -> np.ndarra
     raise TypeError(f"unsupported offset model: {type(model).__name__}")
 
 
-def sample_boxes_for_gt(
-    gt_box: np.ndarray,
+def sample_boxes(
+    gt_boxes: np.ndarray,
     n: int,
-    model: OffsetModel,
+    models: list[OffsetModel],
     rng: np.random.Generator,
     image_size: tuple[float, float] | None,
+    states: list[int | dict] | None = None,
 ) -> np.ndarray:
-    """Array core of proposal sampling: n decoded (and clipped) boxes for one gt.
+    """Array core of proposal sampling: ``(k, n, 4)`` decoded (and clipped) boxes, n per gt.
 
+    Gt i draws ``models[i]`` offsets from its own stream, which starts at
+    ``states[i]``: a Philox key (the stream at its start) or a
+    ``bit_generator.state``. Each round restores the stream into ``rng``
+    for the gt's draw, then decodes, checks and clips the pending rows of
+    up to ``PASS_GTS`` gts in one array pass. Without ``states`` there is
+    one gt, and its stream is the one ``rng`` is on.
     A draw is invalid, and re-drawn, when its decoded box, before clipping,
     holds a non-finite value (an overflowing decode) or a size <= 0, or
     when it lies outside the image.
     A slot still invalid after ``MAX_RESAMPLE`` re-draw rounds is returned
     as a row of NaN: the budget is exhausted.
+    On return ``rng`` is on the stream of the last gt that drew.
     """
-    gt_row = np.asarray(gt_box, dtype=np.float64).reshape(1, 4)
-    boxes = np.full((n, 4), np.nan)
-    pending = np.arange(n)
+    gts = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    boxes = np.full((gts.shape[0] * n, 4), np.nan)
+    for lo in range(0, gts.shape[0], PASS_GTS):
+        hi = lo + PASS_GTS
+        _fill_slots(boxes[lo * n:hi * n], gts[lo:hi], models[lo:hi],
+                    [None] if states is None else list(states[lo:hi]), rng, image_size)
+    return boxes.reshape(gts.shape[0], n, 4)
+
+
+def _fill_slots(boxes, gts, models, states, rng, image_size) -> None:
+    """The draw rounds of :func:`sample_boxes` for ``k`` gts into their ``(k * n, 4)`` slots.
+
+    ``states`` is ``[None]`` for a lone gt on the stream ``rng`` is on now.
+    """
+    k = gts.shape[0]
+    n = boxes.shape[0] // k
+    live = 0 if states[0] is None else -1  # the gt whose stream rng is on
+    pending = np.arange(k * n)  # slots gt by gt, so each gt's rows stay in slot order
+    counts = [n] * k  # pending slots per gt
     for _ in range(MAX_RESAMPLE + 1):
         if pending.size == 0:
             break
-        offs = _draw_raw(model, pending.size, rng)
+        offs = []
+        for i, count in enumerate(counts):
+            if not count:
+                continue
+            if i != live:
+                if live >= 0:
+                    states[live] = rng.bit_generator.state
+                if isinstance(states[i], dict):
+                    rng.bit_generator.state = states[i]
+                else:
+                    philox_rng(states[i], rng)
+                live = i
+            offs.append(_draw_raw(models[i], count, rng))
         with np.errstate(over="ignore", invalid="ignore"):
-            decoded = apply_offsets_array(np.repeat(gt_row, pending.size, axis=0), offs)
+            decoded = apply_offsets_array(np.repeat(gts, counts, axis=0), np.concatenate(offs))
             # before clipping, which would turn an overflowed corner into the image edge
             ok = valid_boxes_array(decoded)
             if image_size is not None:
@@ -117,7 +155,18 @@ def sample_boxes_for_gt(
                 ok &= inside
         boxes[pending[ok]] = decoded[ok]
         pending = pending[~ok]
-    return boxes
+        counts = np.bincount(pending // n, minlength=k).tolist()
+
+
+def sample_boxes_for_gt(
+    gt_box: np.ndarray,
+    n: int,
+    model: OffsetModel,
+    rng: np.random.Generator,
+    image_size: tuple[float, float] | None,
+) -> np.ndarray:
+    """The ``(n, 4)`` boxes :func:`sample_boxes` draws for one gt from the stream ``rng`` is on."""
+    return sample_boxes(gt_box, n, [model], rng, image_size)[0]
 
 
 def sample_proposals_for_gt(
@@ -126,13 +175,15 @@ def sample_proposals_for_gt(
     image_size: tuple[float, float] | None = None,
     gt_index: int = 0,
     image_id: str = "",
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """The ``(j_per_instance, 4)`` calibrated proposal boxes for one gt ``[cx, cy, w, h]``.
 
-    The draw uses the gt's own stream, keyed by (seed, image_id, gt_index).
+    The draw uses the gt's own stream, keyed by (seed, image_id, gt_index):
+    ``rng`` re-keyed to it, or a fresh generator.
     Raises RuntimeError when the re-draw budget is exhausted.
     """
-    rng = stream_rng(config.seed, "sample", image_id, gt_index)
+    rng = philox_rng(stream_key(config.seed, "sample", image_id, gt_index), rng)
     boxes = sample_boxes_for_gt(gt, config.j_per_instance, config.model, rng, image_size)
     if invalid := np.count_nonzero(np.isnan(boxes[:, 0])):
         raise RuntimeError(
@@ -149,8 +200,9 @@ def build_calibrated_set(
     image_id: str = "",
 ) -> np.ndarray:
     """The ``(n * j_per_instance, 4)`` calibrated proposals of one image's ``(n, 4)`` gts, in gt order."""
+    rng = philox_rng(0)  # re-keyed for each gt
     boxes = [
-        sample_proposals_for_gt(gt, config, image_size, gt_index=i, image_id=image_id)
+        sample_proposals_for_gt(gt, config, image_size, gt_index=i, image_id=image_id, rng=rng)
         for i, gt in enumerate(gts)
     ]
     return np.concatenate(boxes) if boxes else np.empty((0, 4))

@@ -42,7 +42,9 @@ from .losses import assemble_loss, cross_entropy_batch, smooth_l1_batch
 # bound only because the benchmark tracer counts supcon calls through these names
 from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
 from .sampling import (SamplerConfig, build_calibrated_set, check_seed, derive_seed, hash_word, philox_rng,
-                       sample_boxes_for_gt, stream_key, stream_rng)
+                       sample_boxes, stream_key, stream_rng)
+# bound only because the benchmark tracer patches sample_boxes_for_gt through this name
+from .sampling import sample_boxes_for_gt  # noqa: F401
 from .stats import DiagonalGaussian4, OffsetAccumulator
 
 # Regressor outputs are clamped to this range before decoding so a refined
@@ -361,29 +363,31 @@ def rpn_proposals(
     """
     dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
     extra_bias = np.array(config.novel_extra_bias)
-    image_size = (config.image_w, config.image_h)
-    rows, boxes, budget_misses, rng, bias_rng = [], [], 0, None, None
-    for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
-        rng = philox_rng(stream_key(seed, purpose, sid), rng)
+    rows, models, states, rng, bias_rng = [], [], [], philox_rng(0), philox_rng(0)
+    for r, (sid, label) in enumerate(zip(split.ids, split.labels)):
+        state = stream_key(seed, purpose, sid)
         model = dist
         if label in ds.novel_classes:
-            if rng.random() < config.miss_rate_novel:
+            if philox_rng(state, rng).random() < config.miss_rate_novel:
                 continue
             # a fixed per-object bias, so fine-tuning cannot see the test ones; its own
             # generator, as rng is drawn from after it; the 0 keeps the old stream keys
-            bias_rng = philox_rng(stream_key(seed, "novel-bias", sid, 0), bias_rng)
+            philox_rng(stream_key(seed, "novel-bias", sid, 0), bias_rng)
             inst = config.novel_bias_spread * bias_rng.normal(size=4)
             model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
-        drawn = sample_boxes_for_gt(gt, config.rpn_per_object, model, rng, image_size)
-        if np.isnan(drawn[:, 0]).any():
-            budget_misses += 1
-            continue
-        boxes.append(drawn)
+            state = rng.bit_generator.state  # past the miss draw
         rows.append(r)
+        models.append(model)
+        states.append(state)  # where the object's offset draws start
+    rows = np.array(rows, dtype=np.int64)
+    drawn = sample_boxes(split.boxes[rows], config.rpn_per_object, models, rng, (config.image_w, config.image_h),
+                         states)
+    hit = ~np.isnan(drawn[:, :, 0]).any(axis=1)
     pset = _empty_set(config.feature_dim)
-    if rows:
-        pset = _proposal_set(ds, split, np.repeat(rows, config.rpn_per_object), np.concatenate(boxes), config)
-    pset.budget_misses = budget_misses
+    if hit.any():
+        pset = _proposal_set(ds, split, np.repeat(rows[hit], config.rpn_per_object),
+                             drawn[hit].reshape(-1, 4), config)
+    pset.budget_misses = int(np.count_nonzero(~hit))
     return pset
 
 

@@ -69,6 +69,13 @@ def test_golden_report_bytes(tmp_path, config, per_seed_sha, summary_sha):
     assert digest == {"per_seed.csv": per_seed_sha, "summary.csv": summary_sha}
 
 
+def test_golden_default_config_seed_5_per_seed_bytes(tmp_path):
+    # the default config at one seed, as the benchmark's experiment workload runs it
+    outdir = run_experiment(ExperimentConfig(seeds=(5,)), out_root=tmp_path).output_dir
+    digest = hashlib.sha256((outdir / "per_seed.csv").read_bytes()).hexdigest()
+    assert digest == "e51435d7992c7207fbb59b3080559ce637775ad68dfc1a7822bbc02d515ae2b4"
+
+
 def test_golden_finetuned_pdc_head_bytes():
     config, seed = GOLDEN[1][0], 1
     ds = generate_dataset(config, seed)

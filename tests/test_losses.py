@@ -10,7 +10,9 @@ from propcal.losses import (
     Embedding,
     LossBreakdown,
     assemble_loss,
+    cross_entropy_batch,
     cross_entropy_cls,
+    smooth_l1_batch,
     smooth_l1_reg,
     supcon_grad,
     supcon_grad_arrays,
@@ -227,6 +229,80 @@ def test_smooth_l1_beta():
     assert smooth_l1_reg(OffsetVec(0.5, 0, 0, 0), zero, beta=2.0) == pytest.approx(0.0625)
     with pytest.raises(ValueError):
         smooth_l1_reg(zero, zero, beta=0.0)
+
+
+def _cross_entropy_reference(logits, targets):
+    """The multi-pass cross-entropy expression the one-pass kernel replaced."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    expl = np.exp(shift)
+    probs = expl / expl.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = float(-(shift[np.arange(n), targets] - np.log(expl.sum(axis=1))).mean())
+    probs[np.arange(n), targets] -= 1.0
+    probs /= n
+    return loss, probs
+
+
+def _smooth_l1_reference(pred, targets, beta=1.0):
+    """The two-branch smooth-L1 expression the one-pass kernel replaced."""
+    r = pred - targets
+    a = np.abs(r)
+    loss = float(np.where(a < beta, 0.5 * a * a / beta, a - 0.5 * beta).sum(axis=1).mean())
+    return loss, np.clip(r / beta, -1.0, 1.0) / pred.shape[0]
+
+
+def _same_bits(got, want):
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _cross_entropy_cases():
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(40, 11)) * 4
+    tied = np.round(rng.normal(size=(40, 11)))  # integer values: many rows tie at their max
+    tied[:, 3] = tied.max(axis=1)
+    huge = rng.normal(size=(6, 5))
+    huge[0] = 1e300
+    huge[1] = -1e300
+    huge[2, :2] = (1e300, -1e300)
+    huge[3, 4] = -1e300
+    bad = rng.normal(size=(4, 5))
+    bad[0, 1], bad[1, 2], bad[2, 0], bad[3] = np.inf, -np.inf, np.nan, np.inf
+    return [(logits, rng.integers(0, 11, 40)), (tied, rng.integers(0, 11, 40)),
+            (logits[:1], np.array([4])), (huge, rng.integers(0, 5, 6)), (bad, np.array([1, 2, 3, 0]))]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["random", "tied-max", "one-row", "1e300", "inf-nan"])
+def test_cross_entropy_batch_matches_the_multi_pass_formula_bit_for_bit(case):
+    logits, targets = _cross_entropy_cases()[case]
+    kept = logits.copy(), targets.copy()
+    with np.errstate(all="ignore"):
+        got = cross_entropy_batch(logits, targets)
+        want = _cross_entropy_reference(logits.copy(), targets)
+    _same_bits(got, want)
+    assert logits.tobytes() == kept[0].tobytes() and np.array_equal(targets, kept[1])
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.3, 3.0])
+def test_smooth_l1_batch_matches_the_two_branch_formula_bit_for_bit(beta):
+    rng = np.random.default_rng(4)
+    pred = rng.normal(size=(200, 4)) * 2
+    targets = rng.normal(size=(200, 4))
+    pred[0] = (1e300, -1e300, 1e-300, 0.0)
+    pred[1] = (np.inf, -np.inf, np.nan, beta)
+    targets[2] = (np.nan, 0.0, np.inf, -beta)
+    targets[3] = pred[3] + (beta, -beta, beta / 2, 0.0)  # residuals on and near the branch point
+    # the finite rows, whose loss is not NaN, all rows, and each row alone: a batch mean
+    # can round a one-ulp change of a quadratic-branch value away
+    rows = [(pred[i:i + 1], targets[i:i + 1]) for i in range(len(pred))]
+    for p, t in [(pred[4:], targets[4:]), (pred, targets)] + rows:
+        kept = p.copy(), t.copy()
+        with np.errstate(all="ignore"):
+            got = smooth_l1_batch(p, t, beta)
+            want = _smooth_l1_reference(p, t, beta)
+        _same_bits(got, want)
+        assert p.tobytes() == kept[0].tobytes() and t.tobytes() == kept[1].tobytes()
 
 
 def test_assemble_hand_example():

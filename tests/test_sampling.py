@@ -7,9 +7,11 @@ import pytest
 import propcal
 from propcal.geometry import corners_array, encode_offsets_array
 from propcal.sampling import (
+    PASS_GTS,
     SamplerConfig,
     build_calibrated_set,
     philox_rng,
+    sample_boxes,
     sample_boxes_for_gt,
     sample_proposals_for_gt,
     stream_key,
@@ -110,6 +112,36 @@ def test_non_finite_draws_are_redrawn():
     half = Uniform4([0.0, 0.0, 0.0, 0.0], [3.6e298, 1e-9, 1e-9, 1e-9])  # cx overflows above 1.8e298
     boxes = sample_boxes_for_gt(np.array([0.0, 0.0, 1e10, 1.0]), 64, half, stream_rng(1, "inf"), None)
     assert np.isfinite(boxes).all()
+
+
+def test_batched_draw_matches_one_gt_at_a_time():
+    # a plain gt, one cut by the border, one that exhausts its budget and a uniform model,
+    # repeated past one array pass
+    gts = np.tile([[50.0, 50, 20, 20], [3.0, 50, 20, 20], [50.0, 50, 20, 20], [90.0, 10, 30, 12]], (40, 1))
+    models = [GAUSS, DiagonalGaussian4([0.3, 0.0, 0.0, 0.0], [0.04] * 4),
+              DiagonalGaussian4([0.0, 0.0, 0.0, -1.14], [0.01] * 4), Uniform4([-0.3] * 4, [0.3] * 4)] * 40
+    assert len(gts) > PASS_GTS
+    keys = [stream_key(2, "batch", i) for i in range(len(gts))]
+    rng = philox_rng(0)
+    states = []
+    for i, key in enumerate(keys):
+        if i % 2:  # a stream past its start, as a saved state
+            philox_rng(key, rng).random()
+            states.append(rng.bit_generator.state)
+        else:  # a stream at its start, as its key
+            states.append(key)
+    got = sample_boxes(gts, 8, models, rng, (100, 100), states)
+    ones = [philox_rng(key) for key in keys]
+    for i, one in enumerate(ones):
+        if i % 2:
+            one.random()
+        want = sample_boxes_for_gt(gts[i], 8, models[i], one, (100, 100))
+        assert got[i].tobytes() == want.tobytes()
+    exhausted = np.isnan(got).any(axis=(1, 2))
+    assert exhausted[-2] and (np.flatnonzero(exhausted) % 4 == 2).all()
+    # the last gt to draw exhausts its budget, so rng is left where that stream's own draws leave it
+    assert rng.random() == ones[-2].random()
+    assert sample_boxes(np.empty((0, 4)), 8, [], rng, None, []).shape == (0, 8, 4)
 
 
 def test_distribution_fidelity_unclipped():

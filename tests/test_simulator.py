@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import propcal
+from propcal import sampling
 from propcal.geometry import BBox, corners_array, encode_offsets_array, iou_paired_array
-from propcal.sampling import stream_rng
+from propcal.sampling import MAX_RESAMPLE, philox_rng, sample_boxes_for_gt, stream_key, stream_rng
 from propcal.simulator import (
     ExperimentConfig,
     SimDataset,
@@ -26,7 +27,7 @@ from propcal.simulator import (
     run_seed,
     sampled_proposals,
 )
-from propcal.simulator import _features_for
+from propcal.simulator import _features_for, _proposal_set
 from propcal.stats import DiagonalGaussian4
 
 
@@ -340,6 +341,62 @@ def test_rpn_proposals_drop_an_object_whose_draws_exhaust_the_budget():
     assert pset.size == cfg.rpn_per_object and not pset.novel.any()
     np.testing.assert_array_equal(pset.gt_boxes, np.repeat(split.boxes[:1], cfg.rpn_per_object, axis=0))
     assert np.isfinite(pset.boxes).all()
+
+
+def _rpn_proposals_scene_by_scene(ds, split, config, seed, purpose):
+    """rpn_proposals as one sample_boxes_for_gt call per scene on the same keyed streams."""
+    dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
+    rows, boxes, misses = [], [], 0
+    for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
+        rng = philox_rng(stream_key(seed, purpose, sid))
+        model = dist
+        if label in ds.novel_classes:
+            if rng.random() < config.miss_rate_novel:
+                continue
+            inst = config.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)
+            model = DiagonalGaussian4(dist.mu + (np.array(config.novel_extra_bias) + inst), dist.var)
+        drawn = sample_boxes_for_gt(gt, config.rpn_per_object, model, rng, (config.image_w, config.image_h))
+        if np.isnan(drawn).any():
+            misses += 1
+            continue
+        rows.append(r)
+        boxes.append(drawn)
+    rows = np.repeat(np.array(rows, dtype=np.int64), config.rpn_per_object)
+    return _proposal_set(ds, split, rows, np.concatenate(boxes).reshape(-1, 4), config), misses
+
+
+def test_batched_rpn_proposals_match_per_scene_draws(monkeypatch):
+    # near-border objects and wide offsets: many slots need redraws, some objects exhaust the budget
+    cfg = dataclasses.replace(ExperimentConfig(), margin=21.0, novel_bias_spread=0.6,
+                              rpn_sigma=(0.3, 0.3, 0.4, 0.4), base_per_class=30, test_per_class=20)
+    draws = {"batched": {}, "per-scene": {}}
+    mode = "batched"
+    draw_raw = sampling._draw_raw
+
+    def counted(model, n, rng):
+        key = tuple(rng.bit_generator.state["state"]["key"].tolist())
+        draws[mode].setdefault(key, []).append(n)
+        return draw_raw(model, n, rng)
+
+    monkeypatch.setattr(sampling, "_draw_raw", counted)
+    total_misses = 0
+    for seed in range(12):
+        ds = generate_dataset(cfg, seed)
+        for split, purpose in ((ds.base, "base-rpn"), (ds.finetune, "ft-rpn"), (ds.test, "eval-rpn")):
+            mode = "batched"
+            got = rpn_proposals(ds, split, cfg, seed, purpose)
+            mode = "per-scene"
+            want, misses = _rpn_proposals_scene_by_scene(ds, split, cfg, seed, purpose)
+            assert got.boxes.tobytes() == want.boxes.tobytes()
+            assert got.feats.tobytes() == want.feats.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.budget_misses == misses
+            total_misses += misses
+    assert total_misses == 10
+    # every stream draws the same row counts in the same order, and an object that
+    # exhausts its budget draws exactly MAX_RESAMPLE + 1 times
+    assert draws["batched"] == draws["per-scene"]
+    assert max(len(ns) for ns in draws["batched"].values()) == MAX_RESAMPLE + 1
 
 
 def test_run_seed_deterministic():
