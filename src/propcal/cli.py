@@ -32,7 +32,9 @@ from .geometry import BBox, corners_array, encode_offsets_array, valid_boxes_arr
 # bound only because the benchmark tracer counts geometry.encode_offset calls through this name
 from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
-from .sampling import SamplerConfig, philox_rng, sample_proposals_for_gt
+from .sampling import SamplerConfig, build_calibrated_set, philox_rng
+# bound only because the benchmark tracer patches sample_proposals_for_gt through this name
+from .sampling import sample_proposals_for_gt  # noqa: F401
 from .stats import (
     DiagonalGaussian4,
     OffsetAccumulator,
@@ -308,21 +310,21 @@ def _cmd_sample(args) -> int:
     image_size = tuple(args.image_size) if args.image_size else None
     if image_size and not all(0 < v < np.inf for v in image_size):
         raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
-    lines: list[str] = []
-    gt_index: dict[str, int] = {}
-    rng = philox_rng(0)  # re-keyed to each gt's stream
-    with open(args.gts, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            image_id, gt, gt_class = _parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
-            idx = gt_index.get(image_id, 0)
-            gt_index[image_id] = idx + 1
-            gt_row = gt.as_array()
-            boxes = sample_proposals_for_gt(gt_row, config, image_size, idx, image_id, rng)
-            lines += _format_records(image_id, gt_row.tolist(), gt_class, boxes.tolist(), "sampled")
-    _write_or_print("\n".join(lines), args.output)
+    # the lines and the draws are freed before the text is written
+    _write_or_print("\n".join(_sampled_lines(args.gts, config, image_size)), args.output)
     return 0
+
+
+def _sampled_lines(path: str, config: SamplerConfig, image_size) -> list[str]:
+    """The ``sample`` records of the gt lines of ``path``, in file order; every line is checked before any draw."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        records = [_parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
+                   for line_no, line in enumerate(fh, start=1) if line.strip()]
+    boxes = np.array([gt.as_array() for _, gt, _ in records]).reshape(-1, 4)
+    props = build_calibrated_set(boxes, config, image_size, [image_id for image_id, _, _ in records])
+    props = props.reshape(len(records), config.j_per_instance, 4)
+    return [line for (image_id, _, gt_class), gt, rows in zip(records, boxes.tolist(), props)
+            for line in _format_records(image_id, gt, gt_class, rows.tolist(), "sampled")]
 
 
 def _cmd_supcon_check(args) -> int:

@@ -15,8 +15,10 @@ by golden tests; changing it is a format break.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Union
+from itertools import count
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -94,7 +96,7 @@ def sample_boxes(
     models: list[OffsetModel],
     rng: np.random.Generator,
     image_size: tuple[float, float] | None,
-    states: list[int | dict] | None = None,
+    states: list[int | dict],
 ) -> np.ndarray:
     """Array core of proposal sampling: ``(k, n, 4)`` decoded (and clipped) boxes, n per gt.
 
@@ -102,8 +104,7 @@ def sample_boxes(
     ``states[i]``: a Philox key (the stream at its start) or a
     ``bit_generator.state``. Each round restores the stream into ``rng``
     for the gt's draw, then decodes, checks and clips the pending rows of
-    up to ``PASS_GTS`` gts in one array pass. Without ``states`` there is
-    one gt, and its stream is the one ``rng`` is on.
+    up to ``PASS_GTS`` gts in one array pass.
     A draw is invalid, and re-drawn, when its decoded box, before clipping,
     holds a non-finite value (an overflowing decode) or a size <= 0, or
     when it lies outside the image.
@@ -115,19 +116,15 @@ def sample_boxes(
     boxes = np.full((gts.shape[0] * n, 4), np.nan)
     for lo in range(0, gts.shape[0], PASS_GTS):
         hi = lo + PASS_GTS
-        _fill_slots(boxes[lo * n:hi * n], gts[lo:hi], models[lo:hi],
-                    [None] if states is None else list(states[lo:hi]), rng, image_size)
+        _fill_slots(boxes[lo * n:hi * n], gts[lo:hi], models[lo:hi], list(states[lo:hi]), rng, image_size)
     return boxes.reshape(gts.shape[0], n, 4)
 
 
 def _fill_slots(boxes, gts, models, states, rng, image_size) -> None:
-    """The draw rounds of :func:`sample_boxes` for ``k`` gts into their ``(k * n, 4)`` slots.
-
-    ``states`` is ``[None]`` for a lone gt on the stream ``rng`` is on now.
-    """
+    """The draw rounds of :func:`sample_boxes` for ``k`` gts into their ``(k * n, 4)`` slots."""
     k = gts.shape[0]
     n = boxes.shape[0] // k
-    live = 0 if states[0] is None else -1  # the gt whose stream rng is on
+    live = -1  # the gt whose stream rng is on
     pending = np.arange(k * n)  # slots gt by gt, so each gt's rows stay in slot order
     counts = [n] * k  # pending slots per gt
     for _ in range(MAX_RESAMPLE + 1):
@@ -166,7 +163,22 @@ def sample_boxes_for_gt(
     image_size: tuple[float, float] | None,
 ) -> np.ndarray:
     """The ``(n, 4)`` boxes :func:`sample_boxes` draws for one gt from the stream ``rng`` is on."""
-    return sample_boxes(gt_box, n, [model], rng, image_size)[0]
+    return sample_boxes(gt_box, n, [model], rng, image_size, [rng.bit_generator.state])[0]
+
+
+def _sample_keyed(gts: np.ndarray, keys, config: SamplerConfig, image_size) -> np.ndarray:
+    """``(k, J, 4)`` boxes of ``(k, 4)`` gts, gt i from the stream of (seed, image_id, gt_index) = (seed, *keys[i]).
+
+    Raises RuntimeError naming the first gt, in gt order, whose re-draw budget is exhausted.
+    """
+    states = [stream_key(config.seed, "sample", image_id, gt_index) for image_id, gt_index in keys]
+    boxes = sample_boxes(gts, config.j_per_instance, [config.model] * len(gts), philox_rng(0), image_size, states)
+    invalid = np.count_nonzero(np.isnan(boxes[:, :, 0]), axis=1)
+    if invalid.any():
+        i = int(np.flatnonzero(invalid)[0])
+        raise RuntimeError(f"resampling budget exhausted for gt {gts[i].tolist()}: {invalid[i]} of "
+                           f"{config.j_per_instance} draws still invalid after {MAX_RESAMPLE} rounds")
+    return boxes
 
 
 def sample_proposals_for_gt(
@@ -175,34 +187,25 @@ def sample_proposals_for_gt(
     image_size: tuple[float, float] | None = None,
     gt_index: int = 0,
     image_id: str = "",
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """The ``(j_per_instance, 4)`` calibrated proposal boxes for one gt ``[cx, cy, w, h]``.
-
-    The draw uses the gt's own stream, keyed by (seed, image_id, gt_index):
-    ``rng`` re-keyed to it, or a fresh generator.
-    Raises RuntimeError when the re-draw budget is exhausted.
-    """
-    rng = philox_rng(stream_key(config.seed, "sample", image_id, gt_index), rng)
-    boxes = sample_boxes_for_gt(gt, config.j_per_instance, config.model, rng, image_size)
-    if invalid := np.count_nonzero(np.isnan(boxes[:, 0])):
-        raise RuntimeError(
-            f"resampling budget exhausted for gt {np.asarray(gt, dtype=np.float64).tolist()}: "
-            f"{invalid} of {len(boxes)} draws still invalid after {MAX_RESAMPLE} rounds"
-        )
-    return boxes
+    """The ``(J, 4)`` calibrated boxes of one gt ``[cx, cy, w, h]`` from its (seed, image_id, gt_index) stream."""
+    return _sample_keyed(np.asarray(gt, dtype=np.float64).reshape(1, 4), [(image_id, gt_index)], config, image_size)[0]
 
 
 def build_calibrated_set(
     gts: np.ndarray,
     config: SamplerConfig,
     image_size: tuple[float, float] | None = None,
-    image_id: str = "",
+    image_id: str | Sequence[str] = "",
 ) -> np.ndarray:
-    """The ``(n * j_per_instance, 4)`` calibrated proposals of one image's ``(n, 4)`` gts, in gt order."""
-    rng = philox_rng(0)  # re-keyed for each gt
-    boxes = [
-        sample_proposals_for_gt(gt, config, image_size, gt_index=i, image_id=image_id, rng=rng)
-        for i, gt in enumerate(gts)
-    ]
-    return np.concatenate(boxes) if boxes else np.empty((0, 4))
+    """The ``(n * j_per_instance, 4)`` calibrated proposals of ``(n, 4)`` gts, in gt order.
+
+    ``image_id`` is one id for all gts or one per gt. A gt's ``gt_index`` is
+    the number of earlier gts with the same id.
+    """
+    gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+    ids = [image_id] * len(gts) if isinstance(image_id, str) else list(image_id)
+    if len(ids) != len(gts):
+        raise ValueError(f"need one image_id per gt, got {len(ids)} for {len(gts)} gts")
+    gt_index = defaultdict(count)  # the next gt_index of each id
+    return _sample_keyed(gts, [(iid, next(gt_index[iid])) for iid in ids], config, image_size).reshape(-1, 4)

@@ -38,7 +38,7 @@ from . import diagnostics
 from .geometry import apply_offsets_array, encode_offsets_array, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou as iou_scalar  # noqa: F401
-from .losses import assemble_loss, cross_entropy_batch, smooth_l1_batch
+from .losses import cross_entropy_batch, smooth_l1_batch
 # bound only because the benchmark tracer counts supcon calls through these names
 from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
 from .sampling import (SamplerConfig, build_calibrated_set, check_seed, derive_seed, hash_word, philox_rng,
@@ -161,6 +161,8 @@ class ExperimentConfig:
         # a miss rate of 1 leaves no novel test proposals, so mmd_novel is undefined
         if not 0.0 <= self.miss_rate_novel < 1.0:
             raise ValueError("miss_rate_novel must be in [0, 1)")
+        if not 0.0 <= self.bg_iou <= self.fg_iou <= 1.0:
+            raise ValueError("need 0 <= bg_iou <= fg_iou <= 1")
         if self.novel_bias_spread < 0:
             raise ValueError("novel_bias_spread must be >= 0")
         if not self.seeds:
@@ -401,16 +403,9 @@ def sampled_proposals(
     """Calibrated proposals: J draws from the base statistics per scene of ``split``."""
     if config.j_per_instance == 0:
         return _empty_set(config.feature_dim)
-    sampler = SamplerConfig(
-        model=stats,
-        j_per_instance=config.j_per_instance,
-        seed=derive_seed(seed, "ft-sample"),
-    )
-    image_size = (config.image_w, config.image_h)
-    boxes = np.concatenate([
-        build_calibrated_set(gt[None], sampler, image_size=image_size, image_id=sid)
-        for sid, gt in zip(split.ids, split.boxes)
-    ])
+    sampler = SamplerConfig(stats, config.j_per_instance, derive_seed(seed, "ft-sample"))
+    # scene ids are distinct, so each scene draws from its (sid, 0) stream
+    boxes = build_calibrated_set(split.boxes, sampler, (config.image_w, config.image_h), split.ids)
     rows = np.repeat(np.arange(split.size), config.j_per_instance)
     return _proposal_set(ds, split, rows, boxes, config)
 
@@ -469,7 +464,6 @@ def _descend(head: TinyRoiHead, main, epochs: int, config: ExperimentConfig, sta
         if not math.isfinite(cls_loss + reg_loss + lam * (cls_s + reg_s)):
             raise RuntimeError(f"{stage} diverged at epoch {epoch}: cls={cls_loss}, reg={reg_loss}, "
                                f"sampled cls={cls_s}, sampled reg={reg_s}, lam={lam}")
-        assemble_loss(cls_loss + reg_loss, 0.0, cls_s, reg_s, lam)  # the epoch's objective
         _sgd_step(head, lr, grads)
         if aux is not None and lam != 0.0:
             _sgd_step(head, lr * lam, grads_s)

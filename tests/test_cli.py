@@ -251,6 +251,34 @@ def test_cli_sample_names_a_gt_line_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sample_checks_every_gt_line_before_drawing(tmp_path, capsys):
+    # line 1 would exhaust its budget, but the malformed line 3 is what is reported
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text("\n".join([
+        json.dumps({"image_id": "a", "gt": [900.0, 70.0, 24.0, 18.0], "gt_class": 0}),
+        json.dumps({"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 0}),
+        "{broken",
+    ]) + "\n")
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "--image-size", "128", "128",
+                     "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_sample_without_gts_writes_an_empty_file(tmp_path):
+    gts, model = tmp_path / "gts.jsonl", tmp_path / "m.json"
+    gts.write_text("\n\n")
+    model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "-J", "3", "-o", str(out)]) == 0
+    assert out.read_text() == ""
+
+
 _HUGE_GT = ([0, 0, 1e308, 1e308], '"mu": [1e300, 0, 1, 1], "var": [0.01, 0.01, 0.01, 0.01]')
 
 
@@ -473,6 +501,8 @@ SHARED_CONFIG_ERRORS = [
     ({"novel_bias_spread": -1}, "novel_bias_spread must be >= 0"),
     ({"lam": math.nan}, "lam must be finite"),
     ({"rpn_sigma": [0.1, 0.1, -math.inf, 0.1]}, "rpn_sigma must be finite"),
+    ({"fg_iou": 0.3, "bg_iou": 0.5}, "need 0 <= bg_iou <= fg_iou <= 1"),
+    ({"fg_iou": 1.5}, "need 0 <= bg_iou <= fg_iou <= 1"),
 ])
 def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message):
     cfg_file = tmp_path / "config.json"

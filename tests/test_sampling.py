@@ -169,6 +169,28 @@ def test_build_calibrated_set_counts_and_order():
         np.testing.assert_array_equal(ps[50 * i:50 * (i + 1)], solo)
 
 
+def test_build_calibrated_set_keys_each_gt_by_its_id_and_running_index():
+    # more gts than one array pass, with ids repeated out of order
+    rng = np.random.default_rng(3)
+    n = PASS_GTS + 20
+    gts = np.column_stack([rng.uniform(30, 70, (n, 2)), rng.uniform(8, 30, (n, 2))])
+    ids = [f"im{k}" for k in rng.integers(0, 5, n)]
+    cfg = SamplerConfig(model=GAUSS, j_per_instance=6, seed=11)
+    got = build_calibrated_set(gts, cfg, (100, 100), ids).reshape(n, 6, 4)
+    for i, (gt, image_id) in enumerate(zip(gts, ids)):
+        want = sample_proposals_for_gt(gt, cfg, (100, 100), gt_index=ids[:i].count(image_id), image_id=image_id)
+        assert got[i].tobytes() == want.tobytes()
+    # two gts wholly outside the image exhaust their budgets: the first in gt order is named
+    gts[PASS_GTS + 5] = [-400.0, 50, 10, 10]
+    gts[30] = [300.0, 50, 10, 10]
+    with pytest.raises(RuntimeError) as err:
+        build_calibrated_set(gts, cfg, (100, 100), ids)
+    assert str(err.value) == ("resampling budget exhausted for gt [300.0, 50.0, 10.0, 10.0]: "
+                              "6 of 6 draws still invalid after 16 rounds")
+    with pytest.raises(ValueError, match="need one image_id per gt"):
+        build_calibrated_set(gts, cfg, (100, 100), ids[1:])
+
+
 def test_build_calibrated_set_empty_gts():
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=6)
     assert build_calibrated_set(np.empty((0, 4)), cfg).shape == (0, 4)

