@@ -151,26 +151,6 @@ class ProposalColumns:
         return len(self.image_id)
 
 
-def _checked_boxes(coords: list[float], line_nos: list[int], texts: list[str],
-                   lenient: bool, errors: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2, 4) gt/proposal boxes of the rows and the mask of rows whose boxes are valid.
-
-    A row with a non-finite value or a size <= 0 is re-run through
-    ``parse_record`` for its message: raised in strict mode, appended to
-    ``errors`` as (line_no, message) in lenient mode.
-    """
-    boxes = np.array(coords, dtype=np.float64).reshape(-1, 2, 4)
-    valid = valid_boxes_array(boxes).all(axis=1)
-    for i in np.flatnonzero(~valid).tolist():
-        try:
-            parse_record(texts[i], line_nos[i])
-        except LogParseError as e:
-            if not lenient:
-                raise
-            errors.append((line_nos[i], str(e)))
-    return boxes, valid
-
-
 def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColumns, list[str]]:
     """Parse a JSONL proposal log into columns.
 
@@ -178,20 +158,20 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     string id with no escaped byte, an int64 class >= 0, a known source and
     two lists of four floats. A line that fails it goes through
     ``parse_record``, the one validator, which raises its message or returns
-    the record (integer coordinates, say). Finite values and positive sizes are then checked on
-    the arrays, and every row they refuse is re-run through ``parse_record``.
-    So the columns and messages are those of parsing line by line: strict
-    mode raises on the first bad line; lenient mode skips bad lines and
-    returns their messages in line order. Blank lines are ignored in both
-    modes.
+    the record (integer coordinates, say). Finite values and positive sizes
+    are then checked on the arrays, and a row they refuse gets the message
+    ``parse_record`` gives its boxes, from the row's own values. So the
+    columns and messages are those of parsing line by line: strict mode
+    raises on the first bad line and reads no further; lenient mode skips
+    bad lines and returns their messages in line order. Blank lines are
+    ignored in both modes. No line's text is kept past its own step.
     """
     line_nos: list[int] = []
-    texts: list[str] = []  # kept for the messages of rows the array checks refuse
     image_id: list[str] = []
     gt_class: list[int] = []
     source: list[str] = []
     coords: list[float] = []  # gt then proposal, eight per row
-    errors: list[tuple[int, str]] = []
+    errors: list[LogParseError] = []
     for line_no, line in enumerate(lines, start=1):
         try:
             doc = json.loads(line)
@@ -208,21 +188,30 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
             try:
                 rec = parse_record(line, line_no)
             except LogParseError as e:
+                e.__traceback__ = e.__context__ = None  # their frames hold the line's text
+                errors.append(e)
                 if not lenient:
-                    _checked_boxes(coords, line_nos, texts, False, errors)  # raises an earlier bad line
-                    raise
-                errors.append((line_no, str(e)))
+                    break  # no later line can be the first bad one
                 continue
             iid, cls, src = rec.image_id, rec.gt_class, rec.source
             gt, prop = astuple(rec.gt), astuple(rec.proposal)
         line_nos.append(line_no)
-        texts.append(line)
         image_id.append(iid)
         gt_class.append(cls)
         source.append(src)
         coords.extend(gt)
         coords.extend(prop)
-    boxes, valid = _checked_boxes(coords, line_nos, texts, lenient, errors)
+    boxes = np.array(coords, dtype=np.float64).reshape(-1, 2, 4)
+    valid = valid_boxes_array(boxes).all(axis=1)
+    for i in np.flatnonzero(~valid).tolist():
+        try:  # the box checks of parse_record, in its order
+            _parse_box(boxes[i, 0].tolist(), "gt")
+            _parse_box(boxes[i, 1].tolist(), "proposal")
+        except ValueError as e:
+            errors.append(LogParseError(line_nos[i], str(e)))
+    errors.sort(key=lambda e: e.line_no)
+    if errors and not lenient:
+        raise errors[0]
     if not valid.all():
         image_id = [v for v, ok in zip(image_id, valid.tolist()) if ok]
         source = [v for v, ok in zip(source, valid.tolist()) if ok]
@@ -230,7 +219,7 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
         image_id, boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1], source,
         np.array(line_nos, dtype=np.int64)[valid],
     )
-    return columns, [message for _, message in sorted(errors)]
+    return columns, [str(e) for e in errors]
 
 
 def _format_records(image_id: str, gt, gt_class: int, proposals, source: str) -> list[str]:
@@ -282,7 +271,10 @@ def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        Path(path).write_text(text + ("\n" if text else ""))
+        with open(path, "w") as fh:  # two writes, so the text is not copied to add the newline
+            fh.write(text)
+            if text:
+                fh.write("\n")
 
 
 # Subcommand implementations. Each returns an exit code.

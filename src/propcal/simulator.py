@@ -365,19 +365,18 @@ def rpn_proposals(
     """
     dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
     extra_bias = np.array(config.novel_extra_bias)
-    rows, models, states, rng, bias_rng = [], [], [], philox_rng(0), philox_rng(0)
+    rows, models, states, rng = [], [], [], philox_rng(0)
     for r, (sid, label) in enumerate(zip(split.ids, split.labels)):
         state = stream_key(seed, purpose, sid)
         model = dist
         if label in ds.novel_classes:
             if philox_rng(state, rng).random() < config.miss_rate_novel:
                 continue
-            # a fixed per-object bias, so fine-tuning cannot see the test ones; its own
-            # generator, as rng is drawn from after it; the 0 keeps the old stream keys
-            philox_rng(stream_key(seed, "novel-bias", sid, 0), bias_rng)
-            inst = config.novel_bias_spread * bias_rng.normal(size=4)
-            model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
             state = rng.bit_generator.state  # past the miss draw
+            # a fixed per-object bias, so fine-tuning cannot see the test ones; the 0 keeps the old stream keys
+            philox_rng(stream_key(seed, "novel-bias", sid, 0), rng)
+            inst = config.novel_bias_spread * rng.normal(size=4)
+            model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
         rows.append(r)
         models.append(model)
         states.append(state)  # where the object's offset draws start

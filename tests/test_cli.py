@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,15 @@ from propcal.cli import (
 from propcal.geometry import BBox
 from propcal.simulator import ExperimentConfig
 from propcal.stats import model_from_json, DiagonalGaussian4, Uniform4
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports propcal from this checkout's src."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def record_line(image_id="im0", gt=(50.0, 60.0, 20.0, 30.0), gt_class=1,
@@ -88,6 +99,29 @@ def test_lenient_mode_skips_and_counts():
     assert len(errors) == 2
     assert errors[0].startswith("line 2")
     assert errors[1].startswith("line 3")
+
+
+def test_array_refused_row_is_named_before_a_later_bad_line():
+    # line 2 passes the accept test and is refused only by the array check, on both boxes
+    lines = [record_line(), record_line(gt=(50.0, 60.0, 0.0, 30.0), proposal=(52.0, 58.0, 22.0, -1.0)),
+             "{broken"]
+    with pytest.raises(LogParseError) as raised:
+        parse_log(lines)
+    with pytest.raises(LogParseError) as by_record:
+        parse_record(lines[1], 2)
+    assert str(raised.value) == str(by_record.value)
+    _, errors = parse_log(lines, lenient=True)
+    assert errors == [str(by_record.value), "line 3: malformed JSON (Expecting property name enclosed in double quotes)"]
+
+
+def test_strict_mode_stops_reading_at_the_first_refused_line():
+    def lines():
+        yield record_line()
+        yield "{broken"
+        pytest.fail("parse_log read past the first bad line")
+
+    with pytest.raises(LogParseError, match="line 2: malformed JSON"):
+        parse_log(lines())
 
 
 def test_blank_lines_ignored():
@@ -296,11 +330,8 @@ def test_cli_sample_overflowing_draws_exit_1(tmp_path, gt, model_fields, image_s
     model = tmp_path / "m.json"
     model.write_text('{"kind": "gaussian", ' + model_fields + "}")
     out = tmp_path / "out.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "propcal.cli", "sample", str(gts), "--model", str(model),
-         *image_size, "-o", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _run_python("-m", "propcal.cli", "sample", str(gts), "--model", str(model),
+                       *image_size, "-o", str(out))
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: resampling budget exhausted for gt {[float(v) for v in gt]}")
     assert proc.stderr.count("\n") == 1
@@ -573,10 +604,7 @@ def test_cli_simulate_with_diverging_head_prints_one_stderr_line(tmp_path):
            "epochs_base": 2, "epochs_finetune": 2}
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "propcal.cli", "simulate", str(cfg_file), "--out", str(tmp_path / "r")],
-        capture_output=True, text=True,
-    )
+    proc = _run_python("-m", "propcal.cli", "simulate", str(cfg_file), "--out", str(tmp_path / "r"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: seed 0: ") and proc.stderr.count("\n") == 1
 
@@ -666,19 +694,12 @@ def test_cli_exit_codes():
 
 
 def test_console_script_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "propcal.cli", "supcon-check", "--seed", "3"],
-        capture_output=True, text=True,
-    )
+    proc = _run_python("-m", "propcal.cli", "supcon-check", "--seed", "3")
     assert proc.returncode == 0
     assert "max relative error" in proc.stdout
 
 
 def test_cli_and_simulator_import_without_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, propcal.cli, propcal.simulator; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+    proc = _run_python("-c", "import sys, propcal.cli, propcal.simulator; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
