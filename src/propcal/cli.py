@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from array import array
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable
@@ -46,12 +47,17 @@ from .stats import (
 _SOURCES = ("rpn", "sampled")
 _GT_FIELDS = ("image_id", "gt", "gt_class")
 _RECORD_FIELDS = _GT_FIELDS + ("proposal", "source")
-_RECORD_KEYS = frozenset(_RECORD_FIELDS)
 _INT64_MAX = 2**63 - 1  # gt_class is an int64 column
-_FLOAT4 = (float,) * 4
 # Logs are read with errors="surrogateescape", which maps a byte that is not
 # valid UTF-8 to one of these code points, so the bad line can be named
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# The canonical line serialize_record writes: a printable-ASCII id with no escape, eight JSON numbers that
+# json reads as floats, a class of at most 18 digits (so int64); parse_record reads it to the same values.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_BOX = r"\[" + ", ".join([_FLOAT] * 4) + r"\]"
+_CANONICAL_RECORD = re.compile(
+    r'\{"image_id": "([ !#-\[\]-~]*)", "gt": ' + _BOX + r', "gt_class": (0|[1-9][0-9]{0,17}), '
+    r'"proposal": ' + _BOX + r', "source": "(rpn|sampled)"\}\n?')
 
 
 class LogParseError(ValueError):
@@ -154,11 +160,11 @@ class ProposalColumns:
 def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColumns, list[str]]:
     """Parse a JSONL proposal log into columns.
 
-    Each decoded line gets a cheap accept test: exactly the record fields, a
-    string id with no escaped byte, an int64 class >= 0, a known source and
-    two lists of four floats. A line that fails it goes through
-    ``parse_record``, the one validator, which raises its message or returns
-    the record (integer coordinates, say). Finite values and positive sizes
+    A line in the canonical form ``serialize_record`` writes is read from the
+    ``_CANONICAL_RECORD`` match groups, its coordinates into an ``array("d")``.
+    Any other non-blank line goes through ``parse_record``, the one
+    validator, which raises its message or returns the record (integer
+    coordinates or another key order, say). Finite values and positive sizes
     are then checked on the arrays, and a row they refuse gets the message
     ``parse_record`` gives its boxes, from the row's own values. So the
     columns and messages are those of parsing line by line: strict mode
@@ -170,21 +176,17 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     image_id: list[str] = []
     gt_class: list[int] = []
     source: list[str] = []
-    coords: list[float] = []  # gt then proposal, eight per row
+    coords = array("d")  # gt then proposal, eight per row
     errors: list[LogParseError] = []
+    canonical = _CANONICAL_RECORD.fullmatch
     for line_no, line in enumerate(lines, start=1):
-        try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError):
-            doc = None
-        if not (type(doc) is dict and doc.keys() == _RECORD_KEYS
-                and type(iid := doc["image_id"]) is str and (iid.isascii() or not _ESCAPED_BYTE.search(iid))
-                and type(cls := doc["gt_class"]) is int and 0 <= cls <= _INT64_MAX
-                and (src := doc["source"]) in _SOURCES
-                and type(gt := doc["gt"]) is list and tuple(map(type, gt)) == _FLOAT4
-                and type(prop := doc["proposal"]) is list and tuple(map(type, prop)) == _FLOAT4):
-            if not line.strip():
-                continue
+        if m := canonical(line):
+            iid, gx, gy, gw, gh, cls, px, py, pw, ph, src = m.groups()
+            coords.fromlist([float(gx), float(gy), float(gw), float(gh),
+                             float(px), float(py), float(pw), float(ph)])
+        elif not line.strip():
+            continue
+        else:
             try:
                 rec = parse_record(line, line_no)
             except LogParseError as e:
@@ -194,14 +196,12 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
                     break  # no later line can be the first bad one
                 continue
             iid, cls, src = rec.image_id, rec.gt_class, rec.source
-            gt, prop = astuple(rec.gt), astuple(rec.proposal)
+            coords.extend(astuple(rec.gt) + astuple(rec.proposal))
         line_nos.append(line_no)
         image_id.append(iid)
-        gt_class.append(cls)
+        gt_class.append(int(cls))
         source.append(src)
-        coords.extend(gt)
-        coords.extend(prop)
-    boxes = np.array(coords, dtype=np.float64).reshape(-1, 2, 4)
+    boxes = np.frombuffer(coords, dtype=np.float64).reshape(-1, 2, 4)
     valid = valid_boxes_array(boxes).all(axis=1)
     for i in np.flatnonzero(~valid).tolist():
         try:  # the box checks of parse_record, in its order
@@ -455,7 +455,7 @@ def dispatch(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         return int(args.func(args))
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

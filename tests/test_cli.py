@@ -357,6 +357,17 @@ def test_cli_sample_rejects_image_size_not_positive_and_finite(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_sample_with_more_draws_than_memory_exits_1(tmp_path, capsys):
+    # 2**46 draws of four float64s overflow any 64-bit address space, so the allocation fails at once
+    gts, model = _sample_inputs(tmp_path)
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["sample", str(gts), "--model", str(model), "-J", str(2**46), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_cli_seed_outside_64_bits_exits_1(tmp_path, capsys, seed):
     # a masked seed would alias -1 with 2**64 - 1 and 2**64 with 0, writing the same file

@@ -2,14 +2,19 @@
 line, a model file and an experiment config. Each parser either accepts the
 document or raises its own error type; no other exception escapes, so the
 CLI always ends with a one-line message. The columnar log reader is checked
-against ``parse_record`` applied line by line, and every log ``propcal
-sample`` writes is checked against that parser.
+against ``parse_record`` applied line by line, on canonical lines its
+pattern reads and on every other spelling; canonical lines written by
+``serialize_record``, ``propcal sample`` and the benchmark's generator must
+never reach ``parse_record``. Every log ``propcal sample`` writes is checked
+against that parser.
 """
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,9 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propcal.cli import LogParseError, dispatch, parse_log, parse_record, serialize_record
+from propcal import cli
+from propcal.cli import LogParseError, ProposalLogRecord, dispatch, parse_log, parse_record, serialize_record
+from propcal.geometry import BBox
 from propcal.simulator import ExperimentConfig
 from propcal.stats import model_from_json, model_to_json
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 scalars = st.one_of(
     st.none(),
@@ -131,10 +140,39 @@ def _box_with(value, at):
     return good_doc.map(lambda d: json.dumps({**d, "gt": d["gt"][:at] + [value] + d["gt"][at + 1:]}))
 
 
-good_line = good_doc.map(json.dumps)
+RECORD_FIELDS = ("image_id", "gt", "gt_class", "proposal", "source")  # the canonical key order
+
+
+def _ordered(d):
+    return {field: d[field] for field in RECORD_FIELDS}
+
+
+def _respelled(d, at, text):
+    """The canonical line of ``d`` with coordinate ``at`` of its gt written as ``text``."""
+    coords = [repr(v) for v in d["gt"]]
+    coords[at] = text
+    return json.dumps(_ordered(d)).replace(json.dumps(d["gt"]), f"[{', '.join(coords)}]", 1)
+
+
+good_line = good_doc.map(json.dumps)  # Hypothesis draws the keys of good_doc in any order
 int_line = st.builds(lambda d, g, p: json.dumps({**d, "gt": g, "proposal": p}), good_doc, int_box, int_box)
 blank_line = st.sampled_from(["", "   ", "\t"])
 at = st.integers(0, 3)
+# The form serialize_record writes, which the reader takes from its pattern without json.loads
+printable_id = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+canonical_line = st.builds(lambda d, iid: json.dumps(_ordered({**d, "image_id": iid})), good_doc, printable_id)
+# Other spellings of good records, each of which must read as parse_record reads it
+spelled_line = st.one_of(
+    good_doc.map(lambda d: json.dumps(_ordered(d), separators=(",", ":"))),
+    good_doc.map(lambda d: json.dumps(dict(reversed(_ordered(d).items())))),
+    st.builds(lambda line, end: line + end, canonical_line, st.sampled_from(["\n", "\r\n"])),
+    canonical_line.map(lambda line: " " + line),
+    st.builds(_respelled, good_doc, at, st.sampled_from(
+        ["1e2", "1E+2", "2.5e-3", "0e0", "-0.0", "-0e0", "5e-324", "4.9e-324", "2.2250738585072014e-308",
+         "1.7976931348623157e+308", "1.00000000000000000001", "-0"])),
+    st.builds(lambda d, cls: json.dumps(_ordered({**d, "gt_class": cls})), good_doc,
+              st.integers(10**18, 2**63 - 1)),  # 19 digits
+)
 bad_line = st.one_of(
     at.flatmap(lambda i: _box_with(True, i)),                   # bool coordinate
     at.flatmap(lambda i: _box_with("1.0", i)),                  # string coordinate
@@ -154,7 +192,7 @@ bad_line = st.one_of(
     _with("gt_class", True),
     _with("image_id", 7),
 )
-logs = st.lists(st.one_of(good_line, int_line, blank_line, bad_line), max_size=25)
+logs = st.lists(st.one_of(good_line, canonical_line, spelled_line, int_line, blank_line, bad_line), max_size=25)
 
 
 def _line_by_line(lines):
@@ -174,11 +212,7 @@ def _boxes(boxes):
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-@settings(max_examples=300, deadline=None)
-@given(logs)
-def test_parse_log_equals_parse_record_line_by_line(lines):
-    records, line_nos, errors = _line_by_line(lines)
-    cols, messages = parse_log(lines, lenient=True)
+def _assert_columns(cols, records, line_nos):
     assert len(cols) == len(records)
     assert cols.line_no.dtype == np.int64 and cols.line_no.tolist() == line_nos
     assert cols.image_id == [r.image_id for r in records]
@@ -188,6 +222,12 @@ def test_parse_log_equals_parse_record_line_by_line(lines):
         want = _boxes(boxes)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _assert_parse_log_equals_line_by_line(lines):
+    records, line_nos, errors = _line_by_line(lines)
+    cols, messages = parse_log(lines, lenient=True)
+    _assert_columns(cols, records, line_nos)
     assert messages == [str(e) for e in errors]
     if errors:
         with pytest.raises(LogParseError) as raised:
@@ -197,6 +237,79 @@ def test_parse_log_equals_parse_record_line_by_line(lines):
     else:
         strict, none = parse_log(lines)
         assert none == [] and strict.gt.tobytes() == cols.gt.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs)
+def test_parse_log_equals_parse_record_line_by_line(lines):
+    _assert_parse_log_equals_line_by_line(lines)
+
+
+def _boundary(gt="[1.5, 2.5, 3.5, 4.5]", image_id='"im0"', gt_class="3"):
+    return (f'{{"image_id": {image_id}, "gt": {gt}, "gt_class": {gt_class}, '
+            '"proposal": [1.0, 2.0, 3.0, 4.0], "source": "rpn"}')
+
+
+# Lines at the edges of the canonical pattern, and whether it takes them
+BOUNDARY_LINES = {
+    "1e-05": (_boundary(gt="[1e-05, 2.0, 1e-05, 4.0]"), True),
+    "5e-324": (_boundary(gt="[5e-324, 2.0, 3.0, 5e-324]"), True),
+    "largest float": (_boundary(gt="[1.7976931348623157e+308, 2.0, 1.7976931348623157e+308, 4.0]"), True),
+    "1e400": (_boundary(gt="[1e400, 2.0, 3.0, 4.0]"), True),  # inf, which the array check refuses
+    "-0.0": (_boundary(gt="[-0.0, -0.0, 3.0, 4.0]"), True),
+    "-0.0 width": (_boundary(gt="[1.0, 2.0, -0.0, 4.0]"), True),
+    "NaN": (_boundary(gt="[NaN, 2.0, 3.0, 4.0]"), False),
+    'id with \\"': (_boundary(image_id=r'"a\"b"'), False),
+    "id with DEL": (_boundary(image_id='"a\x7fb"'), False),
+    "class 10**17": (_boundary(gt_class=str(10**17)), True),
+    "class 2**63 - 1": (_boundary(gt_class=str(2**63 - 1)), False),
+    "class 2**63": (_boundary(gt_class=str(2**63)), False),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_LINES)
+def test_boundary_line_reads_as_parse_record_reads_it(name):
+    line, _ = BOUNDARY_LINES[name]
+    _assert_parse_log_equals_line_by_line([line])
+    _assert_parse_log_equals_line_by_line(["", line + "\n", _boundary() + "\n"])
+
+
+def _refuse(line, line_no=1):
+    raise AssertionError(f"line {line_no} missed the canonical pattern: {line!r}")
+
+
+def test_written_logs_never_reach_parse_record(monkeypatch, tmp_path):
+    """serialize_record, ``propcal sample`` and perfbench/gen.py lines are all read by the pattern."""
+    rng = np.random.default_rng(5)
+
+    def box():
+        return BBox(*rng.normal(300, 200, 2).tolist(), *rng.uniform(1e-3, 400, 2).tolist())
+
+    recs = [ProposalLogRecord(f"im{i}", box(), i * 997, box(), ("rpn", "sampled")[i % 2]) for i in range(40)]
+    recs.append(ProposalLogRecord("a b!#~", BBox(-0.0, 1e16, 5e-324, 1.7976931348623157e308), 10**18 - 1,
+                                  BBox(1e-05, -1e-300, 2.5, 1e-07), "rpn"))
+    gts, model, out = tmp_path / "gts.jsonl", tmp_path / "model.json", tmp_path / "out.jsonl"
+    gts.write_text("".join(f'{{"image_id": "im{i // 3}", "gt": [{50 + i}.5, 60, 20, 31.25], "gt_class": {i}}}\n'
+                           for i in range(12)))
+    model.write_text(SAMPLE_MODEL)
+    assert dispatch(["sample", str(gts), "--model", str(model), "-J", "4", "--image-size", "640", "480",
+                     "-o", str(out)]) == 0
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(gen)
+    gen.proposal_log(1, 300, "a").write(tmp_path / "gen.jsonl")
+    lines = [serialize_record(r) for r in recs]
+    for path in (out, tmp_path / "gen.jsonl"):
+        with open(path, encoding="utf-8") as fh:
+            lines.extend(fh)  # with their newlines, as _read_log reads them
+    lines.extend(line for line, canonical in BOUNDARY_LINES.values() if canonical)
+    records, line_nos, errors = _line_by_line(lines)
+    assert len(records) == len(lines) - 2 and len(errors) == 2  # the 1e400 and -0.0 width lines
+    monkeypatch.setattr(cli, "parse_record", _refuse)
+    cols, messages = parse_log(lines, lenient=True)
+    _assert_columns(cols, records, line_nos)
+    assert messages == [str(e) for e in errors]
 
 
 # Ground-truth files for `propcal sample`: ids JSON must escape, float and
