@@ -179,6 +179,7 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     coords = array("d")  # gt then proposal, eight per row
     errors: list[LogParseError] = []
     canonical = _CANONICAL_RECORD.fullmatch
+    share = {}.setdefault  # one string object per distinct id or source
     for line_no, line in enumerate(lines, start=1):
         if m := canonical(line):
             iid, gx, gy, gw, gh, cls, px, py, pw, ph, src = m.groups()
@@ -198,9 +199,9 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
             iid, cls, src = rec.image_id, rec.gt_class, rec.source
             coords.extend(astuple(rec.gt) + astuple(rec.proposal))
         line_nos.append(line_no)
-        image_id.append(iid)
+        image_id.append(share(iid, iid))
         gt_class.append(int(cls))
-        source.append(src)
+        source.append(share(src, src))
     boxes = np.frombuffer(coords, dtype=np.float64).reshape(-1, 2, 4)
     valid = valid_boxes_array(boxes).all(axis=1)
     for i in np.flatnonzero(~valid).tolist():

@@ -28,6 +28,7 @@ IOU_EDGES = np.linspace(0.0, 1.0, 11)
 
 BLOCK = 128  # rows per block of the RBF pair distances and kernel sums
 MEDIAN_CAP = 4096  # above this many pooled rows, the median heuristic runs on a subsample this size
+OFFSET_BINS = 41  # uniform bins per dimension of an offset report, spanning that dimension's values
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,6 @@ class PrecisionBucket:
     precision: float | None  # None when the bucket is empty
 
 
-@dataclass(frozen=True)
-class PrecisionByBucket:
-    buckets: tuple[PrecisionBucket, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "buckets", tuple(self.buckets))
-
-
 def histogram(values, edges) -> Histogram:
     """Count values into left-closed bins; the last bin includes its right edge.
 
@@ -77,14 +70,10 @@ def histogram(values, edges) -> Histogram:
     v = np.asarray(values, dtype=np.float64).ravel()
     e = np.asarray(edges, dtype=np.float64)
     if v.size and (v.min() < e[0] or v.max() > e[-1]):
-        raise ValueError(
-            f"values outside histogram range [{e[0]}, {e[-1]}]: "
-            f"min={v.min() if v.size else None}, max={v.max() if v.size else None}"
-        )
+        raise ValueError(f"values outside histogram range [{e[0]}, {e[-1]}]: min={v.min()}, max={v.max()}")
     idx = np.searchsorted(e, v, side="right") - 1
     idx = np.minimum(idx, e.size - 2)  # fold the exact right edge into the last bin
-    counts = np.bincount(idx, minlength=e.size - 1) if v.size else np.zeros(e.size - 1, dtype=np.int64)
-    return Histogram(e, counts, int(v.size))
+    return Histogram(e, np.bincount(idx, minlength=e.size - 1), int(v.size))
 
 
 def mmd_linear(set_a, set_b) -> float:
@@ -126,20 +115,15 @@ def median_heuristic_bandwidth(set_a, set_b) -> float:
     return med if med > 0.0 else 1.0
 
 
-def mmd_rbf(set_a, set_b, bandwidth: float | str = "median-heuristic") -> float:
-    """Gaussian-kernel MMD, biased V-statistic, k(x,y) = exp(-|x-y|^2 / (2 h^2))."""
+def mmd_rbf(set_a, set_b) -> float:
+    """Gaussian-kernel MMD, biased V-statistic, k(x,y) = exp(-|x-y|^2 / (2 h^2)), h the median heuristic."""
     a = np.asarray(set_a, dtype=np.float64)
     b = np.asarray(set_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("both sets must be non-empty (n, k) arrays")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if bandwidth == "median-heuristic":
-        h = median_heuristic_bandwidth(a, b)
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    h = median_heuristic_bandwidth(a, b)
 
     def kmean(x: np.ndarray, y: np.ndarray) -> float:
         sqy, minus_twice_yt = np.sum(y * y, axis=1), -2.0 * y.T
@@ -165,7 +149,7 @@ def iou_histogram(preds, gts, edges) -> Histogram:
     return histogram(iou_paired_array(p, g), edges)
 
 
-def precision_by_iou(ious, correct, edges) -> PrecisionByBucket:
+def precision_by_iou(ious, correct, edges) -> tuple[PrecisionBucket, ...]:
     """Per IoU bucket, the fraction of predictions whose ``correct`` flag is set.
 
     Buckets follow :func:`histogram`'s bin rule; an empty bucket has precision None.
@@ -176,7 +160,7 @@ def precision_by_iou(ious, correct, edges) -> PrecisionByBucket:
         raise ValueError(f"need one correct flag per IoU, got {ious.size} IoUs and {correct.size}")
     n = histogram(ious, edges)
     c = histogram(ious[correct], edges).counts
-    buckets = tuple(
+    return tuple(
         PrecisionBucket(
             float(n.edges[i]),
             float(n.edges[i + 1]),
@@ -186,7 +170,6 @@ def precision_by_iou(ious, correct, edges) -> PrecisionByBucket:
         )
         for i in range(n.counts.size)
     )
-    return PrecisionByBucket(buckets)
 
 
 @dataclass(frozen=True)
@@ -197,11 +180,11 @@ class OffsetReport:
     gaussian: DiagonalGaussian4
 
 
-def offset_report(offsets, edges_per_dim=None, bins: int = 41) -> OffsetReport:
+def offset_report(offsets) -> OffsetReport:
     """Histograms of the (n, 4) (dx, dy, dw, dh) rows and the fitted diagonal Gaussian.
 
-    Without explicit edges, each dimension gets ``bins`` uniform bins
-    spanning its own value range (a half-unit span when degenerate).
+    Each dimension gets ``OFFSET_BINS`` uniform bins spanning its own value
+    range (a half-unit span when degenerate).
     """
     rows = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
     if rows.shape[0] == 0:
@@ -209,15 +192,11 @@ def offset_report(offsets, edges_per_dim=None, bins: int = 41) -> OffsetReport:
     hists = []
     for d in range(4):
         col = rows[:, d]
-        if edges_per_dim is not None:
-            e = np.asarray(edges_per_dim[d], dtype=np.float64)
-        else:
-            lo, hi = float(col.min()), float(col.max())
-            if hi - lo < 1e-12:
-                lo, hi = lo - 0.5, hi + 0.5
-            pad = 1e-9 * (hi - lo)
-            e = np.linspace(lo - pad, hi + pad, bins + 1)
-        hists.append(histogram(col, e))
+        lo, hi = float(col.min()), float(col.max())
+        if hi - lo < 1e-12:
+            lo, hi = lo - 0.5, hi + 0.5
+        pad = 1e-9 * (hi - lo)
+        hists.append(histogram(col, np.linspace(lo - pad, hi + pad, OFFSET_BINS + 1)))
     acc = OffsetAccumulator()
     acc.add_many(rows)
     return OffsetReport(tuple(hists), acc.finalize())
@@ -232,9 +211,9 @@ def histogram_to_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def precision_to_csv(report: PrecisionByBucket) -> str:
+def precision_to_csv(buckets: tuple[PrecisionBucket, ...]) -> str:
     lines = ["lo,hi,n,correct,precision"]
-    for b in report.buckets:
+    for b in buckets:
         p = "" if b.precision is None else repr(b.precision)
         lines.append(f"{b.lo!r},{b.hi!r},{b.n_boxes},{b.n_correct},{p}")
     return "\n".join(lines) + "\n"

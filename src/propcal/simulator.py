@@ -333,13 +333,6 @@ class ProposalSet:
         return self.boxes.shape[0]
 
 
-def _empty_set(d: int) -> ProposalSet:
-    return ProposalSet(
-        np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
-        np.zeros((0, d)), np.zeros(0, dtype=bool), np.zeros(0),
-    )
-
-
 def _proposal_set(
     ds: SimDataset, split: Split, rows: np.ndarray, boxes: np.ndarray, config: ExperimentConfig
 ) -> ProposalSet:
@@ -384,10 +377,7 @@ def rpn_proposals(
     drawn = sample_boxes(split.boxes[rows], config.rpn_per_object, models, rng, (config.image_w, config.image_h),
                          states)
     hit = ~np.isnan(drawn[:, :, 0]).any(axis=1)
-    pset = _empty_set(config.feature_dim)
-    if hit.any():
-        pset = _proposal_set(ds, split, np.repeat(rows[hit], config.rpn_per_object),
-                             drawn[hit].reshape(-1, 4), config)
+    pset = _proposal_set(ds, split, np.repeat(rows[hit], config.rpn_per_object), drawn[hit].reshape(-1, 4), config)
     pset.budget_misses = int(np.count_nonzero(~hit))
     return pset
 
@@ -401,7 +391,7 @@ def sampled_proposals(
 ) -> ProposalSet:
     """Calibrated proposals: J draws from the base statistics per scene of ``split``."""
     if config.j_per_instance == 0:
-        return _empty_set(config.feature_dim)
+        return _proposal_set(ds, split, np.zeros(0, dtype=np.int64), np.zeros((0, 4)), config)
     sampler = SamplerConfig(stats, config.j_per_instance, derive_seed(seed, "ft-sample"))
     # scene ids are distinct, so each scene draws from its (sid, 0) stream
     boxes = build_calibrated_set(split.boxes, sampler, (config.image_w, config.image_h), split.ids)
@@ -540,22 +530,15 @@ def evaluate(
     config: ExperimentConfig,
     seed: int,
     base_stats: DiagonalGaussian4,
-    oracle_regressor: bool = False,
 ) -> EvalMetrics:
     """Refine and classify the test proposals ``pset``; report localization and class metrics.
 
-    ``oracle_regressor`` replaces the head's offset predictions by the true
-    offsets (an upper-bound check for the refinement path). Raises
-    ValueError when no novel test proposal is foreground, or when a compared
-    metric is not finite.
+    Raises ValueError when no novel test proposal is foreground, or when a
+    compared metric is not finite.
     """
     if pset.size == 0:
         raise ValueError("evaluation produced no proposals")
-    if oracle_regressor:
-        pred = encode_offsets_array(pset.gt_boxes, pset.boxes)
-    else:
-        pred = head.offsets(pset.feats)
-    pred = np.clip(pred, [-np.inf, -np.inf, _PRED_CLAMP[0], _PRED_CLAMP[0]],
+    pred = np.clip(head.offsets(pset.feats), [-np.inf, -np.inf, _PRED_CLAMP[0], _PRED_CLAMP[0]],
                    [np.inf, np.inf, _PRED_CLAMP[1], _PRED_CLAMP[1]])
     refined = apply_offsets_array(pset.boxes, pred)
     refined_iou = iou_paired_array(refined, pset.gt_boxes)

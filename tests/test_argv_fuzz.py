@@ -1,14 +1,18 @@
-"""Hypothesis over the argument vectors of every subcommand but ``simulate``.
+"""Hypothesis over the argument vectors of every subcommand.
 
 Paths are drawn from a small set of real, empty, malformed and missing files
-and numbers from negative, huge, fractional and non-numeric spellings. Each
-argv runs in process through ``dispatch``: it must exit 0, 1 or 2 without an
-escaping exception or a warning, and an exit of 1 must end stderr with one
-``error:`` line (after any ``skipped`` lines of a lenient read).
+and numbers from negative, huge, fractional and non-numeric spellings;
+``simulate`` gets small experiment configs with out-of-range values, wrong
+JSON types and malformed JSON. Each argv runs in process through
+``dispatch``: it must exit 0, 1 or 2 without an escaping exception or a
+warning, and an exit of 1 must end stderr with one ``error:`` line (after any
+``skipped`` lines of a lenient read).
 """
 
 import contextlib
+import dataclasses
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from propcal.cli import dispatch
+from propcal.simulator import ExperimentConfig
 
 LOG = "".join(
     f'{{"image_id": "im{i // 4}", "gt": [{100 + 7 * i}.5, {80 + 3 * i}.25, 40.0, 30.0], "gt_class": {i % 3}, '
@@ -77,25 +82,30 @@ def inputs(tmp_path_factory):
     return root
 
 
+def _run(argv) -> tuple[int, list[str]]:
+    """Run ``argv`` in process; check it exits 0, 1 or 2 with no warning and return the code and stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        rc = dispatch(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert [str(w.message) for w in caught] == [], argv
+    return rc, err.getvalue().splitlines()
+
+
 def _check(inputs, argv) -> int:
     """Run ``argv`` with its names made real paths; check how it ends and return its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "dir").mkdir()
         real = [str(Path(tmp, tok[4:])) if tok.startswith("out:") else
                 str(inputs / tok) if tok in INPUTS else tok for tok in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
-              contextlib.redirect_stderr(err)):
-            warnings.simplefilter("always")
-            rc = dispatch(real)
-    assert rc in (0, 1, 2), (real, rc)
-    assert [str(w.message) for w in caught] == [], real
-    lines = err.getvalue().splitlines()
+        rc, lines = _run(real)
     if rc == 1:
-        assert lines and lines[-1].startswith("error: "), (real, err.getvalue())
-        assert all(": skipped " in line for line in lines[:-1]), (real, err.getvalue())
+        assert lines and lines[-1].startswith("error: "), (real, lines)
+        assert all(": skipped " in line for line in lines[:-1]), (real, lines)
     elif rc == 0:
-        assert all(": skipped " in line for line in lines), (real, err.getvalue())
+        assert all(": skipped " in line for line in lines), (real, lines)
     return rc
 
 
@@ -141,6 +151,45 @@ def test_diagnose_argv(inputs, argv):
 @given(_argv(st.just(["supcon-check"]), _opt(st.just("--seed"), number)))
 def test_supcon_check_argv(inputs, argv):
     _check(inputs, argv)
+
+
+# a config small enough to run in well under a second: at most 2 base and 2
+# novel classes, 10 instances per class, 5 epochs and one seed
+SMALL_CONFIG = st.fixed_dictionaries({
+    "c_base": st.integers(1, 2), "c_novel": st.integers(1, 2), "k_shot": st.integers(1, 3),
+    "base_per_class": st.integers(1, 10), "test_per_class": st.integers(1, 10),
+    "epochs_base": st.integers(1, 5), "epochs_finetune": st.integers(1, 5), "j_per_instance": st.integers(0, 5),
+    "seeds": st.integers(0, 2**64 - 1).map(lambda seed: [seed]),
+})
+# out of range for some field, of the wrong JSON type, or far from the defaults; no
+# integer above 0 outside a list, so no value asks for a large allocation or a long run
+ODD = [-1, 0, -0.5, 0.5, 1.5, 1e6, 1e300, "2", "nan", True, None, {}, [], [1], [0, 0], [-1], [2**64], [0.5],
+       [0.1, 0.1, 0.1], [0.0, 0.0, 3.0, 3.0], [0.5, 0.5, 0.5, 0.5]]
+FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus"]
+CONFIG = st.one_of(
+    st.tuples(SMALL_CONFIG, st.dictionaries(st.sampled_from(FIELDS), st.sampled_from(ODD), max_size=2))
+    .map(lambda parts: json.dumps({**parts[0], **parts[1]})),
+    st.sampled_from(["", "{", '{"seeds": [0]', "[]", "null", "1", "{'seeds': [0]}", '{"c_base": NaN}',
+                     '{"lam": Infinity}', b'{"seeds": [0], "bogus\xff": 1}']),
+)
+REPORT_FILES = sorted(["config.json", "per_seed.csv", "summary.csv"] + [
+    f"{stem}_{arm}.{ext}" for arm in ("baseline", "pdc")
+    for stem, ext in (("iou_hist", "csv"), ("iou_hist", "svg"), ("precision_by_iou", "csv"))])
+
+
+@settings(fuzz, max_examples=60)
+@given(CONFIG)
+def test_simulate_argv(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, reports = Path(tmp, "config.json"), Path(tmp, "reports")
+        config.write_bytes(text) if isinstance(text, bytes) else config.write_text(text)
+        rc, lines = _run(["simulate", str(config), "--out", str(reports)])
+        if rc == 0:
+            (outdir,) = reports.iterdir()
+            assert sorted(p.name for p in outdir.iterdir()) == REPORT_FILES, text
+            assert "nan" not in (outdir / "summary.csv").read_text().lower(), text
+    if rc == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (text, lines)
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["fit-stats"], ["sample", "gts"], ["mmd", "log", "log", "--bogus"]])

@@ -6,6 +6,7 @@ import pytest
 from helpers import mmd_rbf_double_loop
 from propcal import diagnostics
 from propcal.diagnostics import (
+    OFFSET_BINS,
     Histogram,
     histogram,
     histogram_to_csv,
@@ -104,15 +105,6 @@ def test_mmd_rbf_subsampling_stability():
     within = mmd_rbf(pool[:200], pool[200:])
     shifted = mmd_rbf(pool[:200], pool[200:] + 0.5)
     assert within <= shifted
-
-
-def test_mmd_rbf_explicit_bandwidth():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(30, 2))
-    b = rng.normal(1.0, 1.0, size=(30, 2))
-    assert mmd_rbf(a, b, bandwidth=2.0) > 0
-    with pytest.raises(ValueError):
-        mmd_rbf(a, b, bandwidth=0.0)
 
 
 def test_median_heuristic_degenerate():
@@ -237,19 +229,19 @@ def test_iou_histogram_empty_and_unmatched():
 
 def test_precision_by_iou_counts():
     # two correct, two wrong, all in the perfect-IoU bucket
-    rep = precision_by_iou([1.0] * 4, [True, True, False, False], [0.0, 0.5, 1.0])
-    assert rep.buckets[1].n_boxes == 4
-    assert rep.buckets[1].n_correct == 2
-    assert rep.buckets[1].precision == pytest.approx(0.5)
-    assert rep.buckets[0].n_boxes == 0
-    assert rep.buckets[0].precision is None  # absent, not zero
+    buckets = precision_by_iou([1.0] * 4, [True, True, False, False], [0.0, 0.5, 1.0])
+    assert buckets[1].n_boxes == 4
+    assert buckets[1].n_correct == 2
+    assert buckets[1].precision == pytest.approx(0.5)
+    assert buckets[0].n_boxes == 0
+    assert buckets[0].precision is None  # absent, not zero
 
 
 def test_precision_all_correct():
     ious = [0.0, 0.25, 0.5, 0.75, 1.0, 1.0]
-    rep = precision_by_iou(ious, [True] * 6, [0.0, 0.5, 1.0])
-    assert [b.n_boxes for b in rep.buckets] == [2, 4]
-    for b in rep.buckets:
+    buckets = precision_by_iou(ious, [True] * 6, [0.0, 0.5, 1.0])
+    assert [b.n_boxes for b in buckets] == [2, 4]
+    for b in buckets:
         assert b.precision in (None, 1.0)
 
 
@@ -257,9 +249,9 @@ def test_precision_by_iou_uses_histogram_bins():
     edges = [0.0, 0.3, 0.5, 1.0]
     ious = np.array([0.0, 0.3, 0.3, 0.49, 0.5, 1.0])
     correct = np.array([True, False, True, True, False, True])
-    rep = precision_by_iou(ious, correct, edges)
-    assert [b.n_boxes for b in rep.buckets] == histogram(ious, edges).counts.tolist()
-    assert [b.n_correct for b in rep.buckets] == histogram(ious[correct], edges).counts.tolist()
+    buckets = precision_by_iou(ious, correct, edges)
+    assert [b.n_boxes for b in buckets] == histogram(ious, edges).counts.tolist()
+    assert [b.n_correct for b in buckets] == histogram(ious[correct], edges).counts.tolist()
     with pytest.raises(ValueError, match="one correct flag per IoU"):
         precision_by_iou(ious, correct[:-1], edges)
     with pytest.raises(ValueError):
@@ -276,16 +268,15 @@ def test_offset_report_degenerate_stream():
     np.testing.assert_allclose(rep.gaussian.var, np.zeros(4), atol=1e-15)
 
 
-def test_offset_report_mode_contains_mean():
+def test_offset_report_bins_span_each_dimension():
     rng = np.random.default_rng(9)
-    mu = np.array([0.1, -0.2, 0.0, 0.3])
-    sigma = 0.05
-    rows = rng.normal(mu, sigma, size=(20_000, 4))
-    edges = [np.linspace(m - 6 * sigma, m + 6 * sigma, 16) for m in mu]
-    rep = offset_report(rows, edges_per_dim=edges)
+    rows = rng.normal([0.1, -0.2, 0.0, 0.3], [0.05, 0.05, 0.2, 1e-3], size=(20_000, 4))
+    rep = offset_report(rows)
     for d, h in enumerate(rep.histograms):
-        mode = int(np.argmax(h.counts))
-        assert h.edges[mode] <= rep.gaussian.mu[d] <= h.edges[mode + 1]
+        assert h.counts.shape == (OFFSET_BINS,)
+        assert h.edges[0] <= rows[:, d].min() and rows[:, d].max() <= h.edges[-1]
+        assert h.counts[0] > 0 and h.counts[-1] > 0  # the extreme values fall in the end bins
+        assert h.total == int(h.counts.sum()) == len(rows)
 
 
 def test_offset_report_round_trip_with_sampler():

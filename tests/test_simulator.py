@@ -249,16 +249,6 @@ def test_evaluate_zero_regressor_is_identity_refinement():
     assert m.mean_iou == pytest.approx(float(test.q.mean()), abs=1e-12)
 
 
-def test_evaluate_oracle_regressor():
-    cfg = SMALL
-    ds = generate_dataset(cfg, 14)
-    head = init_head(cfg, 14)
-    stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
-    test = rpn_proposals(ds, ds.test, cfg, 14, "eval-rpn")
-    m = evaluate(head, test, cfg, 14, stats, oracle_regressor=True)
-    assert m.mean_iou >= 0.99
-
-
 def test_evaluate_deterministic():
     cfg = SMALL
     ds = generate_dataset(cfg, 15)
@@ -323,6 +313,27 @@ def test_rpn_miss_rate_drops_novel_objects():
     np.testing.assert_array_equal(
         pset.gt_boxes, np.repeat(ds.test.boxes[base_rows], cfg.rpn_per_object, axis=0)
     )
+
+
+def _assert_empty_set(pset, d):
+    arrays = (pset.boxes, pset.gt_boxes, pset.labels, pset.feats, pset.novel, pset.q)
+    assert [(a.shape, a.dtype.str) for a in arrays] == [
+        ((0, 4), "<f8"), ((0, 4), "<f8"), ((0,), "<i8"), ((0, d), "<f8"), ((0,), "|b1"), ((0,), "<f8")]
+    assert pset.size == 0 and pset.budget_misses == 0
+
+
+def test_zero_row_proposal_sets_keep_their_shapes_and_dtypes():
+    # every novel object is missed, so the detector draws for no row at all
+    cfg = dataclasses.replace(SMALL, miss_rate_novel=math.nextafter(1.0, 0.0))
+    ds = generate_dataset(cfg, 19)
+    rows = np.flatnonzero(np.isin(ds.test.labels, sorted(ds.novel_classes)))
+    assert rows.size > 0
+    novel_only = Split(tuple(ds.test.ids[r] for r in rows), ds.test.boxes[rows], ds.test.labels[rows],
+                       ds.test.appearance[rows], tuple(ds.test.feature_keys[r] for r in rows))
+    _assert_empty_set(rpn_proposals(ds, novel_only, cfg, 19, "x"), cfg.feature_dim)
+    stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
+    no_draws = dataclasses.replace(cfg, j_per_instance=0)
+    _assert_empty_set(sampled_proposals(ds, ds.finetune, stats, no_draws, 19), cfg.feature_dim)
 
 
 def test_rpn_proposals_drop_an_object_whose_draws_exhaust_the_budget():
