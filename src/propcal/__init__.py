@@ -6,15 +6,12 @@ classification / regression losses, and ships distribution diagnostics
 plus a synthetic end-to-end experiment runner.
 """
 
-from .geometry import BBox, OffsetVec, apply_offset, clip_to_image, encode_offset, iou
+from .geometry import BBox, OffsetVec, apply_offset, encode_offset, iou
 from .losses import (
     ContrastiveBatch,
     Embedding,
     LossBreakdown,
     assemble_loss,
-    cross_entropy_cls,
-    smooth_l1_reg,
-    supcon_grad,
     supcon_loss,
 )
 from .sampling import OffsetModel, SamplerConfig, build_calibrated_set
@@ -36,13 +33,9 @@ __all__ = [
     "apply_offset",
     "assemble_loss",
     "build_calibrated_set",
-    "clip_to_image",
-    "cross_entropy_cls",
     "encode_offset",
     "fit_optimal_uniform",
     "iou",
-    "smooth_l1_reg",
-    "supcon_grad",
     "supcon_loss",
     "__version__",
 ]

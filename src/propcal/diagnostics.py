@@ -28,6 +28,7 @@ IOU_EDGES = np.linspace(0.0, 1.0, 11)
 
 BLOCK = 128  # rows per block of the RBF pair distances and kernel sums
 MEDIAN_CAP = 4096  # above this many pooled rows, the median heuristic runs on a subsample this size
+MEDIAN_SAMPLE = 4096  # pair distances sampled to bracket the median
 OFFSET_BINS = 41  # uniform bins per dimension of an offset report, spanning that dimension's values
 
 
@@ -87,8 +88,33 @@ def mmd_linear(set_a, set_b) -> float:
     return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
 
 
+def _median_bracket(pooled: np.ndarray) -> tuple[float, float]:
+    """Squared distances that bracket the median pair with high probability.
+
+    The 0.47 and 0.53 quantiles of the squared distances of ``MEDIAN_SAMPLE``
+    pairs drawn with a fixed key; the whole line when there are no more pairs
+    than that. The bracket only decides how much work the select does.
+    """
+    n = pooled.shape[0]
+    if n * (n - 1) // 2 <= MEDIAN_SAMPLE:
+        return -np.inf, np.inf
+    rng = philox_rng(1)
+    i = rng.integers(0, n, MEDIAN_SAMPLE)
+    j = rng.integers(0, n - 1, MEDIAN_SAMPLE)
+    j += j >= i  # a second, different row
+    d2 = np.sort(np.sum((pooled[i] - pooled[j]) ** 2, axis=1))
+    return float(d2[int(0.47 * MEDIAN_SAMPLE)]), float(d2[int(0.53 * MEDIAN_SAMPLE)])
+
+
 def median_heuristic_bandwidth(set_a, set_b) -> float:
-    """Median pairwise distance over the pooled samples (1.0 if it degenerates)."""
+    """Median pairwise distance over the pooled samples (1.0 if it degenerates).
+
+    An exact select that holds a small share of the pairs (Floyd and Rivest's
+    sampled bracket): one blocked pass counts the squared distances below the
+    bracket of :func:`_median_bracket` and keeps those inside it, and only the
+    kept ones are partitioned. If the median rank falls outside the bracket, a
+    second pass keeps every distance.
+    """
     pooled = np.concatenate([np.asarray(set_a, dtype=np.float64), np.asarray(set_b, dtype=np.float64)])
     if len(pooled) > MEDIAN_CAP:  # a fixed key, so the same subsample on every call
         pooled = philox_rng(0).permutation(pooled)[:MEDIAN_CAP]
@@ -96,21 +122,26 @@ def median_heuristic_bandwidth(set_a, set_b) -> float:
     if n < 2:
         return 1.0
     sq = np.sum(pooled * pooled, axis=1)
-    d2, start = np.empty(n * (n - 1) // 2), 0
-    for i0 in range(0, n - 1, BLOCK):  # the squared distances of the pairs i < j, BLOCK rows of i at a time
-        i1 = min(i0 + BLOCK, n - 1)
-        block = sq[i0:i1, None] + sq[i0 + 1:]
-        block -= 2.0 * (pooled[i0:i1] @ pooled[i0 + 1:].T)
-        upper = block[np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None]]  # column c is j = i0 + 1 + c
-        d2[start:start + upper.size] = upper
-        start += upper.size
-    # sqrt is monotone, so the middle distances are the roots of the middle
-    # squared distances; as in np.median, a NaN (partitioned last) makes it NaN
-    k = (d2.size - 1) // 2
-    d2.partition(k)
-    if np.isnan(d2[k:].max()):
-        return 1.0
-    lo, hi = np.sqrt(np.maximum([d2[k], d2[k + 1:].min() if d2.size % 2 == 0 else d2[k]], 0.0))
+    pairs = n * (n - 1) // 2
+    k = (pairs - 1) // 2  # the median is the k-th smallest (from 0), averaged with the next one for an even count
+    for lo_t, hi_t in (_median_bracket(pooled), (-np.inf, np.inf)):
+        below, kept = 0, []
+        for i0 in range(0, n - 1, BLOCK):  # the squared distances of the pairs i < j, BLOCK rows of i at a time
+            i1 = min(i0 + BLOCK, n - 1)
+            block = sq[i0:i1, None] + sq[i0 + 1:]
+            block -= 2.0 * (pooled[i0:i1] @ pooled[i0 + 1:].T)
+            upper = block[np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None]]  # column c is j = i0 + 1 + c
+            if np.isnan(upper).any():  # as in np.median, a NaN makes the median NaN
+                return 1.0
+            below += np.count_nonzero(upper < lo_t)
+            kept.append(upper[(lo_t <= upper) & (upper <= hi_t)])
+        d2 = np.concatenate(kept)
+        if below <= k and k + 1 - pairs % 2 < below + d2.size:
+            break
+    # sqrt is monotone, so the middle distances are the roots of the middle squared distances
+    r = k - below
+    d2.partition(r)
+    lo, hi = np.sqrt(np.maximum([d2[r], d2[r + 1:].min() if pairs % 2 == 0 else d2[r]], 0.0))
     med = float((lo + hi) / 2)
     return med if med > 0.0 else 1.0
 

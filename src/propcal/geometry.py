@@ -99,20 +99,6 @@ def iou(a: BBox, b: BBox) -> float:
     return float(iou_paired_array(a.as_array()[None], b.as_array()[None])[0])
 
 
-def clip_to_image(b: BBox, img_w: float, img_h: float) -> BBox:
-    """Intersect a box with [0, img_w] x [0, img_h].
-
-    Raises ValueError if the image is degenerate or the box lies entirely
-    outside the image (empty intersection).
-    """
-    if img_w <= 0 or img_h <= 0:
-        raise ValueError(f"image size must be positive, got {img_w!r} x {img_h!r}")
-    clipped, valid = clip_boxes_array(b.as_array()[None], img_w, img_h)
-    if not valid[0]:
-        raise ValueError(f"box {b} is empty after clipping to {img_w} x {img_h}")
-    return BBox(*clipped[0].tolist())
-
-
 # Array forms: (n, 4) float64 rows of (cx, cy, w, h) or (dx, dy, dw, dh).
 # These skip per-element validation; callers own the invariants.
 

@@ -10,9 +10,9 @@ against central finite differences in the test suite.
 Classification and regression use the standard two-stage-detector choices:
 softmax cross-entropy with a dedicated background class, and smooth-L1 on
 offset residuals. Each has one batched loss+gradient kernel
-(:func:`cross_entropy_batch`, :func:`smooth_l1_batch`); the single-sample
-forms wrap them. :func:`assemble_loss` combines everything into a single
-weighted objective and reports the breakdown.
+(:func:`cross_entropy_batch`, :func:`smooth_l1_batch`).
+:func:`assemble_loss` combines everything into a single weighted objective
+and reports the breakdown.
 """
 
 from __future__ import annotations
@@ -67,14 +67,6 @@ def supcon_loss(batch: ContrastiveBatch) -> float:
         raise ValueError("contrastive batch must be non-empty")
     z, labels = batch.arrays()
     return supcon_loss_arrays(z, labels, batch.tau)
-
-
-def supcon_grad(batch: ContrastiveBatch) -> list[np.ndarray]:
-    if not batch.embeddings:
-        raise ValueError("contrastive batch must be non-empty")
-    z, labels = batch.arrays()
-    g = supcon_grad_arrays(z, labels, batch.tau)
-    return [g[i] for i in range(len(batch.embeddings))]
 
 
 def supcon_loss_and_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
@@ -159,27 +151,6 @@ def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray, beta: float = 1.0) ->
     np.clip(r, -1.0, 1.0, out=r)
     r /= pred.shape[0]
     return loss, r
-
-
-def cross_entropy_cls(logits, label: int) -> float:
-    """Softmax cross-entropy over C+1 classes; the background class is last."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"logits must be a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("logits must be finite")
-    if not 0 <= label < x.shape[0]:
-        raise ValueError(f"label {label} out of range for {x.shape[0]} classes")
-    return cross_entropy_batch(x[None, :], np.array([label]))[0]
-
-
-def smooth_l1_reg(pred, target, beta: float = 1.0) -> float:
-    """Smooth-L1 on the offset residual, summed over the four components."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    p = pred.as_array() if hasattr(pred, "as_array") else np.asarray(pred, dtype=np.float64)
-    t = target.as_array() if hasattr(target, "as_array") else np.asarray(target, dtype=np.float64)
-    return smooth_l1_batch(p.reshape(1, -1), t.reshape(1, -1), beta)[0]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from propcal.diagnostics import (
     precision_to_csv,
 )
 from propcal.geometry import encode_offsets_array
-from propcal.sampling import SamplerConfig, sample_proposals_for_gt
+from propcal.sampling import SamplerConfig, philox_rng, sample_proposals_for_gt
 from propcal.stats import DiagonalGaussian4
 
 
@@ -130,6 +130,12 @@ def _bandwidth_reference(a, b):
     (40, 27, 3),   # 2211 pairs, odd, with tied distances
     (64, 64, 0),   # 8128 pairs, even
     (1, 0, 0),     # no pair
+    # more pairs than MEDIAN_SAMPLE, so the select works inside a sampled bracket
+    (100, 151, 0),  # 31375 pairs, odd
+    (100, 200, 0),  # 44850 pairs, even
+    (100, 151, 3),  # odd, with tied distances
+    (100, 200, 4),  # even, with tied distances
+    (300, 400, 0),  # several blocks
 ])
 def test_partition_median_equals_np_median(n_a, n_b, levels):
     rng = np.random.default_rng(n_a * 100 + n_b)
@@ -152,6 +158,8 @@ def test_median_above_the_cap_uses_a_fixed_subsample(monkeypatch):
     monkeypatch.setattr(diagnostics, "MEDIAN_CAP", 300)
     capped = median_heuristic_bandwidth(a, b)
     assert capped != exact and capped == pytest.approx(exact, rel=0.05)
+    sub = philox_rng(0).permutation(np.concatenate([a, b]))[:300]
+    assert capped == _bandwidth_reference(sub[:150], sub[150:])
     assert median_heuristic_bandwidth(a, b) == capped  # fixed key: the same subsample every call
 
 
@@ -164,6 +172,55 @@ def test_partition_median_degenerate_cases():
     a[2, 1] = np.nan
     with np.errstate(invalid="ignore"):
         assert median_heuristic_bandwidth(a[:3], a[3:]) == _bandwidth_reference(a[:3], a[3:]) == 1.0
+
+
+def test_bracket_select_degenerate_and_non_finite_rows():
+    same = np.tile([3.7, -1.1, 0.3, 12.5], (300, 1))
+    assert median_heuristic_bandwidth(same[:120], same[120:]) == _bandwidth_reference(same[:120], same[120:]) == 1.0
+    pool = np.abs(np.random.default_rng(55).normal(size=(300, 4))) + 0.1
+    with np.errstate(invalid="ignore", over="ignore"):
+        for bad in (np.nan, np.inf):  # +inf against rows of x > 0 gives inf - inf: either way a NaN distance, so 1.0
+            rows = pool.copy()
+            rows[17, 2] = bad
+            assert median_heuristic_bandwidth(rows[:100], rows[100:]) == _bandwidth_reference(rows[:100], rows[100:])
+            assert median_heuristic_bandwidth(rows[:100], rows[100:]) == 1.0
+        rows = pool.copy()
+        rows[17, 0] = -np.inf  # every other row has x > 0, so its distances are +inf, never NaN
+        got = median_heuristic_bandwidth(rows[:100], rows[100:])
+        assert np.isfinite(got) and got != 1.0 and got == _bandwidth_reference(rows[:100], rows[100:])
+
+
+@pytest.mark.parametrize("n", [300, 302])  # 44850 pairs (even), 45451 (odd)
+def test_forced_bracket_miss_gives_the_same_median(monkeypatch, n):
+    pool = np.random.default_rng(57).normal(size=(n, 4))
+    a, b = pool[:100], pool[100:]
+    sq = np.sum(pool * pool, axis=1)
+    s = np.sort((sq[:, None] + sq[None, :] - 2.0 * (pool @ pool.T))[np.triu_indices(n, k=1)])
+    k = (s.size - 1) // 2
+    mid = (s[:-1] + s[1:]) / 2  # between consecutive ranks
+    brackets = [
+        (-np.inf, mid[0]),      # holds rank 0 only: the median lies above
+        (mid[-1], np.inf),      # holds the last rank only: the median lies below
+        (mid[k - 1], mid[k]),   # holds rank k only: a miss for an even count, whose median also reads rank k + 1
+    ]
+    for bracket in brackets:
+        calls = []
+        monkeypatch.setattr(diagnostics, "_median_bracket", lambda p, bracket=bracket: calls.append(p) or bracket)
+        assert median_heuristic_bandwidth(a, b) == _bandwidth_reference(a, b)
+        assert len(calls) == 1
+
+
+def test_median_heuristic_at_the_cap_keeps_a_small_share_of_the_pairs():
+    # the full-array select held all MEDIAN_CAP * (MEDIAN_CAP - 1) / 2 float64 distances, over 64 MB
+    pool = np.random.default_rng(58).normal(size=(diagnostics.MEDIAN_CAP, 4))
+    tracemalloc.start()
+    try:
+        value = median_heuristic_bandwidth(pool[:1000], pool[1000:])
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert value > 0
+    assert peak_mb < 20.0
 
 
 def test_calibration_monotonicity():

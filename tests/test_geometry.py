@@ -12,7 +12,6 @@ from propcal.geometry import (
     OffsetVec,
     apply_offset,
     apply_offsets_array,
-    clip_to_image,
     clip_boxes_array,
     corners_array,
     encode_offset,
@@ -90,21 +89,14 @@ def test_iou_hand_example():
 
 
 def test_clip_noop_inside():
-    b = BBox(5, 5, 2, 2)
-    assert clip_to_image(b, 10, 10) == b
+    clipped, valid = clip_boxes_array(np.array([[5.0, 5.0, 2.0, 2.0]]), 10, 10)
+    assert valid.tolist() == [True] and clipped.tolist() == [[5.0, 5.0, 2.0, 2.0]]
 
 
 def test_clip_hand_example():
     # corner form [-2, 2] x [0, 4] in a 10 x 10 image -> [0, 2] x [0, 4]
-    out = clip_to_image(BBox(0, 2, 4, 4), 10, 10)
-    assert out == BBox(1, 2, 2, 4)
-
-
-def test_clip_outside_errors():
-    with pytest.raises(ValueError):
-        clip_to_image(BBox(-10, -10, 2, 2), 10, 10)
-    with pytest.raises(ValueError):
-        clip_to_image(BBox(5, 5, 2, 2), 0, 10)
+    clipped, valid = clip_boxes_array(np.array([[0.0, 2.0, 4.0, 4.0]]), 10, 10)
+    assert valid.tolist() == [True] and clipped.tolist() == [[1.0, 2.0, 2.0, 4.0]]
 
 
 @settings(max_examples=200, deadline=None)

@@ -538,3 +538,20 @@ def test_overflowing_positive_cap_is_no_cap(tmp_path):
         return (outdir / "per_seed.csv").read_bytes()
 
     assert per_seed(1.7e308) == per_seed(1e9)
+
+
+# Two valid configs whose reports exit 0 and say nothing true about the head. These
+# pin today's outcome, so a change that refuses or repairs them shows as an edit here.
+
+def test_wide_bias_spread_collapses_the_calibrated_arm():
+    # the calibrated arm's regressor runs away while its head stays finite
+    result = run_seed(dataclasses.replace(SMALL, novel_bias_spread=0.5), 0)
+    assert result.baseline.mean_iou == pytest.approx(0.490, abs=5e-4)
+    assert result.pdc.mean_iou == pytest.approx(0.009, abs=5e-4)
+
+
+def test_huge_learning_rate_zeroes_every_iou_but_still_ranks_classes():
+    result = run_seed(dataclasses.replace(ExperimentConfig(), learning_rate=1e6), 0)
+    for arm in (result.baseline, result.pdc):
+        assert arm.mean_iou == 0.0
+        assert arm.novel_accuracy > 0.5

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import grid_optimal_halfwidth, simpson_overlap, two_pass_stats
+from helpers import grid_optimal_halfwidth, simpson_overlap, symmetric_overlaps, two_pass_stats
 from propcal.geometry import OffsetVec
 from propcal.stats import (
     KAPPA,
@@ -295,3 +295,9 @@ def test_gaussian_uniform_invariants():
         Uniform4([0, 0, 0, 0], [1, 1, 0, 1])
     with pytest.raises(ValueError):
         DiagonalGaussian4([math.inf, 0, 0, 0], [1, 1, 1, 1])
+
+
+def test_vectorized_overlap_oracle_matches_the_scalar_one():
+    halfwidths = np.array([0.01, 0.05, 0.1, 0.1487, 0.3, 0.8])
+    scalar = [simpson_overlap(0.0, 0.1, -a, a) for a in halfwidths]
+    np.testing.assert_allclose(symmetric_overlaps(0.0, 0.1, halfwidths), scalar, rtol=0, atol=1e-15)
