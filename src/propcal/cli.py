@@ -56,8 +56,8 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
 _BOX = r"\[" + ", ".join([_FLOAT] * 4) + r"\]"
 _CANONICAL_RECORD = re.compile(
-    r'\{"image_id": "([ !#-\[\]-~]*)", "gt": ' + _BOX + r', "gt_class": (0|[1-9][0-9]{0,17}), '
-    r'"proposal": ' + _BOX + r', "source": "(rpn|sampled)"\}\n?')
+    r'\{"image_id": "[ !#-\[\]-~]*", "gt": ' + _BOX + r', "gt_class": (0|[1-9][0-9]{0,17}), '
+    r'"proposal": ' + _BOX + r', "source": "(?:rpn|sampled)"\}\n?')
 
 
 class LogParseError(ValueError):
@@ -146,43 +146,41 @@ def parse_record(text: str, line_no: int = 1) -> ProposalLogRecord:
 class ProposalColumns:
     """The records of a proposal log as columns, one row per record in line order."""
 
-    image_id: list[str]
     gt: np.ndarray        # (n, 4) float64
     gt_class: np.ndarray  # (n,) int64
     proposal: np.ndarray  # (n, 4) float64
-    source: list[str]
     line_no: np.ndarray   # (n,) int64, the 1-based line each row was read from
 
     def __len__(self) -> int:
-        return len(self.image_id)
+        return len(self.line_no)
 
 
 def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColumns, list[str]]:
     """Parse a JSONL proposal log into columns.
 
-    A line in the canonical form ``serialize_record`` writes is read from the
-    ``_CANONICAL_RECORD`` match groups, its coordinates into an ``array("d")``.
-    Any other non-blank line goes through ``parse_record``, the one
-    validator, which raises its message or returns the record (integer
-    coordinates or another key order, say). Finite values and positive sizes
-    are then checked on the arrays, and a row they refuse gets the message
-    ``parse_record`` gives its boxes, from the row's own values. So the
-    columns and messages are those of parsing line by line: strict mode
-    raises on the first bad line and reads no further; lenient mode skips
-    bad lines and returns their messages in line order. Blank lines are
-    ignored in both modes. No line's text is kept past its own step.
+    Every field of a line is checked, but only gt, gt_class, proposal and
+    the line number are kept; image ids and sources are not. A line in the
+    canonical form ``serialize_record`` writes is read from the
+    ``_CANONICAL_RECORD`` match groups, its coordinates into an
+    ``array("d")``. Any other non-blank line goes through ``parse_record``,
+    the one validator, which raises its message or returns the record
+    (integer coordinates or another key order, say). Finite values and
+    positive sizes are then checked on the arrays, and a row they refuse
+    gets the message ``parse_record`` gives its boxes, from the row's own
+    values. So the columns and messages are those of parsing line by line:
+    strict mode raises on the first bad line and reads no further; lenient
+    mode skips bad lines and returns their messages in line order. Blank
+    lines are ignored in both modes. No line's text is kept past its own
+    step.
     """
     line_nos: list[int] = []
-    image_id: list[str] = []
     gt_class: list[int] = []
-    source: list[str] = []
     coords = array("d")  # gt then proposal, eight per row
     errors: list[LogParseError] = []
     canonical = _CANONICAL_RECORD.fullmatch
-    share = {}.setdefault  # one string object per distinct id or source
     for line_no, line in enumerate(lines, start=1):
         if m := canonical(line):
-            iid, gx, gy, gw, gh, cls, px, py, pw, ph, src = m.groups()
+            gx, gy, gw, gh, cls, px, py, pw, ph = m.groups()
             coords.fromlist([float(gx), float(gy), float(gw), float(gh),
                              float(px), float(py), float(pw), float(ph)])
         elif not line.strip():
@@ -196,12 +194,10 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
                 if not lenient:
                     break  # no later line can be the first bad one
                 continue
-            iid, cls, src = rec.image_id, rec.gt_class, rec.source
+            cls = rec.gt_class
             coords.extend(astuple(rec.gt) + astuple(rec.proposal))
         line_nos.append(line_no)
-        image_id.append(share(iid, iid))
         gt_class.append(int(cls))
-        source.append(share(src, src))
     boxes = np.frombuffer(coords, dtype=np.float64).reshape(-1, 2, 4)
     valid = valid_boxes_array(boxes).all(axis=1)
     for i in np.flatnonzero(~valid).tolist():
@@ -213,13 +209,8 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     errors.sort(key=lambda e: e.line_no)
     if errors and not lenient:
         raise errors[0]
-    if not valid.all():
-        image_id = [v for v, ok in zip(image_id, valid.tolist()) if ok]
-        source = [v for v, ok in zip(source, valid.tolist()) if ok]
-    columns = ProposalColumns(
-        image_id, boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1], source,
-        np.array(line_nos, dtype=np.int64)[valid],
-    )
+    columns = ProposalColumns(boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1],
+                              np.array(line_nos, dtype=np.int64)[valid])
     return columns, [str(e) for e in errors]
 
 
@@ -259,8 +250,7 @@ def _read_log(path: str, lenient: bool) -> ProposalColumns:
 
 def _log_offsets(cols: ProposalColumns) -> np.ndarray:
     """Offset of each proposal against its gt; raises ValueError naming the line of one that overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        offsets = encode_offsets_array(cols.proposal, cols.gt)
+    offsets = encode_offsets_array(cols.proposal, cols.gt)
     finite = np.isfinite(offsets).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -356,6 +346,8 @@ def _cmd_mmd(args) -> int:
         value = diagnostics.mmd_linear(sets[0], sets[1])
     else:
         value = diagnostics.mmd_rbf(sets[0], sets[1])
+    if not np.isfinite(value):
+        raise ValueError(f"mmd is not finite ({value!r}): the compared values overflow float64")
     print(repr(value))
     return 0
 
@@ -382,9 +374,7 @@ def _cmd_simulate(args) -> int:
     from .simulator import ExperimentConfig, run_experiment
 
     config = ExperimentConfig.from_json(Path(args.config).read_text())
-    # a diverging head overflows in numpy before evaluate reports it as one error line
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = run_experiment(config, out_root=args.out)
+    report = run_experiment(config, out_root=args.out)
     n = report.n_seeds
     print(f"config {report.config_hash}: {n} seeds")
     for metric, (b, p), wins in report.comparisons():
@@ -455,7 +445,9 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as e:  # argparse handles usage errors and --help
         return int(e.code or 0)
     try:
-        return int(args.func(args))
+        # an overflow in numpy is reported by the command as one error line, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return int(args.func(args))
     except (ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -220,6 +220,9 @@ def offset_report(offsets) -> OffsetReport:
     rows = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
     if rows.shape[0] == 0:
         raise ValueError("offset report requires at least one offset")
+    acc = OffsetAccumulator()
+    acc.add_many(rows)
+    gaussian = acc.finalize()  # refuses a span that overflows, whose variance overflows too
     hists = []
     for d in range(4):
         col = rows[:, d]
@@ -228,9 +231,7 @@ def offset_report(offsets) -> OffsetReport:
             lo, hi = lo - 0.5, hi + 0.5
         pad = 1e-9 * (hi - lo)
         hists.append(histogram(col, np.linspace(lo - pad, hi + pad, OFFSET_BINS + 1)))
-    acc = OffsetAccumulator()
-    acc.add_many(rows)
-    return OffsetReport(tuple(hists), acc.finalize())
+    return OffsetReport(tuple(hists), gaussian)
 
 
 # Report emitters. Numbers are rendered with repr so files are byte-stable.

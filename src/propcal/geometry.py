@@ -44,11 +44,6 @@ class BBox:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr) -> BBox:
-        cx, cy, w, h = np.asarray(arr, dtype=np.float64).tolist()
-        return cls(cx, cy, w, h)
-
 
 @dataclass(frozen=True)
 class OffsetVec:

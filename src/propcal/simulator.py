@@ -270,19 +270,19 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> SimDataset:
     )
 
 
-def _features_for(
-    split: Split, rows: np.ndarray, boxes: np.ndarray, background: np.ndarray, noise_scale: float
-) -> np.ndarray:
+def _features_for(split: Split, rows: np.ndarray, boxes: np.ndarray, q: np.ndarray, background: np.ndarray,
+                  noise_scale: float) -> np.ndarray:
     """IoU-weighted appearance/background mix with keyed noise; box i belongs to scene ``rows[i]``.
 
-    Deterministic in (scene, box): a row's noise stream is keyed ``feature key << 64 | hash_word(box)``.
+    ``q`` is each box's IoU against its scene's object. Deterministic in (scene, box): a row's
+    noise stream is keyed ``feature key << 64 | hash_word(box)``.
     """
     app = split.appearance[rows]
-    q = iou_paired_array(boxes, split.boxes[rows])[:, None]
     noise, rng, keys = np.empty_like(app), philox_rng(0), split.feature_keys
     for i, (r, box) in enumerate(zip(rows, boxes)):
         noise[i] = philox_rng(keys[r] << 64 | hash_word(box.tobytes()), rng).normal(size=app.shape[1])
-    return q * app + (1.0 - q) * background + noise_scale * noise
+    w = q[:, None]
+    return w * app + (1.0 - w) * background + noise_scale * noise
 
 
 @dataclass
@@ -340,8 +340,9 @@ def _proposal_set(
     gt = split.boxes[rows]
     labels = split.labels[rows]
     novel = np.isin(labels, sorted(ds.novel_classes))
-    feats = _features_for(split, rows, boxes, ds.background, config.feature_noise)
-    return ProposalSet(boxes, gt, labels, feats, novel, iou_paired_array(boxes, gt))
+    q = iou_paired_array(boxes, gt)
+    feats = _features_for(split, rows, boxes, q, ds.background, config.feature_noise)
+    return ProposalSet(boxes, gt, labels, feats, novel, q)
 
 
 def rpn_proposals(
@@ -437,8 +438,9 @@ def _descend(head: TinyRoiHead, main, epochs: int, config: ExperimentConfig, sta
     """``epochs`` full-batch descent steps of a copy of ``head`` on the main head inputs.
 
     ``main`` is (cls_feats, cls_targets, reg_feats, reg_targets). The calibrated
-    branch ``aux`` is (feats, labels, reg_targets) of the sampled proposals:
-    after each main step it takes a step of ``lr * lam`` on their head losses.
+    branch ``aux`` has the same shape, (feats, labels, feats, reg_targets) of the
+    sampled proposals: after each main step it takes a step of ``lr * lam`` on
+    their head losses.
     Raises RuntimeError naming ``stage`` and the epoch when the epoch's total
     loss is not finite.
     """
@@ -448,8 +450,7 @@ def _descend(head: TinyRoiHead, main, epochs: int, config: ExperimentConfig, sta
     for epoch in range(epochs):
         cls_loss, reg_loss, grads = _head_loss_grads(head, *main)
         if aux is not None:
-            feats, labels, reg_targets = aux
-            cls_s, reg_s, grads_s = _head_loss_grads(head, feats, labels, feats, reg_targets)
+            cls_s, reg_s, grads_s = _head_loss_grads(head, *aux)
         if not math.isfinite(cls_loss + reg_loss + lam * (cls_s + reg_s)):
             raise RuntimeError(f"{stage} diverged at epoch {epoch}: cls={cls_loss}, reg={reg_loss}, "
                                f"sampled cls={cls_s}, sampled reg={reg_s}, lam={lam}")
@@ -503,9 +504,9 @@ def finetune(
         if keep.size:
             feats, labels = sampled.feats[keep], sampled.labels[keep]
             reg_targets = encode_offsets_array(sampled.gt_boxes[keep], sampled.boxes[keep])
-            aux = (feats, labels, reg_targets)
+            aux = (feats, labels, feats, reg_targets)
             if config.sampled_in_main:
-                main = tuple(map(np.concatenate, zip(main, (feats, labels, feats, reg_targets))))
+                main = tuple(map(np.concatenate, zip(main, aux)))
     return _descend(head, main, config.epochs_finetune, config, "fine-tuning", aux)
 
 

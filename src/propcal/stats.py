@@ -6,27 +6,19 @@ so batches of an offset stream stay numerically stable and two partial
 accumulators can be merged for parallel reduction. Finalizing divides the
 squared deviations by the total count (population variance).
 
-The uniform helpers support the sampling-distribution ablation: given a
-fitted diagonal Gaussian, :func:`fit_optimal_uniform` finds, per dimension,
-the symmetric interval whose uniform density has maximal pdf-intersection
-area with the Gaussian. Both have closed forms. With uniform height
-c = 1/(hi - lo) below the Gaussian peak, the densities cross at mu +- r,
-r = sigma * sqrt(-2 ln(c sigma sqrt(2 pi))); the overlap is the Gaussian
-mass of [lo, hi] outside (mu - r, mu + r) plus c times the length of
-[lo, hi] inside it. The optimal interval is mu +- KAPPA * sigma for a
-universal constant KAPPA ~= 1.4863877.
+The uniform fit supports the sampling-distribution ablation: given a
+fitted diagonal Gaussian, :func:`fit_optimal_uniform` returns, per
+dimension, the symmetric interval mu +- KAPPA * sigma, whose uniform density
+has maximal pdf-intersection area with the Gaussian, for a universal
+constant KAPPA ~= 1.4863877.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_2 = math.sqrt(2.0)
 
 # Half-width of the max-overlap uniform in units of sigma: the root of the
 # stationarity condition 2 k^2 phi(k) = sqrt(2 ln(2k / sqrt(2 pi))), with phi
@@ -83,10 +75,6 @@ class OffsetAccumulator:
     mean: np.ndarray = field(default_factory=lambda: np.zeros(4))
     m2: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
-    def add(self, offset) -> None:
-        """Fold one offset (OffsetVec or length-4 array) into the stream."""
-        self.add_many(offset.as_array() if hasattr(offset, "as_array") else offset)
-
     def add_many(self, offsets: np.ndarray) -> None:
         """Fold (n, 4) offsets in: the batch's two-pass moments, merged by :meth:`merge`."""
         x = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
@@ -112,38 +100,6 @@ class OffsetAccumulator:
         if self.count == 0:
             raise ValueError("cannot finalize an empty accumulator")
         return DiagonalGaussian4(self.mean.copy(), np.maximum(self.m2 / self.count, 0.0))
-
-
-def _gaussian_mass(mu: float, sigma: float, a: float, b: float) -> float:
-    """Mass of N(mu, sigma^2) on [a, b], via erfc on the side away from mu for tail precision."""
-    if a >= b:
-        return 0.0
-    za, zb = (a - mu) / (sigma * _SQRT_2), (b - mu) / (sigma * _SQRT_2)
-    if za + zb < 0.0:  # mirror a left-leaning interval to the right
-        za, zb = -zb, -za
-    return 0.5 * (math.erfc(za) - math.erfc(zb))
-
-
-def uniform_gaussian_overlap(mu: float, sigma: float, lo: float, hi: float) -> float:
-    """Intersection area of N(mu, sigma^2) and U(lo, hi) probability densities.
-
-    Closed form: the Gaussian mass of [lo, hi] outside the pdf crossings
-    mu +- r, plus the uniform height times the length of [lo, hi] between
-    them. Without crossings (uniform above the Gaussian peak) r is 0.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
-    c = 1.0 / (hi - lo)
-    peak_ratio = c * sigma * _SQRT_2PI
-    r = sigma * math.sqrt(-2.0 * math.log(peak_ratio)) if peak_ratio < 1.0 else 0.0
-    inside = max(0.0, min(hi, mu + r) - max(lo, mu - r))
-    return (
-        _gaussian_mass(mu, sigma, lo, min(hi, mu - r))
-        + _gaussian_mass(mu, sigma, max(lo, mu + r), hi)
-        + c * inside
-    )
 
 
 def fit_optimal_uniform(g: DiagonalGaussian4) -> Uniform4:

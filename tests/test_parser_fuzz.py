@@ -215,8 +215,6 @@ def _boxes(boxes):
 def _assert_columns(cols, records, line_nos):
     assert len(cols) == len(records)
     assert cols.line_no.dtype == np.int64 and cols.line_no.tolist() == line_nos
-    assert cols.image_id == [r.image_id for r in records]
-    assert cols.source == [r.source for r in records]
     assert cols.gt_class.dtype == np.int64 and cols.gt_class.tolist() == [r.gt_class for r in records]
     for got, boxes in ((cols.gt, [r.gt for r in records]), (cols.proposal, [r.proposal for r in records])):
         want = _boxes(boxes)

@@ -33,9 +33,9 @@ from propcal.stats import DiagonalGaussian4
 
 def proposal_feature(ds, split, row, box, config):
     """Feature row of one proposal box matched to the object of scene ``row`` of ``split``."""
-    return _features_for(
-        split, np.array([row]), box.as_array().reshape(1, 4), ds.background, config.feature_noise
-    )[0]
+    boxes = box.as_array().reshape(1, 4)
+    q = iou_paired_array(boxes, split.boxes[[row]])
+    return _features_for(split, np.array([row]), boxes, q, ds.background, config.feature_noise)[0]
 
 # small world for structural tests: quick to train, same mechanics
 SMALL = ExperimentConfig(
@@ -98,7 +98,7 @@ def test_proposal_feature_mixture():
     # noiseless feature is exactly q * appearance + (1 - q) * background
     cfg = dataclasses.replace(SMALL, feature_noise=0.0)
     ds = generate_dataset(cfg, 4)
-    box, appearance = BBox.from_array(ds.test.boxes[0]), ds.test.appearance[0]
+    box, appearance = BBox(*ds.test.boxes[0]), ds.test.appearance[0]
     f_perfect = proposal_feature(ds, ds.test, 0, box, cfg)
     np.testing.assert_allclose(f_perfect, appearance, atol=1e-12)
     far = BBox(box.cx + 1000, box.cy + 1000, box.w, box.h)
@@ -112,7 +112,7 @@ def test_proposal_feature_mixture():
 
 def test_proposal_feature_deterministic():
     ds = generate_dataset(SMALL, 5)
-    gt = BBox.from_array(ds.test.boxes[1])
+    gt = BBox(*ds.test.boxes[1])
     box = BBox(gt.cx + 1, gt.cy, gt.w, gt.h)
     np.testing.assert_array_equal(
         proposal_feature(ds, ds.test, 1, box, SMALL), proposal_feature(ds, ds.test, 1, box, SMALL)
@@ -120,7 +120,8 @@ def test_proposal_feature_deterministic():
     # a row's noise is keyed by its own box, not by its position in the batch
     batch = np.stack([gt.as_array(), box.as_array()])
     np.testing.assert_array_equal(
-        _features_for(ds.test, np.array([1, 1]), batch, ds.background, SMALL.feature_noise)[1],
+        _features_for(ds.test, np.array([1, 1]), batch, iou_paired_array(batch, ds.test.boxes[[1, 1]]),
+                      ds.background, SMALL.feature_noise)[1],
         proposal_feature(ds, ds.test, 1, box, SMALL),
     )
 
@@ -131,8 +132,8 @@ def test_features_for_draws_one_fresh_philox_stream_per_row():
     ds = generate_dataset(SMALL, 5)
     rows = np.array([0, 3, 3, 7, 0])
     boxes = ds.test.boxes[rows] + np.random.default_rng(0).normal(0.0, 2.0, size=(5, 4))
-    got = _features_for(ds.test, rows, boxes, ds.background, SMALL.feature_noise)
     q = iou_paired_array(boxes, ds.test.boxes[rows])
+    got = _features_for(ds.test, rows, boxes, q, ds.background, SMALL.feature_noise)
     for i, (r, box) in enumerate(zip(rows, boxes)):
         word = int.from_bytes(hashlib.blake2b(box.tobytes(), digest_size=8).digest(), "little")
         rng = np.random.Generator(np.random.Philox(key=(ds.test.feature_keys[r] << 64) | word))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from helpers import grid_optimal_halfwidth, simpson_overlap, symmetric_overlaps, two_pass_stats
-from propcal.geometry import OffsetVec
 from propcal.stats import (
     KAPPA,
     DiagonalGaussian4,
@@ -14,7 +13,6 @@ from propcal.stats import (
     fit_optimal_uniform,
     model_from_json,
     model_to_json,
-    uniform_gaussian_overlap,
 )
 
 # Frozen result of the grid oracle for N(0, 0.1^2), computed at step 1e-4 * sigma
@@ -24,15 +22,15 @@ GOLDEN_HALFWIDTH_SIGMA01 = 0.148640
 
 def test_first_sample():
     acc = OffsetAccumulator()
-    acc.add(OffsetVec(0.1, -0.05, 0.1, -0.1))
+    acc.add_many([0.1, -0.05, 0.1, -0.1])
     assert acc.count == 1
     np.testing.assert_allclose(acc.mean, [0.1, -0.05, 0.1, -0.1])
 
 
 def test_two_samples_mean_cancels():
     acc = OffsetAccumulator()
-    acc.add(OffsetVec(0.1, 0, 0, 0))
-    acc.add(OffsetVec(-0.1, 0, 0, 0))
+    acc.add_many([0.1, 0, 0, 0])
+    acc.add_many([-0.1, 0, 0, 0])
     np.testing.assert_allclose(acc.mean, np.zeros(4), atol=1e-15)
     g = acc.finalize()
     np.testing.assert_allclose(g.mu, np.zeros(4), atol=1e-15)
@@ -41,7 +39,7 @@ def test_two_samples_mean_cancels():
 
 def test_single_sample_zero_variance():
     acc = OffsetAccumulator()
-    acc.add(OffsetVec(0.3, 0.2, 0.1, -0.2))
+    acc.add_many([0.3, 0.2, 0.1, -0.2])
     g = acc.finalize()
     np.testing.assert_allclose(g.var, np.zeros(4), atol=1e-15)
 
@@ -101,7 +99,7 @@ def test_add_many_chunks_fold_in_through_merge():
 
 def test_merge_with_empty():
     acc = OffsetAccumulator()
-    acc.add(OffsetVec(0.1, 0.2, 0.3, 0.4))
+    acc.add_many([0.1, 0.2, 0.3, 0.4])
     for merged in (acc.merge(OffsetAccumulator()), OffsetAccumulator().merge(acc)):
         assert merged.count == 1
         np.testing.assert_allclose(merged.mean, acc.mean)
@@ -143,36 +141,6 @@ def test_statistical_recovery():
     assert np.all(np.abs(np.sqrt(g.var) - sigma) <= 0.02 * sigma)
 
 
-def test_overlap_degenerate_width():
-    assert uniform_gaussian_overlap(0.0, 1.0, -5e-10, 5e-10) < 1e-6
-
-
-def test_overlap_disjoint_support():
-    assert uniform_gaussian_overlap(0.0, 1.0, 9.0, 12.0) <= 1e-6
-
-
-def test_overlap_matches_simpson_oracle():
-    cases = [
-        (0.0, 1.0, -50.0, 50.0),   # very wide uniform: capped by uniform height
-        (0.0, 1.0, -1.0, 1.0),
-        (0.3, 0.1, 0.1, 0.4),
-        (-0.2, 0.05, -0.5, 0.5),
-        (0.0, 2.0, -1.0, 4.0),
-    ]
-    for mu, sigma, lo, hi in cases:
-        got = uniform_gaussian_overlap(mu, sigma, lo, hi)
-        want = simpson_overlap(mu, sigma, lo, hi)
-        assert got == pytest.approx(want, abs=1e-6), (mu, sigma, lo, hi)
-        assert 0.0 <= got <= 1.0
-
-
-def test_overlap_input_validation():
-    with pytest.raises(ValueError):
-        uniform_gaussian_overlap(0.0, 0.0, -1, 1)
-    with pytest.raises(ValueError):
-        uniform_gaussian_overlap(0.0, 1.0, 1.0, 1.0)
-
-
 def test_fit_optimal_uniform_matches_grid_oracle():
     sigma = 0.1
     g = DiagonalGaussian4(np.zeros(4), np.full(4, sigma**2))
@@ -183,7 +151,7 @@ def test_fit_optimal_uniform_matches_grid_oracle():
     for d in range(4):
         assert abs(half[d] - oracle) <= 1e-3 * sigma
         # overlap at the found optimum is not worse than the grid's best
-        got = uniform_gaussian_overlap(0.0, sigma, float(u.lo[d]), float(u.hi[d]))
+        got = simpson_overlap(0.0, sigma, float(u.lo[d]), float(u.hi[d]))
         best = simpson_overlap(0.0, sigma, -oracle, oracle)
         assert got >= best - 1e-6
 
@@ -211,23 +179,10 @@ def test_kappa_is_the_overlap_maximizer():
     phi = math.exp(-0.5 * KAPPA**2) / math.sqrt(2 * math.pi)
     rhs = math.sqrt(2 * math.log(2 * KAPPA / math.sqrt(2 * math.pi)))
     assert 2 * KAPPA**2 * phi == pytest.approx(rhs, abs=1e-14)
-    best = uniform_gaussian_overlap(0.0, 1.0, -KAPPA, KAPPA)
+    best = simpson_overlap(0.0, 1.0, -KAPPA, KAPPA)
     for delta in (1e-3, 1e-2, 0.1):
-        assert best > uniform_gaussian_overlap(0.0, 1.0, -KAPPA - delta, KAPPA + delta)
-        assert best > uniform_gaussian_overlap(0.0, 1.0, -KAPPA + delta, KAPPA - delta)
-
-
-def test_overlap_closed_form_limits():
-    # uniform above the Gaussian peak: the overlap is the Gaussian mass
-    assert uniform_gaussian_overlap(0.0, 1.0, -1.0, 1.0) == pytest.approx(math.erf(1 / math.sqrt(2)), abs=1e-15)
-    # disjoint far tail keeps relative precision
-    assert uniform_gaussian_overlap(0.0, 1.0, 9.0, 12.0) == pytest.approx(
-        0.5 * (math.erfc(9 / math.sqrt(2)) - math.erfc(12 / math.sqrt(2))), rel=1e-12
-    )
-    # mirror symmetry of an asymmetric interval
-    assert uniform_gaussian_overlap(0.3, 0.2, -0.1, 0.9) == pytest.approx(
-        uniform_gaussian_overlap(-0.3, 0.2, -0.9, 0.1), abs=1e-15
-    )
+        assert best > simpson_overlap(0.0, 1.0, -KAPPA - delta, KAPPA + delta)
+        assert best > simpson_overlap(0.0, 1.0, -KAPPA + delta, KAPPA - delta)
 
 
 def test_fit_optimal_uniform_symmetric_about_mu():
