@@ -18,13 +18,16 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
+import stat
 import sys
 from array import array
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,11 +56,15 @@ _INT64_MAX = 2**63 - 1  # gt_class is an int64 column
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 # The canonical line serialize_record writes: a printable-ASCII id with no escape, eight JSON numbers that
 # json reads as floats, a class of at most 18 digits (so int64); parse_record reads it to the same values.
-_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+# No nested optional group, which re runs through its slow generic repeat: a fraction or a lookahead for the
+# exponent, then the exponent or nothing.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|(?=[eE]))(?:[eE][-+]?[0-9]+|))"
 _BOX = r"\[" + ", ".join([_FLOAT] * 4) + r"\]"
 _CANONICAL_RECORD = re.compile(
     r'\{"image_id": "[ !#-\[\]-~]*", "gt": ' + _BOX + r', "gt_class": (0|[1-9][0-9]{0,17}), '
     r'"proposal": ' + _BOX + r', "source": "(?:rpn|sampled)"\}\n?')
+_RANGE_BYTES = 4 << 20  # a log is split into ranges of at least this size, one per CPU
+_BLOCK_BYTES = 1 << 20  # a range is decoded in blocks of about this size
 
 
 class LogParseError(ValueError):
@@ -66,6 +73,10 @@ class LogParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # the default rebuilds from args, which hold only the formatted text
+        return type(self), (self.line_no, self.message)
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,19 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     lines are ignored in both modes. No line's text is kept past its own
     step.
     """
+    columns, errors, _ = _parse_lines(lines, lenient)
+    if errors and not lenient:
+        raise errors[0]
+    return columns, [str(e) for e in errors]
+
+
+def _parse_lines(lines: Iterable[str], lenient: bool) -> tuple[ProposalColumns, list[LogParseError], int]:
+    """``parse_log``'s columns, its errors in line order and the number of lines read; raises no LogParseError.
+
+    In strict mode the errors end at the first line ``parse_record`` refuses,
+    and the line count is that line's number.
+    """
+    line_no = 0
     line_nos: list[int] = []
     gt_class: list[int] = []
     coords = array("d")  # gt then proposal, eight per row
@@ -207,11 +231,9 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
         except ValueError as e:
             errors.append(LogParseError(line_nos[i], str(e)))
     errors.sort(key=lambda e: e.line_no)
-    if errors and not lenient:
-        raise errors[0]
     columns = ProposalColumns(boxes[valid, 0], np.array(gt_class, dtype=np.int64)[valid], boxes[valid, 1],
                               np.array(line_nos, dtype=np.int64)[valid])
-    return columns, [str(e) for e in errors]
+    return columns, errors, line_no
 
 
 def _format_records(image_id: str, gt, gt_class: int, proposals, source: str) -> list[str]:
@@ -235,10 +257,100 @@ def serialize_record(rec: ProposalLogRecord) -> str:
     return line
 
 
+def _line_ranges(fh) -> list[tuple[int, int]]:
+    """Line-aligned byte ranges ``[start, end)`` covering the file ``fh``, one per CPU the reading can use.
+
+    A regular file gets ``min(CPUs, size // _RANGE_BYTES)`` ranges when the
+    platform can fork; anything else gets one range. Every cut sits right
+    after a ``\\n`` byte, so no ``\\r\\n`` pair and no UTF-8 sequence is split.
+    The file position does not move.
+    """
+    st = os.fstat(fh.fileno())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(cpus, st.st_size // _RANGE_BYTES) if stat.S_ISREG(st.st_mode) else 1
+    if n < 2:
+        return [(0, st.st_size)]
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [(0, st.st_size)]
+    cuts = [0]
+    for i in range(1, n):
+        pos = max(st.st_size * i // n - 1, cuts[-1])  # the cut follows the first \n at or after pos
+        while chunk := os.pread(fh.fileno(), 1 << 16, pos):
+            if (nl := chunk.find(b"\n")) >= 0:
+                if pos + nl + 1 < st.st_size:
+                    cuts.append(pos + nl + 1)
+                break
+            pos += len(chunk)
+    cuts.append(st.st_size)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _range_lines(fh, size: int) -> Iterator[str]:
+    """The next ``size`` bytes of the binary file ``fh`` as the text lines ``open()`` would give.
+
+    Blocks of about ``_BLOCK_BYTES``, each extended to the next ``\\n``, are
+    decoded one at a time with the universal newlines and the invalid-byte
+    rule of ``_read_log``'s ``open()``.
+    """
+    while size > 0 and (block := fh.read(min(_BLOCK_BYTES, size))):
+        if len(block) < size and not block.endswith(b"\n"):
+            block += fh.readline()
+        size -= len(block)
+        yield from io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="surrogateescape")
+
+
+def _parse_range(path: str, start: int, end: int, lenient: bool) -> tuple[ProposalColumns, list[LogParseError], int]:
+    """``_parse_lines`` of the bytes ``[start, end)`` of a file; line numbers count from the range's start."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _parse_lines(_range_lines(fh, end - start), lenient)
+
+
+def _parse_ranges(path: str, ranges: list[tuple[int, int]], lenient: bool) -> tuple[ProposalColumns, list[str]]:
+    """``parse_log`` of a file split into line-aligned ranges, the first read here and the rest in forked workers.
+
+    Each earlier range was read to its end unless it already failed in strict
+    mode, so its line count shifts the rows and messages of the later ones.
+    Every worker is joined before this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and propcal again, which costs more than a range
+    with ProcessPoolExecutor(len(ranges) - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_parse_range, path, start, end, lenient) for start, end in ranges[1:]]
+        parts = [_parse_range(path, *ranges[0], lenient)] + [f.result() for f in futures]
+    errors: list[LogParseError] = []
+    offset = 0
+    for columns, part_errors, n_lines in parts:
+        errors += [LogParseError(e.line_no + offset, e.message) for e in part_errors]
+        if errors and not lenient:
+            raise errors[0]
+        columns.line_no[:] += offset  # in place: the dataclass is frozen, its arrays are not
+        offset += n_lines
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(part, name) for part, _, _ in parts])
+
+    return (ProposalColumns(joined("gt"), joined("gt_class"), joined("proposal"), joined("line_no")),
+            [str(e) for e in errors])
+
+
 def _read_log(path: str, lenient: bool) -> ProposalColumns:
-    """The records of a log; raises ValueError when it holds none."""
+    """The records of a log; raises ValueError when it holds none.
+
+    A regular file of ``2 * _RANGE_BYTES`` or more is read by up to one
+    process per CPU (``_parse_ranges``); the columns and messages are those
+    of ``parse_log``'s single pass.
+    """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        columns, errors = parse_log(fh, lenient=lenient)
+        ranges = _line_ranges(fh)
+        if len(ranges) > 1:
+            columns, errors = _parse_ranges(path, ranges, lenient)
+        else:
+            columns, errors = parse_log(fh, lenient=lenient)
     for msg in errors:
         print(f"{path}: skipped {msg}", file=sys.stderr)
     if errors:

@@ -1,15 +1,18 @@
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from propcal import cli
 from propcal.cli import (
     LogParseError,
     ProposalLogRecord,
@@ -741,3 +744,98 @@ def test_cli_and_simulator_import_without_scipy():
     proc = _run_python("-c", "import sys, propcal.cli, propcal.simulator; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_and_simulator_import_without_a_process_pool():
+    """The parallel log reader imports its pool only when a log is large enough to split."""
+    proc = _run_python("-c", "import sys, propcal.cli, propcal.simulator; "
+                             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_log_parse_error_survives_pickling():
+    e = pickle.loads(pickle.dumps(LogParseError(3, "x")))
+    assert type(e) is LogParseError
+    assert (str(e), e.line_no, e.message) == ("line 3: x", 3, "x")
+
+
+def _columns_bytes(cols):
+    return [(a.dtype, a.shape, a.tobytes()) for a in (cols.gt, cols.gt_class, cols.proposal, cols.line_no)]
+
+
+def _refuse(line, line_no=1):
+    raise AssertionError(f"line {line_no} reached parse_record: {line!r}")
+
+
+LF_LOG = "".join(record_line(image_id=f"im{i}", proposal=(52.0 + i, 58.0, 22.5, 28.0)) + "\n" for i in range(40))
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("range_bytes", [None, 300], ids=["one-pass", "ranges"])
+def test_cli_reads_crlf_and_cr_logs_as_the_lf_log_without_parse_record(tmp_path, monkeypatch, ending, range_bytes):
+    """open() turns every ending into \\n, so such lines still take the canonical pattern."""
+    lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+    lf.write_bytes(LF_LOG.encode())
+    other.write_bytes(LF_LOG.replace("\n", ending).encode())
+    want = _columns_bytes(cli._read_log(str(lf), False))
+    monkeypatch.setattr(cli, "parse_record", _refuse)
+    if range_bytes:
+        monkeypatch.setattr(cli, "_RANGE_BYTES", range_bytes)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        with open(other, "rb") as fh:
+            assert len(cli._line_ranges(fh)) == (3 if ending == "\r\n" else 1)  # cuts follow a \n only
+    assert _columns_bytes(cli._read_log(str(other), False)) == want
+
+
+def test_fifo_log_is_read_in_one_pass(tmp_path, monkeypatch):
+    (tmp_path / "lf.jsonl").write_text(LF_LOG)
+    want = _columns_bytes(cli._read_log(str(tmp_path / "lf.jsonl"), False))
+    fifo = tmp_path / "log.fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 100)  # a regular file this size would be split
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli, "_parse_ranges", _refuse)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(LF_LOG)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        cols = cli._read_log(str(fifo), False)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert _columns_bytes(cols) == want
+
+
+_PARENT = os.getpid()
+_parse_range = cli._parse_range
+
+
+def _failing_range(path, start, end, lenient):
+    """``_parse_range`` in this process; in a worker, the failure the test names in the path."""
+    if os.getpid() != _PARENT:
+        if path.endswith("exit.jsonl"):
+            os._exit(3)
+        raise MemoryError("no memory for the range")
+    return _parse_range(path, start, end, lenient)
+
+
+@pytest.mark.parametrize("failure", ["memory", "exit"])
+@pytest.mark.parametrize("command", ["fit-stats", "mmd", "diagnose"])
+def test_failing_range_worker_exits_1_with_one_line(tmp_path, monkeypatch, capsys, failure, command):
+    log = tmp_path / f"{failure}.jsonl"
+    log.write_text(LF_LOG)
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 300)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(cli, "_parse_range", _failing_range)
+    extra = {"fit-stats": [], "mmd": [str(log)], "diagnose": ["--figures", str(tmp_path / "figs")]}[command]
+    assert dispatch([command, str(log), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)

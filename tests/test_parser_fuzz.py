@@ -6,7 +6,8 @@ against ``parse_record`` applied line by line, on canonical lines its
 pattern reads and on every other spelling; canonical lines written by
 ``serialize_record``, ``propcal sample`` and the benchmark's generator must
 never reach ``parse_record``. Every log ``propcal sample`` writes is checked
-against that parser.
+against that parser. The CLI's range reader, which splits a large file
+among processes, is checked against the single pass on the same files.
 """
 
 import contextlib
@@ -14,13 +15,15 @@ import dataclasses
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propcal import cli
@@ -270,6 +273,64 @@ def test_boundary_line_reads_as_parse_record_reads_it(name):
     line, _ = BOUNDARY_LINES[name]
     _assert_parse_log_equals_line_by_line([line])
     _assert_parse_log_equals_line_by_line(["", line + "\n", _boundary() + "\n"])
+
+
+# The same logs as files: any line ending, bytes that are not UTF-8 and
+# maybe no final newline
+bad_bytes = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
+
+
+@st.composite
+def log_files(draw):
+    data = b""
+    for line in draw(logs):
+        raw = line.encode()
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + draw(bad_bytes) + raw[at:]
+        data += raw + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return data if draw(st.booleans()) else data.rstrip(b"\r\n")
+
+
+def _read_log_outcome(path, lenient):
+    """What ``cli._read_log`` gives: its columns' bytes or its error, and what it printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            cols = cli._read_log(str(path), lenient)
+        except ValueError as e:
+            return type(e), str(e), getattr(e, "line_no", None), err.getvalue()
+    arrays = (cols.gt, cols.gt_class, cols.proposal, cols.line_no)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], err.getvalue()
+
+
+# An array-refused row, then a line parse_record refuses, both in the last of three ranges
+ARRAY_THEN_BAD = "".join(line + "\n" for line in [_boundary()] * 9 + [
+    _boundary(gt="[1.5, 2.5, 0.0, 4.5]"), "{broken", _boundary()]).encode()
+
+
+@settings(max_examples=120, deadline=None)
+@example(ARRAY_THEN_BAD, 20, 40, 3)
+@given(log_files(), st.integers(20, 80), st.integers(1, 40), st.sampled_from([3, 4]))
+def test_range_reader_equals_the_single_pass(data, range_bytes, block_bytes, cpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "log.jsonl")
+        path.write_bytes(data)
+        for lenient in (True, False):
+            want = _read_log_outcome(path, lenient)  # far below 2 * _RANGE_BYTES: one pass
+            with mock.patch.object(cli, "_RANGE_BYTES", range_bytes), \
+                    mock.patch.object(cli, "_BLOCK_BYTES", block_bytes), \
+                    mock.patch.object(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+                with open(path, "rb") as fh:
+                    ranges = cli._line_ranges(fh)
+                got = _read_log_outcome(path, lenient)
+            assert got == want
+            # the ranges cover the file, each cut right after a newline
+            assert [start for start, _ in ranges[1:]] == [end for _, end in ranges[:-1]]
+            assert ranges[0][0] == 0 and ranges[-1][1] == len(data) and len(ranges) <= cpus
+            assert all(data[start - 1:start] == b"\n" for start, _ in ranges[1:])
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _refuse(line, line_no=1):
