@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -258,12 +259,12 @@ def serialize_record(rec: ProposalLogRecord) -> str:
 
 
 def _line_ranges(fh) -> list[tuple[int, int]]:
-    """Line-aligned byte ranges ``[start, end)`` covering the file ``fh``, one per CPU the reading can use.
+    """Line-aligned byte ranges ``[start, end)`` covering the binary file ``fh``, one per CPU the reading can use.
 
     A regular file gets ``min(CPUs, size // _RANGE_BYTES)`` ranges when the
     platform can fork; anything else gets one range. Every cut sits right
     after a ``\\n`` byte, so no ``\\r\\n`` pair and no UTF-8 sequence is split.
-    The file position does not move.
+    The file is left at its start.
     """
     st = os.fstat(fh.fileno())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -276,23 +277,21 @@ def _line_ranges(fh) -> list[tuple[int, int]]:
         return [(0, st.st_size)]
     cuts = [0]
     for i in range(1, n):
-        pos = max(st.st_size * i // n - 1, cuts[-1])  # the cut follows the first \n at or after pos
-        while chunk := os.pread(fh.fileno(), 1 << 16, pos):
-            if (nl := chunk.find(b"\n")) >= 0:
-                if pos + nl + 1 < st.st_size:
-                    cuts.append(pos + nl + 1)
-                break
-            pos += len(chunk)
+        fh.seek(max(st.st_size * i // n - 1, cuts[-1]))
+        fh.readline()  # the cut follows the first \n at or after the target
+        if fh.tell() < st.st_size:
+            cuts.append(fh.tell())
+    fh.seek(0)
     cuts.append(st.st_size)
     return list(zip(cuts, cuts[1:]))
 
 
-def _range_lines(fh, size: int) -> Iterator[str]:
-    """The next ``size`` bytes of the binary file ``fh`` as the text lines ``open()`` would give.
+def _range_lines(fh, size: int | float) -> Iterator[str]:
+    """The next ``size`` bytes of the binary file ``fh`` (all of it for ``math.inf``) as text lines.
 
     Blocks of about ``_BLOCK_BYTES``, each extended to the next ``\\n``, are
-    decoded one at a time with the universal newlines and the invalid-byte
-    rule of ``_read_log``'s ``open()``.
+    decoded one at a time as UTF-8 with universal newlines; a byte that is not
+    valid UTF-8 becomes a surrogate escape, which ``parse_record`` names.
     """
     while size > 0 and (block := fh.read(min(_BLOCK_BYTES, size))):
         if len(block) < size and not block.endswith(b"\n"):
@@ -345,12 +344,12 @@ def _read_log(path: str, lenient: bool) -> ProposalColumns:
     process per CPU (``_parse_ranges``); the columns and messages are those
     of ``parse_log``'s single pass.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         ranges = _line_ranges(fh)
         if len(ranges) > 1:
             columns, errors = _parse_ranges(path, ranges, lenient)
         else:
-            columns, errors = parse_log(fh, lenient=lenient)
+            columns, errors = parse_log(_range_lines(fh, math.inf), lenient)
     for msg in errors:
         print(f"{path}: skipped {msg}", file=sys.stderr)
     if errors:
@@ -372,7 +371,8 @@ def _log_offsets(cols: ProposalColumns) -> np.ndarray:
 
 def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
-        print(text)
+        if text:  # as the empty file -o writes
+            print(text)
     else:
         with open(path, "w") as fh:  # two writes, so the text is not copied to add the newline
             fh.write(text)
@@ -412,9 +412,9 @@ def _cmd_sample(args) -> int:
 
 def _sampled_lines(path: str, config: SamplerConfig, image_size) -> list[str]:
     """The ``sample`` records of the gt lines of ``path``, in file order; every line is checked before any draw."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         records = [_parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
-                   for line_no, line in enumerate(fh, start=1) if line.strip()]
+                   for line_no, line in enumerate(_range_lines(fh, math.inf), start=1) if line.strip()]
     boxes = np.array([gt.as_array() for _, gt, _ in records]).reshape(-1, 4)
     props = build_calibrated_set(boxes, config, image_size, [image_id for image_id, _, _ in records])
     props = props.reshape(len(records), config.j_per_instance, 4)

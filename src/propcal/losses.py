@@ -138,19 +138,12 @@ def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float,
     return loss, probs
 
 
-def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray, beta: float = 1.0) -> tuple[float, np.ndarray]:
-    """Smooth-L1 of (n, 4) residuals, summed per row and averaged over rows, and its gradient."""
+def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smooth-L1 (beta 1) of (n, 4) residuals, summed per row and averaged over rows, and its gradient."""
     r = pred - targets
     a = np.abs(r)
-    per = 0.5 * a
-    per *= a
-    per /= beta
-    np.subtract(a, 0.5 * beta, out=per, where=~(a < beta))  # the linear branch
-    loss = float(per.sum(axis=1).mean())
-    r /= beta
-    np.clip(r, -1.0, 1.0, out=r)
-    r /= pred.shape[0]
-    return loss, r
+    loss = float(np.where(a < 1, 0.5 * a * a, a - 0.5).sum(axis=1).mean())
+    return loss, np.clip(r, -1.0, 1.0) / pred.shape[0]
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,6 @@ def stream_rng(seed: int, *parts) -> np.random.Generator:
 
 
 def _draw_raw(model: OffsetModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if isinstance(model, DiagonalGaussian4):
         return rng.normal(model.mu, np.sqrt(model.var), size=(n, 4))
     if isinstance(model, Uniform4):

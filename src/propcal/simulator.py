@@ -214,13 +214,13 @@ class SimDataset:
     novel_classes: frozenset[int]
 
 
-def _unit_vectors(n: int, dim: int, rng: np.random.Generator, max_dot: float = 0.3) -> np.ndarray:
-    """n unit vectors with pairwise |dot| <= max_dot, by rejection."""
+def _unit_vectors(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n unit vectors with pairwise |dot| <= 0.3, by rejection."""
     out: list[np.ndarray] = []
     for _ in range(20000):
         v = rng.normal(size=dim)
         v /= np.linalg.norm(v)
-        if all(abs(float(v @ u)) <= max_dot for u in out):
+        if all(abs(float(v @ u)) <= 0.3 for u in out):
             out.append(v)
             if len(out) == n:
                 return np.stack(out)
@@ -452,8 +452,8 @@ def _descend(head: TinyRoiHead, main, epochs: int, config: ExperimentConfig, sta
         if aux is not None:
             cls_s, reg_s, grads_s = _head_loss_grads(head, *aux)
         if not math.isfinite(cls_loss + reg_loss + lam * (cls_s + reg_s)):
-            raise RuntimeError(f"{stage} diverged at epoch {epoch}: cls={cls_loss}, reg={reg_loss}, "
-                               f"sampled cls={cls_s}, sampled reg={reg_s}, lam={lam}")
+            sampled = "" if aux is None else f", sampled cls={cls_s}, sampled reg={reg_s}, lam={lam}"
+            raise RuntimeError(f"{stage} diverged at epoch {epoch}: cls={cls_loss}, reg={reg_loss}{sampled}")
         _sgd_step(head, lr, grads)
         if aux is not None and lam != 0.0:
             _sgd_step(head, lr * lam, grads_s)

@@ -307,13 +307,15 @@ def test_cli_sample_checks_every_gt_line_before_drawing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sample_without_gts_writes_an_empty_file(tmp_path):
+def test_cli_sample_without_gts_writes_an_empty_file(tmp_path, capsys):
     gts, model = tmp_path / "gts.jsonl", tmp_path / "m.json"
     gts.write_text("\n\n")
     model.write_text('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [0.01, 0.01, 0.01, 0.01]}')
     out = tmp_path / "out.jsonl"
     assert dispatch(["sample", str(gts), "--model", str(model), "-J", "3", "-o", str(out)]) == 0
     assert out.read_text() == ""
+    assert dispatch(["sample", str(gts), "--model", str(model), "-J", "3"]) == 0
+    assert capsys.readouterr() == ("", "")  # on stdout too
 
 
 _HUGE_GT = ([0, 0, 1e308, 1e308], '"mu": [1e300, 0, 1, 1], "var": [0.01, 0.01, 0.01, 0.01]')
@@ -612,6 +614,18 @@ def test_cli_simulate_with_diverging_calibrated_step_names_stage_and_epoch(tmp_p
     assert not out.exists()
 
 
+def test_cli_simulate_with_diverging_base_training_names_only_its_losses(tmp_path, capsys):
+    # base training has no calibrated branch, so its message names no sampled loss and no lam
+    cfg = {"seeds": [0], "feature_noise": 1e300, "base_per_class": 5, "test_per_class": 3,
+           "epochs_base": 2, "epochs_finetune": 2}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    out = tmp_path / "reports"
+    assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: base training diverged at epoch 1: cls=nan, reg=inf\n"
+    assert not out.exists()
+
+
 def test_cli_simulate_with_diverging_head_prints_one_stderr_line(tmp_path):
     # in process, pytest captures numpy's overflow warnings; a real process would show them on stderr
     cfg = {"learning_rate": 1e300, "seeds": [0], "base_per_class": 20, "test_per_class": 6,
@@ -774,7 +788,7 @@ LF_LOG = "".join(record_line(image_id=f"im{i}", proposal=(52.0 + i, 58.0, 22.5, 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
 @pytest.mark.parametrize("range_bytes", [None, 300], ids=["one-pass", "ranges"])
 def test_cli_reads_crlf_and_cr_logs_as_the_lf_log_without_parse_record(tmp_path, monkeypatch, ending, range_bytes):
-    """open() turns every ending into \\n, so such lines still take the canonical pattern."""
+    """The reader's universal newlines turn every ending into \\n, so such lines still take the canonical pattern."""
     lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
     lf.write_bytes(LF_LOG.encode())
     other.write_bytes(LF_LOG.replace("\n", ending).encode())

@@ -196,18 +196,14 @@ def test_cross_entropy_hand_example():
     assert _cross_entropy(np.array([1.0, 2.0, 3.0]), 0) == pytest.approx(expected, abs=1e-12)
 
 
-def _smooth_l1(residual, beta=1.0):
-    return smooth_l1_batch(np.array([residual], dtype=np.float64), np.zeros((1, 4)), beta)[0]
+def _smooth_l1(residual):
+    return smooth_l1_batch(np.array([residual], dtype=np.float64), np.zeros((1, 4)))[0]
 
 
 def test_smooth_l1_examples():
     assert _smooth_l1([0, 0, 0, 0]) == 0.0
     assert _smooth_l1([0.5, 0, 0, 0]) == pytest.approx(0.125, abs=1e-15)
     assert _smooth_l1([2, 0, 0, 0]) == pytest.approx(1.5, abs=1e-15)
-
-
-def test_smooth_l1_beta():
-    assert _smooth_l1([0.5, 0, 0, 0], beta=2.0) == pytest.approx(0.0625)
 
 
 def _cross_entropy_reference(logits, targets):
@@ -222,12 +218,17 @@ def _cross_entropy_reference(logits, targets):
     return loss, probs
 
 
-def _smooth_l1_reference(pred, targets, beta=1.0):
-    """The two-branch smooth-L1 expression the one-pass kernel replaced."""
+def _smooth_l1_fused(pred, targets):
+    """The fused, in-place smooth-L1 kernel the two-branch formula replaced, at beta 1."""
     r = pred - targets
     a = np.abs(r)
-    loss = float(np.where(a < beta, 0.5 * a * a / beta, a - 0.5 * beta).sum(axis=1).mean())
-    return loss, np.clip(r / beta, -1.0, 1.0) / pred.shape[0]
+    per = 0.5 * a
+    per *= a
+    np.subtract(a, 0.5, out=per, where=~(a < 1.0))  # the linear branch
+    loss = float(per.sum(axis=1).mean())
+    np.clip(r, -1.0, 1.0, out=r)
+    r /= pred.shape[0]
+    return loss, r
 
 
 def _same_bits(got, want):
@@ -263,23 +264,24 @@ def test_cross_entropy_batch_matches_the_multi_pass_formula_bit_for_bit(case):
     assert logits.tobytes() == kept[0].tobytes() and np.array_equal(targets, kept[1])
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.3, 3.0])
-def test_smooth_l1_batch_matches_the_two_branch_formula_bit_for_bit(beta):
+def test_smooth_l1_batch_matches_the_fused_kernel_bit_for_bit():
+    # so the formula moved no loss, gradient or report byte
     rng = np.random.default_rng(4)
     pred = rng.normal(size=(200, 4)) * 2
     targets = rng.normal(size=(200, 4))
     pred[0] = (1e300, -1e300, 1e-300, 0.0)
-    pred[1] = (np.inf, -np.inf, np.nan, beta)
-    targets[2] = (np.nan, 0.0, np.inf, -beta)
-    targets[3] = pred[3] + (beta, -beta, beta / 2, 0.0)  # residuals on and near the branch point
+    pred[1] = (np.inf, -np.inf, np.nan, 1.0)
+    targets[2] = (np.nan, 0.0, np.inf, -1.0)
+    targets[3] = pred[3] + (1.0, -1.0, 0.5, 0.0)  # residuals on and near the branch point
+    pred[4], targets[4] = np.nextafter(1.0, (0.0, 2.0, 0.0, 2.0)) * (1, 1, -1, -1), 0.0  # one ulp either side
     # the finite rows, whose loss is not NaN, all rows, and each row alone: a batch mean
     # can round a one-ulp change of a quadratic-branch value away
     rows = [(pred[i:i + 1], targets[i:i + 1]) for i in range(len(pred))]
     for p, t in [(pred[4:], targets[4:]), (pred, targets)] + rows:
         kept = p.copy(), t.copy()
         with np.errstate(all="ignore"):
-            got = smooth_l1_batch(p, t, beta)
-            want = _smooth_l1_reference(p, t, beta)
+            got = smooth_l1_batch(p, t)
+            want = _smooth_l1_fused(p, t)
         _same_bits(got, want)
         assert p.tobytes() == kept[0].tobytes() and t.tobytes() == kept[1].tobytes()
 

@@ -7,7 +7,8 @@ pattern reads and on every other spelling; canonical lines written by
 ``serialize_record``, ``propcal sample`` and the benchmark's generator must
 never reach ``parse_record``. Every log ``propcal sample`` writes is checked
 against that parser. The CLI's range reader, which splits a large file
-among processes, is checked against the single pass on the same files.
+among processes, is checked against the single pass on the same files, and
+its block decoder against a text-mode ``open()``.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -292,6 +294,10 @@ def log_files(draw):
     return data if draw(st.booleans()) else data.rstrip(b"\r\n")
 
 
+def _column_bytes(cols):
+    return [(a.dtype, a.shape, a.tobytes()) for a in (cols.gt, cols.gt_class, cols.proposal, cols.line_no)]
+
+
 def _read_log_outcome(path, lenient):
     """What ``cli._read_log`` gives: its columns' bytes or its error, and what it printed."""
     err = io.StringIO()
@@ -300,17 +306,30 @@ def _read_log_outcome(path, lenient):
             cols = cli._read_log(str(path), lenient)
         except ValueError as e:
             return type(e), str(e), getattr(e, "line_no", None), err.getvalue()
-    arrays = (cols.gt, cols.gt_class, cols.proposal, cols.line_no)
-    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], err.getvalue()
+    return _column_bytes(cols), err.getvalue()
+
+
+def _parse_log_outcome(lines, lenient):
+    """What ``parse_log`` gives: its columns' bytes and messages, or its error."""
+    try:
+        cols, messages = parse_log(lines, lenient)
+    except LogParseError as e:
+        return str(e), e.line_no
+    return _column_bytes(cols), messages
 
 
 # An array-refused row, then a line parse_record refuses, both in the last of three ranges
 ARRAY_THEN_BAD = "".join(line + "\n" for line in [_boundary()] * 9 + [
     _boundary(gt="[1.5, 2.5, 0.0, 4.5]"), "{broken", _boundary()]).encode()
+# A 300-byte first line over two of the three cut targets of 4 CPUs (bytes 104 and 210 of 422), then a
+# line and a bad line that ends the file, so the last target finds no cut before EOF
+LONG_FIRST_LINE = "".join(line + "\n" for line in [_boundary(image_id=f'"{"x" * 189}"'), _boundary(),
+                                                    "{broken"]).encode()
 
 
 @settings(max_examples=120, deadline=None)
 @example(ARRAY_THEN_BAD, 20, 40, 3)
+@example(LONG_FIRST_LINE, 20, 40, 4)
 @given(log_files(), st.integers(20, 80), st.integers(1, 40), st.sampled_from([3, 4]))
 def test_range_reader_equals_the_single_pass(data, range_bytes, block_bytes, cpus):
     with tempfile.TemporaryDirectory() as tmp:
@@ -324,11 +343,17 @@ def test_range_reader_equals_the_single_pass(data, range_bytes, block_bytes, cpu
                 with open(path, "rb") as fh:
                     ranges = cli._line_ranges(fh)
                 got = _read_log_outcome(path, lenient)
+                # the one-range read, in blocks of block_bytes, decodes as a text-mode open() does
+                with open(path, "rb") as fh:
+                    blocks = _parse_log_outcome(cli._range_lines(fh, math.inf), lenient)
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+                assert blocks == _parse_log_outcome(fh, lenient)
             assert got == want
-            # the ranges cover the file, each cut right after a newline
-            assert [start for start, _ in ranges[1:]] == [end for _, end in ranges[:-1]]
+            # the ranges cover the file; the cuts increase strictly, none at EOF, each right after a newline
+            cuts = [start for start, _ in ranges[1:]]
+            assert cuts == [end for _, end in ranges[:-1]] == sorted(set(cuts))
             assert ranges[0][0] == 0 and ranges[-1][1] == len(data) and len(ranges) <= cpus
-            assert all(data[start - 1:start] == b"\n" for start, _ in ranges[1:])
+            assert all(0 < cut < len(data) and data[cut - 1:cut] == b"\n" for cut in cuts)
     with pytest.raises(ChildProcessError):  # every worker was joined
         os.waitpid(-1, os.WNOHANG)
 

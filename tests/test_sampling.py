@@ -285,13 +285,21 @@ def test_stream_seeds_must_fit_64_bits():
 
 
 def test_only_sampling_builds_philox_or_hashes_stream_keys():
-    # the stream format has one owner; a second key formula elsewhere is a silent format fork
+    # the stream format has one owner; a second key formula elsewhere is a silent format fork.
+    # The one key built outside sampling is the feature-noise key, in simulator._features_for
     package = Path(propcal.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
-        for path in sorted(package.glob("*.py")) if path.name != "sampling.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func).split(".")[-1] in {"Philox", "Generator", "blake2b"}
-    ]
+    found, features_for = [], set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "sampling.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for fn in ast.walk(tree) if path.name == "simulator.py"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "_features_for" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+            if name == "hash_word" and id(node) in exempt:
+                features_for.add(node.lineno)
+            elif name in {"Philox", "Generator", "blake2b", "hash_word"}:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
     assert found == []
+    assert features_for  # the exemption names a function that still hashes the key
