@@ -393,8 +393,7 @@ def _cmd_fit_stats(args) -> int:
 def _cmd_fit_uniform(args) -> int:
     model = model_from_json(Path(args.model).read_text())
     if not isinstance(model, DiagonalGaussian4):
-        print("error: fit-uniform requires a gaussian model", file=sys.stderr)
-        return 1
+        raise ValueError("fit-uniform requires a gaussian model")
     _write_or_print(model_to_json(fit_optimal_uniform(model)), args.output)
     return 0
 

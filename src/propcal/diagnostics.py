@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import iou_paired_array
+from .geometry import as_rows4, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou  # noqa: F401
 from .sampling import philox_rng
@@ -66,11 +66,11 @@ def histogram(values, edges) -> Histogram:
     """Count values into left-closed bins; the last bin includes its right edge.
 
     A value exactly on an interior edge lands in the bin to its right.
-    Values outside [edges[0], edges[-1]] are an error.
+    NaN and values outside [edges[0], edges[-1]] are an error.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     e = np.asarray(edges, dtype=np.float64)
-    if v.size and (v.min() < e[0] or v.max() > e[-1]):
+    if v.size and not (e[0] <= v.min() and v.max() <= e[-1]):
         raise ValueError(f"values outside histogram range [{e[0]}, {e[-1]}]: min={v.min()}, max={v.max()}")
     idx = np.searchsorted(e, v, side="right") - 1
     idx = np.minimum(idx, e.size - 2)  # fold the exact right edge into the last bin
@@ -173,8 +173,7 @@ def mmd_rbf(set_a, set_b) -> float:
 
 def iou_histogram(preds, gts, edges) -> Histogram:
     """Histogram of the IoU of prediction i with ground truth i, both (n, 4) center-form arrays."""
-    p = np.asarray(preds, dtype=np.float64).reshape(-1, 4)
-    g = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+    p, g = as_rows4(preds), as_rows4(gts)
     if p.shape != g.shape:
         raise ValueError(f"need one ground truth per prediction, got {len(p)} predictions and {len(g)}")
     return histogram(iou_paired_array(p, g), edges)
@@ -217,7 +216,7 @@ def offset_report(offsets) -> OffsetReport:
     Each dimension gets ``OFFSET_BINS`` uniform bins spanning its own value
     range (a half-unit span when degenerate).
     """
-    rows = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
+    rows = as_rows4(offsets)
     if rows.shape[0] == 0:
         raise ValueError("offset report requires at least one offset")
     acc = OffsetAccumulator()

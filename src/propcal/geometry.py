@@ -100,6 +100,14 @@ def iou(a: BBox, b: BBox) -> float:
 _SCALE_COLS = np.array([2, 3, 2, 3])  # (w, h, w, h) of a reference box
 
 
+def as_rows4(values) -> np.ndarray:
+    """``values`` as (n, 4) float64 rows: one ``(4,)`` row or an ``(n, 4)`` array, any other shape a ValueError."""
+    rows = np.asarray(values, dtype=np.float64)
+    if rows.shape != (4,) and (rows.ndim != 2 or rows.shape[1] != 4):
+        raise ValueError(f"need one row of 4 values or an (n, 4) array, got shape {rows.shape}")
+    return rows.reshape(-1, 4)
+
+
 def encode_offsets_array(proposals: np.ndarray, refs: np.ndarray) -> np.ndarray:
     props = np.asarray(proposals, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .geometry import apply_offsets_array, clip_boxes_array, valid_boxes_array
+from .geometry import apply_offsets_array, as_rows4, clip_boxes_array, valid_boxes_array
 from .stats import DiagonalGaussian4, Uniform4
 
 OffsetModel = Union[DiagonalGaussian4, Uniform4]
@@ -88,11 +88,18 @@ def _draw_raw(model: OffsetModel, n: int, rng: np.random.Generator) -> np.ndarra
     raise TypeError(f"unsupported offset model: {type(model).__name__}")
 
 
+def box_noise(keys: Sequence[int], boxes: np.ndarray, dim: int) -> np.ndarray:
+    """``(n, dim)`` standard normals; row i from the stream keyed ``keys[i] << 64 | word(boxes[i] bytes)``."""
+    noise, rng = np.empty((len(boxes), dim)), philox_rng(0)
+    for i, (key, box) in enumerate(zip(keys, boxes)):
+        noise[i] = philox_rng(key << 64 | hash_word(box.tobytes()), rng).normal(size=dim)
+    return noise
+
+
 def sample_boxes(
     gt_boxes: np.ndarray,
     n: int,
     models: list[OffsetModel],
-    rng: np.random.Generator,
     image_size: tuple[float, float] | None,
     states: list[int | dict],
 ) -> np.ndarray:
@@ -100,29 +107,28 @@ def sample_boxes(
 
     Gt i draws ``models[i]`` offsets from its own stream, which starts at
     ``states[i]``: a Philox key (the stream at its start) or a
-    ``bit_generator.state``. Each round restores the stream into ``rng``
-    for the gt's draw, then decodes, checks and clips the pending rows of
-    up to ``PASS_GTS`` gts in one array pass.
+    ``bit_generator.state``. Each round restores the stream into a scratch
+    generator for the gt's draw, then decodes, checks and clips the pending
+    rows of up to ``PASS_GTS`` gts in one array pass.
     A draw is invalid, and re-drawn, when its decoded box, before clipping,
     holds a non-finite value (an overflowing decode) or a size <= 0, or
     when it lies outside the image.
     A slot still invalid after ``MAX_RESAMPLE`` re-draw rounds is returned
     as a row of NaN: the budget is exhausted.
-    On return ``rng`` is on the stream of the last gt that drew.
     """
-    gts = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gts = as_rows4(gt_boxes)
     boxes = np.full((gts.shape[0] * n, 4), np.nan)
     for lo in range(0, gts.shape[0], PASS_GTS):
         hi = lo + PASS_GTS
-        _fill_slots(boxes[lo * n:hi * n], gts[lo:hi], models[lo:hi], list(states[lo:hi]), rng, image_size)
+        _fill_slots(boxes[lo * n:hi * n], gts[lo:hi], models[lo:hi], list(states[lo:hi]), image_size)
     return boxes.reshape(gts.shape[0], n, 4)
 
 
-def _fill_slots(boxes, gts, models, states, rng, image_size) -> None:
+def _fill_slots(boxes, gts, models, states, image_size) -> None:
     """The draw rounds of :func:`sample_boxes` for ``k`` gts into their ``(k * n, 4)`` slots."""
     k = gts.shape[0]
     n = boxes.shape[0] // k
-    live = -1  # the gt whose stream rng is on
+    live, rng = -1, philox_rng(0)  # the gt whose stream the scratch generator is on
     pending = np.arange(k * n)  # slots gt by gt, so each gt's rows stay in slot order
     counts = [n] * k  # pending slots per gt
     for _ in range(MAX_RESAMPLE + 1):
@@ -160,34 +166,18 @@ def sample_boxes_for_gt(
     rng: np.random.Generator,
     image_size: tuple[float, float] | None,
 ) -> np.ndarray:
-    """The ``(n, 4)`` boxes :func:`sample_boxes` draws for one gt from the stream ``rng`` is on."""
-    return sample_boxes(gt_box, n, [model], rng, image_size, [rng.bit_generator.state])[0]
-
-
-def _sample_keyed(gts: np.ndarray, keys, config: SamplerConfig, image_size) -> np.ndarray:
-    """``(k, J, 4)`` boxes of ``(k, 4)`` gts, gt i from the stream of (seed, image_id, gt_index) = (seed, *keys[i]).
-
-    Raises RuntimeError naming the first gt, in gt order, whose re-draw budget is exhausted.
-    """
-    states = [stream_key(config.seed, "sample", image_id, gt_index) for image_id, gt_index in keys]
-    boxes = sample_boxes(gts, config.j_per_instance, [config.model] * len(gts), philox_rng(0), image_size, states)
-    invalid = np.count_nonzero(np.isnan(boxes[:, :, 0]), axis=1)
-    if invalid.any():
-        i = int(np.flatnonzero(invalid)[0])
-        raise RuntimeError(f"resampling budget exhausted for gt {gts[i].tolist()}: {invalid[i]} of "
-                           f"{config.j_per_instance} draws still invalid after {MAX_RESAMPLE} rounds")
-    return boxes
+    """The ``(n, 4)`` boxes :func:`sample_boxes` draws for one gt from the stream ``rng`` is on; ``rng`` does not move."""
+    return sample_boxes(gt_box, n, [model], image_size, [rng.bit_generator.state])[0]
 
 
 def sample_proposals_for_gt(
     gt: np.ndarray,
     config: SamplerConfig,
     image_size: tuple[float, float] | None = None,
-    gt_index: int = 0,
     image_id: str = "",
 ) -> np.ndarray:
-    """The ``(J, 4)`` calibrated boxes of one gt ``[cx, cy, w, h]`` from its (seed, image_id, gt_index) stream."""
-    return _sample_keyed(np.asarray(gt, dtype=np.float64).reshape(1, 4), [(image_id, gt_index)], config, image_size)[0]
+    """The ``(J, 4)`` calibrated boxes of one gt ``[cx, cy, w, h]``: :func:`build_calibrated_set` of it alone."""
+    return build_calibrated_set(gt, config, image_size, image_id)
 
 
 def build_calibrated_set(
@@ -198,12 +188,21 @@ def build_calibrated_set(
 ) -> np.ndarray:
     """The ``(n * j_per_instance, 4)`` calibrated proposals of ``(n, 4)`` gts, in gt order.
 
-    ``image_id`` is one id for all gts or one per gt. A gt's ``gt_index`` is
-    the number of earlier gts with the same id.
+    Gt i draws from the stream of (seed, image_id, gt_index). ``image_id`` is
+    one id for all gts or one per gt; a gt's ``gt_index`` is the number of
+    earlier gts with the same id.
+    Raises RuntimeError naming the first gt, in gt order, whose re-draw budget is exhausted.
     """
-    gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+    gts = as_rows4(gts)
     ids = [image_id] * len(gts) if isinstance(image_id, str) else list(image_id)
     if len(ids) != len(gts):
         raise ValueError(f"need one image_id per gt, got {len(ids)} for {len(gts)} gts")
     gt_index = defaultdict(count)  # the next gt_index of each id
-    return _sample_keyed(gts, [(iid, next(gt_index[iid])) for iid in ids], config, image_size).reshape(-1, 4)
+    states = [stream_key(config.seed, "sample", iid, next(gt_index[iid])) for iid in ids]
+    boxes = sample_boxes(gts, config.j_per_instance, [config.model] * len(gts), image_size, states)
+    invalid = np.count_nonzero(np.isnan(boxes[:, :, 0]), axis=1)
+    if invalid.any():
+        i = int(np.flatnonzero(invalid)[0])
+        raise RuntimeError(f"resampling budget exhausted for gt {gts[i].tolist()}: {invalid[i]} of "
+                           f"{config.j_per_instance} draws still invalid after {MAX_RESAMPLE} rounds")
+    return boxes.reshape(-1, 4)

@@ -41,7 +41,7 @@ from .geometry import iou as iou_scalar  # noqa: F401
 from .losses import cross_entropy_batch, smooth_l1_batch
 # bound only because the benchmark tracer counts supcon calls through these names
 from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
-from .sampling import (SamplerConfig, build_calibrated_set, check_seed, derive_seed, hash_word, philox_rng,
+from .sampling import (SamplerConfig, box_noise, build_calibrated_set, check_seed, derive_seed, philox_rng,
                        sample_boxes, stream_key, stream_rng)
 # bound only because the benchmark tracer patches sample_boxes_for_gt through this name
 from .sampling import sample_boxes_for_gt  # noqa: F401
@@ -275,12 +275,10 @@ def _features_for(split: Split, rows: np.ndarray, boxes: np.ndarray, q: np.ndarr
     """IoU-weighted appearance/background mix with keyed noise; box i belongs to scene ``rows[i]``.
 
     ``q`` is each box's IoU against its scene's object. Deterministic in (scene, box): a row's
-    noise stream is keyed ``feature key << 64 | hash_word(box)``.
+    noise is :func:`~propcal.sampling.box_noise` of its scene's feature key and its box.
     """
     app = split.appearance[rows]
-    noise, rng, keys = np.empty_like(app), philox_rng(0), split.feature_keys
-    for i, (r, box) in enumerate(zip(rows, boxes)):
-        noise[i] = philox_rng(keys[r] << 64 | hash_word(box.tobytes()), rng).normal(size=app.shape[1])
+    noise = box_noise([split.feature_keys[r] for r in rows], boxes, app.shape[1])
     w = q[:, None]
     return w * app + (1.0 - w) * background + noise_scale * noise
 
@@ -375,8 +373,7 @@ def rpn_proposals(
         models.append(model)
         states.append(state)  # where the object's offset draws start
     rows = np.array(rows, dtype=np.int64)
-    drawn = sample_boxes(split.boxes[rows], config.rpn_per_object, models, rng, (config.image_w, config.image_h),
-                         states)
+    drawn = sample_boxes(split.boxes[rows], config.rpn_per_object, models, (config.image_w, config.image_h), states)
     hit = ~np.isnan(drawn[:, :, 0]).any(axis=1)
     pset = _proposal_set(ds, split, np.repeat(rows[hit], config.rpn_per_object), drawn[hit].reshape(-1, 4), config)
     pset.budget_misses = int(np.count_nonzero(~hit))

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import as_rows4
+
 # Half-width of the max-overlap uniform in units of sigma: the root of the
 # stationarity condition 2 k^2 phi(k) = sqrt(2 ln(2k / sqrt(2 pi))), with phi
 # the standard normal pdf, found by bisection.
@@ -77,7 +79,7 @@ class OffsetAccumulator:
 
     def add_many(self, offsets: np.ndarray) -> None:
         """Fold (n, 4) offsets in: the batch's two-pass moments, merged by :meth:`merge`."""
-        x = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
+        x = as_rows4(offsets)
         if x.shape[0]:
             mean = x.mean(axis=0)
             merged = self.merge(OffsetAccumulator(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)))

@@ -242,6 +242,15 @@ def test_cli_fit_uniform_round_trip(tmp_path, capsys):
     assert dispatch(["fit-uniform", str(out)]) == 1
 
 
+def test_cli_fit_uniform_of_a_uniform_model_exits_1_with_one_line(tmp_path, capsys):
+    model = tmp_path / "u.json"
+    model.write_text('{"kind": "uniform", "lo": [-0.1, -0.1, -0.1, -0.1], "hi": [0.1, 0.1, 0.1, 0.1]}')
+    assert dispatch(["fit-uniform", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fit-uniform requires a gaussian model\n"
+
+
 def test_cli_sample_pipeline(tmp_path):
     gts = tmp_path / "gts.jsonl"
     gts.write_text("\n".join(

@@ -20,7 +20,7 @@ from propcal.diagnostics import (
     precision_to_csv,
 )
 from propcal.geometry import encode_offsets_array
-from propcal.sampling import SamplerConfig, philox_rng, sample_proposals_for_gt
+from propcal.sampling import SamplerConfig, build_calibrated_set, philox_rng
 from propcal.stats import DiagonalGaussian4
 
 
@@ -253,6 +253,24 @@ def test_histogram_out_of_range():
         histogram([-0.1], [0.0, 1.0])
 
 
+def test_histogram_nan_is_out_of_range():
+    # NaN compares false against both edges, so it must fail the range test, not land in the last bin
+    with pytest.raises(ValueError, match="outside histogram range"):
+        histogram([0.2, np.nan], [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="outside histogram range"):
+        histogram([np.nan], [0.0, 1.0])
+
+
+def test_iou_histogram_nan_box_is_an_error():
+    with pytest.raises(ValueError, match="outside histogram range"):
+        iou_histogram([[np.nan, 0, 1, 1]], [[0.0, 0, 1, 1]], [0.0, 0.5, 1.0])
+
+
+def test_precision_by_iou_nan_iou_is_an_error():
+    with pytest.raises(ValueError, match="outside histogram range"):
+        precision_by_iou([np.nan], [True], [0.0, 0.5, 1.0])
+
+
 def test_histogram_empty():
     h = histogram([], [0.0, 0.5, 1.0])
     assert h.counts.tolist() == [0, 0]
@@ -282,6 +300,13 @@ def test_iou_histogram_empty_and_unmatched():
     # prediction i is scored against ground truth i, so the counts must agree
     with pytest.raises(ValueError, match="one ground truth per prediction"):
         iou_histogram(np.ones((2, 4)), np.ones((1, 4)), [0.0, 1.0])
+
+
+def test_iou_histogram_refuses_arrays_that_are_not_rows_of_four():
+    # (4, 3) holds 12 values, as three boxes would, but is not (n, 4)
+    with pytest.raises(ValueError, match=r"\(n, 4\) array, got shape \(4, 3\)"):
+        iou_histogram(np.ones((4, 3)), np.ones((4, 3)), [0.0, 1.0])
+    assert iou_histogram([1.0, 0, 2, 2], [0.0, 0, 2, 2], [0.0, 0.5, 1.0]).counts.tolist() == [1, 0]
 
 
 def test_precision_by_iou_counts():
@@ -339,12 +364,9 @@ def test_offset_report_bins_span_each_dimension():
 def test_offset_report_round_trip_with_sampler():
     model = DiagonalGaussian4([0.02, -0.02, 0.06, 0.04], [0.0064, 0.0064, 0.01, 0.01])
     cfg = SamplerConfig(model=model, j_per_instance=50, seed=11)
-    offs = []
-    for i in range(200):
-        gt = np.array([100, 100, 20 + (i % 11), 24 + (i % 7)], dtype=np.float64)
-        props = sample_proposals_for_gt(gt, cfg, image_size=None, gt_index=i, image_id="rt")
-        offs.append(encode_offsets_array(props, np.tile(gt, (len(props), 1))))
-    rep = offset_report(np.concatenate(offs))
+    gts = np.array([[100, 100, 20 + (i % 11), 24 + (i % 7)] for i in range(200)], dtype=np.float64)
+    props = build_calibrated_set(gts, cfg, image_size=None, image_id="rt")  # gt i draws as gt_index i
+    rep = offset_report(encode_offsets_array(props, np.repeat(gts, cfg.j_per_instance, axis=0)))
     sigma = np.sqrt(model.var)
     assert np.all(np.abs(rep.gaussian.mu - model.mu) <= 0.05 * sigma)
     assert np.all(np.abs(np.sqrt(rep.gaussian.var) - sigma) <= 0.05 * sigma)
@@ -353,6 +375,11 @@ def test_offset_report_round_trip_with_sampler():
 def test_offset_report_empty_errors():
     with pytest.raises(ValueError):
         offset_report(np.zeros((0, 4)))
+
+
+def test_offset_report_refuses_arrays_that_are_not_rows_of_four():
+    with pytest.raises(ValueError, match=r"\(n, 4\) array, got shape \(2, 6\)"):
+        offset_report(np.zeros((2, 6)))
 
 
 def test_histogram_csv_format():

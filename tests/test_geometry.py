@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from propcal.geometry import (
     OffsetVec,
     apply_offset,
     apply_offsets_array,
+    as_rows4,
     clip_boxes_array,
     corners_array,
     encode_offset,
@@ -19,6 +21,16 @@ from propcal.geometry import (
     iou,
     iou_paired_array,
 )
+
+
+def test_as_rows4_takes_one_row_or_n_rows_of_four():
+    assert as_rows4([1, 2, 3, 4]).tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    rows = np.arange(8.0).reshape(2, 4)
+    assert as_rows4(rows).tolist() == rows.tolist()
+    assert as_rows4(np.empty((0, 4))).shape == (0, 4)
+    for shape in ((0,), (8,), (4, 3), (2, 6), (1, 1, 4), ()):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}$"):
+            as_rows4(np.zeros(shape))
 
 boxes = st.builds(
     BBox,

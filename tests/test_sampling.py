@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from propcal.geometry import corners_array, encode_offsets_array
 from propcal.sampling import (
     PASS_GTS,
     SamplerConfig,
+    box_noise,
     build_calibrated_set,
+    derive_seed,
     philox_rng,
     sample_boxes,
     sample_boxes_for_gt,
@@ -28,6 +31,13 @@ def drawn_offsets(model, n, rng):
     """n offsets drawn by the proposal sampler, unclipped, re-encoded against a unit gt."""
     boxes = sample_boxes_for_gt(UNIT_GT, n, model, rng, image_size=None)
     return encode_offsets_array(boxes, np.tile(UNIT_GT, (n, 1)))
+
+
+def drawn_as(gt, cfg, image_size, image_id, gt_index):
+    """The calibrated boxes of ``gt`` as the gt_index-th gt of ``image_id``, after that many filler gts."""
+    fillers = np.tile([50.0, 50, 10, 10], (gt_index, 1))
+    props = build_calibrated_set(np.vstack([fillers, gt]), cfg, image_size, image_id)
+    return props[gt_index * cfg.j_per_instance:]
 
 
 def test_gaussian_zero_variance_draws_equal_mu():
@@ -122,37 +132,58 @@ def test_batched_draw_matches_one_gt_at_a_time():
               DiagonalGaussian4([0.0, 0.0, 0.0, -1.14], [0.01] * 4), Uniform4([-0.3] * 4, [0.3] * 4)] * 40
     assert len(gts) > PASS_GTS
     keys = [stream_key(2, "batch", i) for i in range(len(gts))]
-    rng = philox_rng(0)
-    states = []
-    for i, key in enumerate(keys):
-        if i % 2:  # a stream past its start, as a saved state
-            philox_rng(key, rng).random()
-            states.append(rng.bit_generator.state)
-        else:  # a stream at its start, as its key
-            states.append(key)
-    got = sample_boxes(gts, 8, models, rng, (100, 100), states)
     ones = [philox_rng(key) for key in keys]
+    for one in ones[1::2]:  # a stream past its start, as a saved state; the others as their keys
+        one.random()
+    states = [one.bit_generator.state if i % 2 else key for i, (key, one) in enumerate(zip(keys, ones))]
+    got = sample_boxes(gts, 8, models, (100, 100), states)
     for i, one in enumerate(ones):
-        if i % 2:
-            one.random()
         want = sample_boxes_for_gt(gts[i], 8, models[i], one, (100, 100))
         assert got[i].tobytes() == want.tobytes()
     exhausted = np.isnan(got).any(axis=(1, 2))
     assert exhausted[-2] and (np.flatnonzero(exhausted) % 4 == 2).all()
-    # the last gt to draw exhausts its budget, so rng is left where that stream's own draws leave it
-    assert rng.random() == ones[-2].random()
-    assert sample_boxes(np.empty((0, 4)), 8, [], rng, None, []).shape == (0, 8, 4)
+    assert sample_boxes(np.empty((0, 4)), 8, [], None, []).shape == (0, 8, 4)
+
+
+def test_sample_boxes_leave_the_callers_generator_and_states_unchanged():
+    rng = stream_rng(3, "caller")
+    rng.normal(size=3)  # a part-used buffer
+    before = repr(rng.bit_generator.state)
+    first = sample_boxes_for_gt(np.array([50.0, 50, 20, 20]), 8, GAUSS, rng, (100, 100))
+    assert repr(rng.bit_generator.state) == before
+    # the generator did not move, so the same call draws the same boxes
+    assert sample_boxes_for_gt(np.array([50.0, 50, 20, 20]), 8, GAUSS, rng, (100, 100)).tobytes() == first.tobytes()
+    # the middle gt redraws for every round (mean dh -1.14), so streams are saved and restored between rounds
+    states = [stream_key(3, "a"), rng.bit_generator.state, stream_key(3, "b")]
+    snapshot = repr(states)
+    models = [GAUSS, DiagonalGaussian4([0.0, 0.0, 0.0, -1.14], [0.01] * 4), GAUSS]
+    drawn = sample_boxes(np.tile([50.0, 50, 20, 20], (3, 1)), 8, models, (100, 100), states)
+    assert np.isnan(drawn[1]).any() and repr(states) == snapshot
+
+
+def test_box_noise_draws_one_fresh_philox_stream_per_row():
+    # pins the feature-noise key form against one Philox(key=key << 64 | word(box bytes)) per row
+    keys = [0, 2**64 - 1, derive_seed(5, "feat", "test/0/1"), derive_seed(5, "feat", "test/0/1"), 7, 7]
+    boxes = np.random.default_rng(0).normal(50.0, 20.0, size=(6, 4))
+    boxes[3] = boxes[2]  # a repeated (key, box) pair draws the same row
+    boxes[5] = -0.0  # -0.0 and 0.0 differ in their bytes, so in their streams
+    boxes[4] = 0.0
+    got = box_noise(keys, boxes, 16)
+    assert got.shape == (6, 16)
+    for key, box, row in zip(keys, boxes, got):
+        word = int.from_bytes(hashlib.blake2b(box.tobytes(), digest_size=8).digest(), "little")
+        want = np.random.Generator(np.random.Philox(key=key << 64 | word)).normal(size=16)
+        assert row.tobytes() == want.tobytes()
+    assert got[2].tobytes() == got[3].tobytes() and got[4].tobytes() != got[5].tobytes()
+    assert box_noise([], np.empty((0, 4)), 16).shape == (0, 16)
 
 
 def test_distribution_fidelity_unclipped():
     # re-encoded offsets of unclipped samples match the model's moments
     cfg = SamplerConfig(model=GAUSS, j_per_instance=50, seed=5)
-    rows = []
-    for i in range(200):
-        gt = np.array([100 + (i % 7), 90 + (i % 5), 20 + (i % 9), 25 + (i % 4)], dtype=np.float64)
-        props = sample_proposals_for_gt(gt, cfg, image_size=None, gt_index=i, image_id="fid")
-        rows.append(encode_offsets_array(props, np.tile(gt, (len(props), 1))))
-    rows = np.concatenate(rows)
+    gts = np.array([[100 + (i % 7), 90 + (i % 5), 20 + (i % 9), 25 + (i % 4)] for i in range(200)], dtype=np.float64)
+    props = build_calibrated_set(gts, cfg, image_size=None, image_id="fid")  # gt i draws as gt_index i
+    rows = encode_offsets_array(props, np.repeat(gts, cfg.j_per_instance, axis=0))
     assert rows.shape[0] == 10_000
     sigma = np.sqrt(GAUSS.var)
     assert np.all(np.abs(rows.mean(axis=0) - GAUSS.mu) <= 0.05 * sigma)
@@ -165,7 +196,7 @@ def test_build_calibrated_set_counts_and_order():
     ps = build_calibrated_set(gts, cfg, image_size=(160, 160), image_id="im0")
     assert ps.shape == (150, 4)
     for i, gt in enumerate(gts):  # gt order: rows 50i..50i+49 are gt i's own stream
-        solo = sample_proposals_for_gt(gt, cfg, image_size=(160, 160), gt_index=i, image_id="im0")
+        solo = drawn_as(gt, cfg, (160, 160), "im0", i)
         np.testing.assert_array_equal(ps[50 * i:50 * (i + 1)], solo)
 
 
@@ -178,7 +209,7 @@ def test_build_calibrated_set_keys_each_gt_by_its_id_and_running_index():
     cfg = SamplerConfig(model=GAUSS, j_per_instance=6, seed=11)
     got = build_calibrated_set(gts, cfg, (100, 100), ids).reshape(n, 6, 4)
     for i, (gt, image_id) in enumerate(zip(gts, ids)):
-        want = sample_proposals_for_gt(gt, cfg, (100, 100), gt_index=ids[:i].count(image_id), image_id=image_id)
+        want = drawn_as(gt, cfg, (100, 100), image_id, ids[:i].count(image_id))
         assert got[i].tobytes() == want.tobytes()
     # two gts wholly outside the image exhaust their budgets: the first in gt order is named
     gts[PASS_GTS + 5] = [-400.0, 50, 10, 10]
@@ -189,6 +220,17 @@ def test_build_calibrated_set_keys_each_gt_by_its_id_and_running_index():
                               "6 of 6 draws still invalid after 16 rounds")
     with pytest.raises(ValueError, match="need one image_id per gt"):
         build_calibrated_set(gts, cfg, (100, 100), ids[1:])
+
+
+def test_sampler_refuses_gts_that_are_not_rows_of_four():
+    cfg = SamplerConfig(model=GAUSS, j_per_instance=4, seed=6)
+    gts = np.tile([40.0, 40, 16, 16], (2, 2))  # (2, 8): four boxes' worth of values, but not (n, 4)
+    with pytest.raises(ValueError, match=r"\(n, 4\) array, got shape \(2, 8\)"):
+        build_calibrated_set(gts, cfg)
+    with pytest.raises(ValueError, match=r"\(n, 4\) array, got shape \(2, 8\)"):
+        sample_boxes(gts, 4, [GAUSS] * 4, None, [0] * 4)
+    with pytest.raises(ValueError, match=r"\(n, 4\) array, got shape \(2, 6\)"):
+        build_calibrated_set(np.zeros((2, 6)), cfg)
 
 
 def test_build_calibrated_set_empty_gts():
@@ -210,7 +252,7 @@ def test_streams_are_order_independent():
     g1 = np.array([40.0, 40, 16, 16])
     g2 = np.array([90.0, 90, 20, 20])
     cfg = SamplerConfig(model=GAUSS, j_per_instance=10, seed=7)
-    solo = sample_proposals_for_gt(g2, cfg, image_size=(160, 160), gt_index=1, image_id="im0")
+    solo = drawn_as(g2, cfg, (160, 160), "im0", 1)
     both = build_calibrated_set(np.stack([g1, g2]), cfg, image_size=(160, 160), image_id="im0")
     np.testing.assert_array_equal(both[10:], solo)
 
@@ -285,21 +327,14 @@ def test_stream_seeds_must_fit_64_bits():
 
 
 def test_only_sampling_builds_philox_or_hashes_stream_keys():
-    # the stream format has one owner; a second key formula elsewhere is a silent format fork.
-    # The one key built outside sampling is the feature-noise key, in simulator._features_for
+    # the stream format has one owner; a second key formula elsewhere is a silent format fork
     package = Path(propcal.__file__).parent
-    found, features_for = [], set()
+    found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "sampling.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        exempt = {id(node) for fn in ast.walk(tree) if path.name == "simulator.py"
-                  and isinstance(fn, ast.FunctionDef) and fn.name == "_features_for" for node in ast.walk(fn)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
-            if name == "hash_word" and id(node) in exempt:
-                features_for.add(node.lineno)
-            elif name in {"Philox", "Generator", "blake2b", "hash_word"}:
+            if name in {"Philox", "Generator", "blake2b", "hash_word"}:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
     assert found == []
-    assert features_for  # the exemption names a function that still hashes the key

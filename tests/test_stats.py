@@ -97,6 +97,14 @@ def test_add_many_chunks_fold_in_through_merge():
     assert np.array_equal(acc.mean, before[1]) and np.array_equal(acc.m2, before[2])
 
 
+def test_add_many_refuses_arrays_that_are_not_rows_of_four():
+    acc = OffsetAccumulator()
+    for bad in (np.arange(12.0).reshape(4, 3), np.zeros(8), np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError, match="one row of 4 values or an"):
+            acc.add_many(bad)
+    assert acc.count == 0
+
+
 def test_merge_with_empty():
     acc = OffsetAccumulator()
     acc.add_many([0.1, 0.2, 0.3, 0.4])
