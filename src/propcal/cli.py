@@ -89,8 +89,7 @@ class ProposalLogRecord:
     source: str
 
     def __post_init__(self):
-        if self.gt_class < 0:
-            raise ValueError(f"gt_class must be >= 0, got {self.gt_class}")
+        _check_id_and_class(self.image_id, self.gt_class)
         if self.source not in _SOURCES:
             raise ValueError(f"source must be one of {_SOURCES}, got {self.source!r}")
 
@@ -107,18 +106,22 @@ def _parse_box(value, name: str) -> BBox:
     return BBox(*coords)
 
 
-def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
-    """Validated (image_id, gt, gt_class) of a log record or a ground-truth line."""
-    if not isinstance(doc["image_id"], str):
+def _check_id_and_class(image_id, gt_class) -> None:
+    """The image_id and gt_class rules of parsed and built records alike, so a record's line always parses."""
+    if not isinstance(image_id, str):
         raise ValueError("image_id must be a string")
-    gt_class = doc["gt_class"]
     if not isinstance(gt_class, int) or isinstance(gt_class, bool):
         raise ValueError("gt_class must be an integer")
     if gt_class < 0:
         raise ValueError(f"gt_class must be >= 0, got {gt_class}")
     if gt_class > _INT64_MAX:
         raise ValueError("gt_class holds an integer beyond the int64 range")
-    return doc["image_id"], _parse_box(doc["gt"], "gt"), gt_class
+
+
+def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
+    """Validated (image_id, gt, gt_class) of a log record or a ground-truth line."""
+    _check_id_and_class(doc["image_id"], doc["gt_class"])
+    return doc["image_id"], _parse_box(doc["gt"], "gt"), doc["gt_class"]
 
 
 def _parse_line(text: str, line_no: int, fields: tuple[str, ...], build):

@@ -43,8 +43,10 @@ class Histogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("need at least two bin edges")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
+        with np.errstate(over="ignore", invalid="ignore"):  # finite edges may lie further apart than the largest float
+            steps, span = np.diff(edges), edges[-1] - edges[0]
+        if not (np.all(steps > 0) and np.isfinite(span)):  # so NaN and infinite edges fail
+            raise ValueError("edges must be finite and strictly increasing, with a finite span")
         if counts.shape != (edges.size - 1,):
             raise ValueError("counts length must be len(edges) - 1")
         if np.any(counts < 0) or int(counts.sum()) != self.total:

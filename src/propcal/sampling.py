@@ -18,7 +18,7 @@ import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -65,15 +65,25 @@ def derive_seed(seed: int, *parts) -> int:
     return hash_word((f"{int(seed)}/" + "/".join(str(p) for p in parts)).encode("utf-8"))
 
 
-def philox_rng(key: int, rng: np.random.Generator | None = None) -> np.random.Generator:
-    """What ``Philox(key=key)`` draws; given ``rng``, re-keys that in place (no one else may draw from it)."""
+def philox_rng(key: int) -> np.random.Generator:
+    """A fresh generator on the stream ``Philox(key=key)``."""
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(rng: np.random.Generator, key: int) -> np.random.Generator:
+    """Re-keys the scratch generator ``rng`` in place to draw what ``Philox(key=key)`` draws."""
     if not 0 <= key < 2**128:  # numpy's own message; the state setter alone raises OverflowError
         raise ValueError("key must be positive and less than 2**128.")
-    if rng is None:
-        return np.random.Generator(np.random.Philox(key=key))
     rng.bit_generator.state = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0, "buffer_pos": 4,
         "buffer": (0,) * 4, "state": {"counter": (0,) * 4, "key": (key % 2**64, key >> 64)}}
     return rng
+
+
+def keyed_streams(keys: Iterable[int]) -> Iterator[np.random.Generator]:
+    """For each key, one scratch generator re-keyed in place to draw what ``Philox(key=key)`` draws."""
+    rng = philox_rng(0)
+    for key in keys:
+        yield _rekey(rng, key)  # the same generator for every key: draw from it before taking the next
 
 
 def stream_rng(seed: int, *parts) -> np.random.Generator:
@@ -90,9 +100,9 @@ def _draw_raw(model: OffsetModel, n: int, rng: np.random.Generator) -> np.ndarra
 
 def box_noise(keys: Sequence[int], boxes: np.ndarray, dim: int) -> np.ndarray:
     """``(n, dim)`` standard normals; row i from the stream keyed ``keys[i] << 64 | word(boxes[i] bytes)``."""
-    noise, rng = np.empty((len(boxes), dim)), philox_rng(0)
-    for i, (key, box) in enumerate(zip(keys, boxes)):
-        noise[i] = philox_rng(key << 64 | hash_word(box.tobytes()), rng).normal(size=dim)
+    noise = np.empty((len(boxes), dim))
+    for i, rng in enumerate(keyed_streams(key << 64 | hash_word(box.tobytes()) for key, box in zip(keys, boxes))):
+        noise[i] = rng.normal(size=dim)
     return noise
 
 
@@ -144,7 +154,7 @@ def _fill_slots(boxes, gts, models, states, image_size) -> None:
                 if isinstance(states[i], dict):
                     rng.bit_generator.state = states[i]
                 else:
-                    philox_rng(states[i], rng)
+                    _rekey(rng, states[i])
                 live = i
             offs.append(_draw_raw(models[i], count, rng))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -41,7 +41,7 @@ from .geometry import iou as iou_scalar  # noqa: F401
 from .losses import cross_entropy_batch, smooth_l1_batch
 # bound only because the benchmark tracer counts supcon calls through these names
 from .losses import supcon_grad_arrays, supcon_loss_arrays  # noqa: F401
-from .sampling import (SamplerConfig, box_noise, build_calibrated_set, check_seed, derive_seed, philox_rng,
+from .sampling import (SamplerConfig, box_noise, build_calibrated_set, check_seed, derive_seed, keyed_streams,
                        sample_boxes, stream_key, stream_rng)
 # bound only because the benchmark tracer patches sample_boxes_for_gt through this name
 from .sampling import sample_boxes_for_gt  # noqa: F401
@@ -241,26 +241,17 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> SimDataset:
     novel = frozenset(range(config.c_base, c_total))
 
     def make_split(split: str, n_classes: int, per_class: int) -> Split:
-        ids, boxes, labels, appearance, keys, rng = [], [], [], [], [], None
-        for label in range(n_classes):
-            for index in range(per_class):
-                sid = f"{split}/{label}/{index}"
-                rng = philox_rng(stream_key(seed, "scene", sid), rng)
-                w = rng.uniform(config.min_box, config.max_box)
-                h = rng.uniform(config.min_box, config.max_box)
-                cx = rng.uniform(config.margin, config.image_w - config.margin)
-                cy = rng.uniform(config.margin, config.image_h - config.margin)
-                appearance.append(
-                    prototypes[label] + config.appearance_noise * rng.normal(size=config.feature_dim)
-                )
-                ids.append(sid)
-                boxes.append((cx, cy, w, h))
-                labels.append(label)
-                keys.append(derive_seed(seed, "feat", sid))
-        return Split(
-            tuple(ids), np.array(boxes), np.array(labels, dtype=np.int64),
-            np.stack(appearance), tuple(keys),
-        )
+        ids = tuple(f"{split}/{label}/{index}" for label in range(n_classes) for index in range(per_class))
+        labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+        boxes, appearance = np.empty((len(ids), 4)), np.empty((len(ids), config.feature_dim))
+        for i, rng in enumerate(keyed_streams(stream_key(seed, "scene", sid) for sid in ids)):
+            w = rng.uniform(config.min_box, config.max_box)
+            h = rng.uniform(config.min_box, config.max_box)
+            cx = rng.uniform(config.margin, config.image_w - config.margin)
+            cy = rng.uniform(config.margin, config.image_h - config.margin)
+            boxes[i] = cx, cy, w, h
+            appearance[i] = prototypes[labels[i]] + config.appearance_noise * rng.normal(size=config.feature_dim)
+        return Split(ids, boxes, labels, appearance, tuple(derive_seed(seed, "feat", sid) for sid in ids))
 
     return SimDataset(
         make_split("base", config.c_base, config.base_per_class),
@@ -357,23 +348,19 @@ def rpn_proposals(
     """
     dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
     extra_bias = np.array(config.novel_extra_bias)
-    rows, models, states, rng = [], [], [], philox_rng(0)
-    for r, (sid, label) in enumerate(zip(split.ids, split.labels)):
-        state = stream_key(seed, purpose, sid)
-        model = dist
-        if label in ds.novel_classes:
-            if philox_rng(state, rng).random() < config.miss_rate_novel:
-                continue
-            state = rng.bit_generator.state  # past the miss draw
-            # a fixed per-object bias, so fine-tuning cannot see the test ones; the 0 keeps the old stream keys
-            philox_rng(stream_key(seed, "novel-bias", sid, 0), rng)
-            inst = config.novel_bias_spread * rng.normal(size=4)
-            model = DiagonalGaussian4(dist.mu + (extra_bias + inst), dist.var)
-        rows.append(r)
-        models.append(model)
-        states.append(state)  # where the object's offset draws start
-    rows = np.array(rows, dtype=np.int64)
-    drawn = sample_boxes(split.boxes[rows], config.rpn_per_object, models, (config.image_w, config.image_h), states)
+    keys = [stream_key(seed, purpose, sid) for sid in split.ids]
+    states, models, kept = list(keys), [dist] * split.size, np.ones(split.size, dtype=bool)
+    novel = np.flatnonzero(np.isin(split.labels, sorted(ds.novel_classes)))
+    for r, rng in zip(novel, keyed_streams(keys[r] for r in novel)):
+        kept[r] = rng.random() >= config.miss_rate_novel
+        states[r] = rng.bit_generator.state  # a novel object's offset draws start past its miss draw
+    novel = novel[kept[novel]]
+    # a fixed per-object bias, so fine-tuning cannot see the test ones; the 0 keeps the old stream keys
+    for r, rng in zip(novel, keyed_streams(stream_key(seed, "novel-bias", split.ids[r], 0) for r in novel)):
+        models[r] = DiagonalGaussian4(dist.mu + (extra_bias + config.novel_bias_spread * rng.normal(size=4)), dist.var)
+    rows = np.flatnonzero(kept)
+    drawn = sample_boxes(split.boxes[rows], config.rpn_per_object, [models[r] for r in rows],
+                         (config.image_w, config.image_h), [states[r] for r in rows])
     hit = ~np.isnan(drawn[:, :, 0]).any(axis=1)
     pset = _proposal_set(ds, split, np.repeat(rows[hit], config.rpn_per_object), drawn[hit].reshape(-1, 4), config)
     pset.budget_misses = int(np.count_nonzero(~hit))

@@ -139,6 +139,9 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
     missing = [n for n in names if n not in doc]
     if missing:
         raise ValueError(f"{kind} model document lacks field(s): {', '.join(missing)}")
+    unknown = sorted(set(doc) - {"kind", *names})
+    if unknown:
+        raise ValueError(f"{kind} model document has unknown field(s): {', '.join(unknown)}")
     for n in names:
         value = doc[n]
         if not (isinstance(value, list) and len(value) == 4

@@ -482,6 +482,38 @@ def test_cli_model_field_not_four_numbers_exits_1(tmp_path, capsys, doc):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc,field", [
+    ('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [1, 1, 1, 1], "sigma": [1, 1, 1, 1]}', "sigma"),
+    ('{"kind": "gaussian", "mu": [0, 0, 0, 0], "var": [1, 1, 1, 1], "lo": [0, 0, 0, 0]}', "lo"),
+    ('{"kind": "uniform", "lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1], "mu": [0, 0, 0, 0]}', "mu"),
+])
+def test_cli_model_unknown_field_exits_1(tmp_path, capsys, doc, field):
+    model = tmp_path / "m.json"
+    model.write_text(doc)
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text('{"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}\n')
+    kind = json.loads(doc)["kind"]
+    for argv in (["fit-uniform", str(model)], ["sample", str(gts), "--model", str(model)]):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: {kind} model document has unknown field(s): {field}\n"
+
+
+@pytest.mark.parametrize("image_id,gt_class,message", [
+    ("im0", True, "gt_class must be an integer"),
+    ("im0", 3.0, "gt_class must be an integer"),
+    ("im0", 2**70, "gt_class holds an integer beyond the int64 range"),
+    (5, 1, "image_id must be a string"),
+])
+def test_record_refuses_what_parse_record_refuses(image_id, gt_class, message):
+    # a record that could be built would serialize to a line its own parser refuses
+    box = BBox(50.0, 60.0, 20.0, 30.0)
+    with pytest.raises(ValueError, match=message):
+        ProposalLogRecord(image_id, box, gt_class, box, "rpn")
+    line = record_line(image_id=image_id, gt_class=gt_class)
+    with pytest.raises(LogParseError, match=message):
+        parse_record(line)
+
+
 def test_cli_diagnose(tmp_path):
     log = tmp_path / "log.jsonl"
     rng = np.random.default_rng(0)

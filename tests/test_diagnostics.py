@@ -284,6 +284,18 @@ def test_histogram_invariants():
         Histogram(np.array([0.0, 1.0]), np.array([2]), 3)
 
 
+@pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [-1e308, 1e308]])
+def test_histogram_edges_must_be_finite_and_increasing(edges):
+    # NaN compares false, so a step test alone let NaN edges through; an infinite span drew width="nan" bars
+    message = "edges must be finite and strictly increasing"
+    with pytest.raises(ValueError, match=message):
+        histogram([0.2, 0.7], edges)
+    with pytest.raises(ValueError, match=message):
+        Histogram(np.array(edges), np.zeros(len(edges) - 1, dtype=np.int64), 0)
+    with pytest.raises(ValueError, match=message):
+        precision_by_iou([0.2, 0.7], [True, False], edges)
+
+
 def test_iou_histogram_perfect_predictions():
     gts = np.array([[10.0 * i + 5, 5, 4, 4] for i in range(6)])
     h = iou_histogram(gts.copy(), gts, [0.0, 0.5, 1.0])

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from propcal.sampling import (
     box_noise,
     build_calibrated_set,
     derive_seed,
+    keyed_streams,
     philox_rng,
     sample_boxes,
     sample_boxes_for_gt,
@@ -292,13 +294,14 @@ REKEY_KEYS = [0, 1, 2**63, 2**64 - 1, 2**64, 2**128 - 1,
 
 def test_rekeyed_philox_draws_what_a_fresh_philox_draws():
     # pins the re-key against numpy's Philox state layout: a numpy that changes it fails here
-    rng = philox_rng(12345)
+    streams = keyed_streams([12345, *REKEY_KEYS])
+    rng = next(streams)
     for key in REKEY_KEYS:
         rng.normal(size=3)  # a part-used buffer of 64-bit words
         while not rng.bit_generator.state["has_uint32"]:  # and half of one such word
             rng.integers(0, 2**31, dtype=np.int32)
         want = _every_draw_kind(np.random.Generator(np.random.Philox(key=key)))
-        assert philox_rng(key, rng) is rng
+        assert next(streams) is rng  # one scratch generator, re-keyed in place
         for got, expected in zip(_every_draw_kind(rng), want):
             np.testing.assert_array_equal(got, expected)
         for got, expected in zip(_every_draw_kind(philox_rng(key)), want):
@@ -307,9 +310,13 @@ def test_rekeyed_philox_draws_what_a_fresh_philox_draws():
 
 @pytest.mark.parametrize("key", [-1, 2**128])
 def test_philox_rng_rejects_keys_outside_128_bits(key):
-    for rng in (None, philox_rng(0)):
-        with pytest.raises(ValueError, match=r"^key must be positive and less than 2\*\*128\.$"):
-            philox_rng(key, rng)
+    message = r"^key must be positive and less than 2\*\*128\.$"
+    with pytest.raises(ValueError, match=message):
+        philox_rng(key)
+    streams = keyed_streams([0, key])
+    next(streams)
+    with pytest.raises(ValueError, match=message):
+        next(streams)
 
 
 def test_stream_seeds_must_fit_64_bits():
@@ -327,14 +334,24 @@ def test_stream_seeds_must_fit_64_bits():
 
 
 def test_only_sampling_builds_philox_or_hashes_stream_keys():
-    # the stream format has one owner; a second key formula elsewhere is a silent format fork
+    # the stream format has one owner; a second key formula or re-key elsewhere is a silent format fork
+    assert list(inspect.signature(philox_rng).parameters) == ["key"]  # a fresh generator, never a re-key
     package = Path(propcal.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "sampling.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}: "
             name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
-            if name in {"Philox", "Generator", "blake2b", "hash_word"}:
-                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+            if name in {"Philox", "Generator", "blake2b", "hash_word", "_rekey"}:
+                found.append(where + ast.unparse(node.func))
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in (t for tgt in targets if isinstance(tgt, ast.AST) for t in ast.walk(tgt)):
+                if isinstance(target, ast.Attribute) and ast.unparse(target).endswith("bit_generator.state"):
+                    found.append(where + "assigns " + ast.unparse(target))
+            # the simulator's keyed draws run on stream_rng and keyed_streams
+            banned = {"_rekey", "philox_rng"} if path.name == "simulator.py" else {"_rekey"}
+            if isinstance(node, ast.ImportFrom):
+                found += [where + "imports " + alias.name for alias in node.names if alias.name in banned]
     assert found == []
