@@ -40,13 +40,7 @@ from .losses import supcon_grad_arrays, supcon_loss_arrays
 from .sampling import SamplerConfig, build_calibrated_set, philox_rng
 # bound only because the benchmark tracer patches sample_proposals_for_gt through this name
 from .sampling import sample_proposals_for_gt  # noqa: F401
-from .stats import (
-    DiagonalGaussian4,
-    OffsetAccumulator,
-    fit_optimal_uniform,
-    model_from_json,
-    model_to_json,
-)
+from .stats import fit_gaussian, fit_optimal_uniform, model_from_json, model_to_json
 
 _SOURCES = ("rpn", "sampled")
 _GT_FIELDS = ("image_id", "gt", "gt_class")
@@ -188,10 +182,7 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     lines are ignored in both modes. No line's text is kept past its own
     step.
     """
-    columns, errors, _ = _parse_lines(lines, lenient)
-    if errors and not lenient:
-        raise errors[0]
-    return columns, [str(e) for e in errors]
+    return _merge_parts([_parse_lines(lines, lenient)], lenient)
 
 
 def _parse_lines(lines: Iterable[str], lenient: bool) -> tuple[ProposalColumns, list[LogParseError], int]:
@@ -324,6 +315,14 @@ def _parse_ranges(path: str, ranges: list[tuple[int, int]], lenient: bool) -> tu
     with ProcessPoolExecutor(len(ranges) - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(_parse_range, path, start, end, lenient) for start, end in ranges[1:]]
         parts = [_parse_range(path, *ranges[0], lenient)] + [f.result() for f in futures]
+    return _merge_parts(parts, lenient)
+
+
+def _merge_parts(parts: list, lenient: bool) -> tuple[ProposalColumns, list[str]]:
+    """``parse_log``'s result from the ``_parse_lines`` results of consecutive parts of one log, in line order.
+
+    Each part's line count shifts the later parts. Strict mode raises the first error; one part is not copied.
+    """
     errors: list[LogParseError] = []
     offset = 0
     for columns, part_errors, n_lines in parts:
@@ -332,12 +331,9 @@ def _parse_ranges(path: str, ranges: list[tuple[int, int]], lenient: bool) -> tu
             raise errors[0]
         columns.line_no[:] += offset  # in place: the dataclass is frozen, its arrays are not
         offset += n_lines
-
-    def joined(name: str) -> np.ndarray:
-        return np.concatenate([getattr(part, name) for part, _, _ in parts])
-
-    return (ProposalColumns(joined("gt"), joined("gt_class"), joined("proposal"), joined("line_no")),
-            [str(e) for e in errors])
+    columns = parts[0][0] if len(parts) == 1 else ProposalColumns(*(
+        np.concatenate([getattr(part, name) for part, _, _ in parts]) for name in vars(parts[0][0])))
+    return columns, [str(e) for e in errors]
 
 
 def _read_log(path: str, lenient: bool) -> ProposalColumns:
@@ -387,16 +383,12 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _cmd_fit_stats(args) -> int:
     cols = _read_log(args.log, args.lenient)
-    acc = OffsetAccumulator()
-    acc.add_many(_log_offsets(cols))
-    _write_or_print(model_to_json(acc.finalize()), args.output)
+    _write_or_print(model_to_json(fit_gaussian(_log_offsets(cols))), args.output)
     return 0
 
 
 def _cmd_fit_uniform(args) -> int:
     model = model_from_json(Path(args.model).read_text())
-    if not isinstance(model, DiagonalGaussian4):
-        raise ValueError("fit-uniform requires a gaussian model")
     _write_or_print(model_to_json(fit_optimal_uniform(model)), args.output)
     return 0
 
@@ -452,14 +444,8 @@ def _cmd_mmd(args) -> int:
     sets = []
     for path in (args.log_a, args.log_b):
         cols = _read_log(path, args.lenient)
-        if args.raw_corners:
-            sets.append(corners_array(cols.proposal))
-        else:
-            sets.append(_log_offsets(cols))
-    if args.kernel == "linear":
-        value = diagnostics.mmd_linear(sets[0], sets[1])
-    else:
-        value = diagnostics.mmd_rbf(sets[0], sets[1])
+        sets.append(corners_array(cols.proposal) if args.raw_corners else _log_offsets(cols))
+    value = (diagnostics.mmd_linear if args.kernel == "linear" else diagnostics.mmd_rbf)(*sets)
     if not np.isfinite(value):
         raise ValueError(f"mmd is not finite ({value!r}): the compared values overflow float64")
     print(repr(value))
@@ -472,14 +458,10 @@ def _cmd_diagnose(args) -> int:
     outdir = Path(args.figures)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):
-        (outdir / f"offset_{name}.csv").write_text(diagnostics.histogram_to_csv(hist))
-        (outdir / f"offset_{name}.svg").write_text(
-            diagnostics.histogram_to_svg(hist, f"offset {name}")
-        )
+        diagnostics.write_histogram(outdir / f"offset_{name}", hist, f"offset {name}")
     (outdir / "model.json").write_text(model_to_json(report.gaussian) + "\n")
     hist = diagnostics.iou_histogram(cols.proposal, cols.gt, diagnostics.IOU_EDGES)
-    (outdir / "iou_hist.csv").write_text(diagnostics.histogram_to_csv(hist))
-    (outdir / "iou_hist.svg").write_text(diagnostics.histogram_to_svg(hist, "proposal IoU"))
+    diagnostics.write_histogram(outdir / "iou_hist", hist, "proposal IoU")
     print(f"wrote 11 files to {outdir}")
     return 0
 

@@ -13,7 +13,9 @@ SVG bar chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .geometry import as_rows4, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou  # noqa: F401
 from .sampling import philox_rng
-from .stats import DiagonalGaussian4, OffsetAccumulator
+from .stats import DiagonalGaussian4, fit_gaussian
 
 # Ten equal IoU buckets on [0, 1], shared by every IoU histogram and precision report
 IOU_EDGES = np.linspace(0.0, 1.0, 11)
@@ -32,6 +34,18 @@ MEDIAN_SAMPLE = 4096  # pair distances sampled to bracket the median
 OFFSET_BINS = 41  # uniform bins per dimension of an offset report, spanning that dimension's values
 
 
+def _checked_edges(edges) -> np.ndarray:
+    """``edges`` as float64, if they obey the edge rule: at least two, strictly increasing, with a finite span."""
+    e = np.asarray(edges, dtype=np.float64)
+    if e.ndim != 1 or e.size < 2:
+        raise ValueError("need at least two bin edges")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite edges may lie further apart than the largest float
+        steps, span = np.diff(e), e[-1] - e[0]
+    if not (np.all(steps > 0) and np.isfinite(span)):  # so NaN and infinite edges fail
+        raise ValueError("edges must be finite and strictly increasing, with a finite span")
+    return e
+
+
 @dataclass(frozen=True)
 class Histogram:
     edges: np.ndarray
@@ -39,14 +53,8 @@ class Histogram:
     total: int
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.float64)
+        edges = _checked_edges(self.edges)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("need at least two bin edges")
-        with np.errstate(over="ignore", invalid="ignore"):  # finite edges may lie further apart than the largest float
-            steps, span = np.diff(edges), edges[-1] - edges[0]
-        if not (np.all(steps > 0) and np.isfinite(span)):  # so NaN and infinite edges fail
-            raise ValueError("edges must be finite and strictly increasing, with a finite span")
         if counts.shape != (edges.size - 1,):
             raise ValueError("counts length must be len(edges) - 1")
         if np.any(counts < 0) or int(counts.sum()) != self.total:
@@ -71,7 +79,7 @@ def histogram(values, edges) -> Histogram:
     NaN and values outside [edges[0], edges[-1]] are an error.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    e = np.asarray(edges, dtype=np.float64)
+    e = _checked_edges(edges)
     if v.size and not (e[0] <= v.min() and v.max() <= e[-1]):
         raise ValueError(f"values outside histogram range [{e[0]}, {e[-1]}]: min={v.min()}, max={v.max()}")
     idx = np.searchsorted(e, v, side="right") - 1
@@ -79,14 +87,20 @@ def histogram(values, edges) -> Histogram:
     return Histogram(e, np.bincount(idx, minlength=e.size - 1), int(v.size))
 
 
-def mmd_linear(set_a, set_b) -> float:
-    """Euclidean distance between the two sample means."""
+def _checked_sets(set_a, set_b) -> tuple[np.ndarray, np.ndarray]:
+    """The two MMD inputs as float64, if they are non-empty (n, k) arrays of one width k."""
     a = np.asarray(set_a, dtype=np.float64)
     b = np.asarray(set_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("both sets must be non-empty (n, k) arrays")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
+
+
+def mmd_linear(set_a, set_b) -> float:
+    """Euclidean distance between the two sample means."""
+    a, b = _checked_sets(set_a, set_b)
     return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
 
 
@@ -150,12 +164,7 @@ def median_heuristic_bandwidth(set_a, set_b) -> float:
 
 def mmd_rbf(set_a, set_b) -> float:
     """Gaussian-kernel MMD, biased V-statistic, k(x,y) = exp(-|x-y|^2 / (2 h^2)), h the median heuristic."""
-    a = np.asarray(set_a, dtype=np.float64)
-    b = np.asarray(set_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("both sets must be non-empty (n, k) arrays")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    a, b = _checked_sets(set_a, set_b)
     h = median_heuristic_bandwidth(a, b)
 
     def kmean(x: np.ndarray, y: np.ndarray) -> float:
@@ -212,27 +221,42 @@ class OffsetReport:
     gaussian: DiagonalGaussian4
 
 
+def _spread_edges(lo: float, hi: float, grow: float) -> np.ndarray:
+    """Uniform edges over [lo - grow, hi + grow] (an end past the largest float stops there), padded by 1e-9."""
+    lo, hi = np.nan_to_num([lo - grow, hi + grow])
+    pad = 1e-9 * (hi - lo)
+    return np.linspace(lo - pad, hi + pad, OFFSET_BINS + 1)
+
+
 def offset_report(offsets) -> OffsetReport:
     """Histograms of the (n, 4) (dx, dy, dw, dh) rows and the fitted diagonal Gaussian.
 
     Each dimension gets ``OFFSET_BINS`` uniform bins spanning its own value
-    range (a half-unit span when degenerate).
+    range (a half-unit span when degenerate). Where large values leave too
+    few floats between those edges for the edge rule, the span widens by
+    ``4 * OFFSET_BINS`` ulps of the largest magnitude.
     """
     rows = as_rows4(offsets)
     if rows.shape[0] == 0:
         raise ValueError("offset report requires at least one offset")
-    acc = OffsetAccumulator()
-    acc.add_many(rows)
-    gaussian = acc.finalize()  # refuses a span that overflows, whose variance overflows too
+    gaussian = fit_gaussian(rows)  # refuses a span that overflows, whose variance overflows too
     hists = []
     for d in range(4):
         col = rows[:, d]
         lo, hi = float(col.min()), float(col.max())
-        if hi - lo < 1e-12:
-            lo, hi = lo - 0.5, hi + 0.5
-        pad = 1e-9 * (hi - lo)
-        hists.append(histogram(col, np.linspace(lo - pad, hi + pad, OFFSET_BINS + 1)))
+        grow = 0.5 if hi - lo < 1e-12 else 0.0
+        try:
+            edges = _checked_edges(_spread_edges(lo, hi, grow))
+        except ValueError:
+            edges = _spread_edges(lo, hi, max(grow, 4 * OFFSET_BINS * math.ulp(max(abs(lo), abs(hi)))))
+        hists.append(histogram(col, edges))
     return OffsetReport(tuple(hists), gaussian)
+
+
+def write_histogram(stem: Path, hist: Histogram, title: str) -> None:
+    """Write ``hist`` as ``<stem>.csv`` and as the bar chart ``<stem>.svg`` titled ``title``."""
+    Path(f"{stem}.csv").write_text(histogram_to_csv(hist))
+    Path(f"{stem}.svg").write_text(histogram_to_svg(hist, title))
 
 
 # Report emitters. Numbers are rendered with repr so files are byte-stable.

@@ -45,7 +45,7 @@ from .sampling import (SamplerConfig, box_noise, build_calibrated_set, check_see
                        sample_boxes, stream_key, stream_rng)
 # bound only because the benchmark tracer patches sample_boxes_for_gt through this name
 from .sampling import sample_boxes_for_gt  # noqa: F401
-from .stats import DiagonalGaussian4, OffsetAccumulator
+from .stats import DiagonalGaussian4, fit_gaussian
 
 # Regressor outputs are clamped to this range before decoding so a refined
 # box always has positive size.
@@ -142,12 +142,9 @@ class ExperimentConfig:
                      "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.j_per_instance < 0:
-            raise ValueError("j_per_instance must be >= 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.pos_neg_cap < 0:
-            raise ValueError("pos_neg_cap must be >= 0")
+        for name in ("j_per_instance", "lam", "pos_neg_cap", "novel_bias_spread"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("rpn_mu", "rpn_sigma", "novel_extra_bias"):
             if len(getattr(self, name)) != 4:
                 raise ValueError(f"{name} must have 4 elements, got {len(getattr(self, name))}")
@@ -163,8 +160,6 @@ class ExperimentConfig:
             raise ValueError("miss_rate_novel must be in [0, 1)")
         if not 0.0 <= self.bg_iou <= self.fg_iou <= 1.0:
             raise ValueError("need 0 <= bg_iou <= fg_iou <= 1")
-        if self.novel_bias_spread < 0:
-            raise ValueError("novel_bias_spread must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         for seed in self.seeds:
@@ -454,12 +449,11 @@ def base_train(
     """
     if pset.size == 0:
         raise ValueError("base training requires at least one proposal")
-    acc = OffsetAccumulator()
-    acc.add_many(encode_offsets_array(pset.boxes, pset.gt_boxes))
     main = _head_targets(pset, config, head.w_cls.shape[0] - 1)
     if main[0].shape[0] == 0:
         raise ValueError("base training requires at least one classifiable proposal")
-    return _descend(head, main, epochs, config, "base training"), acc.finalize()
+    head = _descend(head, main, epochs, config, "base training")
+    return head, fit_gaussian(encode_offsets_array(pset.boxes, pset.gt_boxes))
 
 
 def finetune(
@@ -655,16 +649,11 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
 
     for arm in ("baseline", "pdc"):
         metrics = [getattr(r, arm) for r in report.results]
-        hist = diagnostics.histogram(
-            np.concatenate([m.refined_iou for m in metrics]), diagnostics.IOU_EDGES
-        )
+        hist = diagnostics.histogram(np.concatenate([m.refined_iou for m in metrics]), diagnostics.IOU_EDGES)
         prec = diagnostics.precision_by_iou(
             np.concatenate([m.novel_iou for m in metrics]),
             np.concatenate([m.novel_correct for m in metrics]),
             diagnostics.IOU_EDGES,
         )
-        (outdir / f"iou_hist_{arm}.csv").write_text(diagnostics.histogram_to_csv(hist))
-        (outdir / f"iou_hist_{arm}.svg").write_text(
-            diagnostics.histogram_to_svg(hist, f"refined-box IoU ({arm})")
-        )
+        diagnostics.write_histogram(outdir / f"iou_hist_{arm}", hist, f"refined-box IoU ({arm})")
         (outdir / f"precision_by_iou_{arm}.csv").write_text(diagnostics.precision_to_csv(prec))

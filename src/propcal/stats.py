@@ -104,8 +104,17 @@ class OffsetAccumulator:
         return DiagonalGaussian4(self.mean.copy(), np.maximum(self.m2 / self.count, 0.0))
 
 
+def fit_gaussian(offsets) -> DiagonalGaussian4:
+    """The diagonal Gaussian of (n, 4) offsets: one :class:`OffsetAccumulator` batch, finalized."""
+    acc = OffsetAccumulator()
+    acc.add_many(offsets)
+    return acc.finalize()
+
+
 def fit_optimal_uniform(g: DiagonalGaussian4) -> Uniform4:
     """Per dimension, the interval [mu - KAPPA sigma, mu + KAPPA sigma] maximizing pdf overlap."""
+    if not isinstance(g, DiagonalGaussian4):
+        raise ValueError("fit-uniform requires a gaussian model")
     if np.any(g.var <= 0):
         raise ValueError("optimal uniform fit requires strictly positive variances")
     half = KAPPA * np.sqrt(g.var)
@@ -114,17 +123,15 @@ def fit_optimal_uniform(g: DiagonalGaussian4) -> Uniform4:
 
 # JSON model files: {"kind": "gaussian", "mu": [...], "var": [...]} or
 # {"kind": "uniform", "lo": [...], "hi": [...]}, numbers with 17 significant
-# digits so values round-trip exactly.
-
-def _fmt(values: np.ndarray) -> str:
-    return "[" + ", ".join(f"{float(v):.16e}" for v in values) + "]"
+# digits so values round-trip exactly. The kinds, by name: the model class and its fields in file order.
+_MODEL_KINDS = {"gaussian": (DiagonalGaussian4, ("mu", "var")), "uniform": (Uniform4, ("lo", "hi"))}
 
 
 def model_to_json(model: DiagonalGaussian4 | Uniform4) -> str:
-    if isinstance(model, DiagonalGaussian4):
-        return f'{{"kind": "gaussian", "mu": {_fmt(model.mu)}, "var": {_fmt(model.var)}}}'
-    if isinstance(model, Uniform4):
-        return f'{{"kind": "uniform", "lo": {_fmt(model.lo)}, "hi": {_fmt(model.hi)}}}'
+    for kind, (cls, names) in _MODEL_KINDS.items():
+        if isinstance(model, cls):
+            fields = (f'"{n}": [' + ", ".join(f"{float(v):.16e}" for v in getattr(model, n)) + "]" for n in names)
+            return f'{{"kind": "{kind}", {", ".join(fields)}}}'
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
@@ -133,9 +140,9 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("model document must be an object with a 'kind' field")
     kind = doc["kind"]
-    if kind not in ("gaussian", "uniform"):
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:  # a list or object kind is no key
         raise ValueError(f"unknown model kind: {kind!r}")
-    names = ("mu", "var") if kind == "gaussian" else ("lo", "hi")
+    cls, names = _MODEL_KINDS[kind]
     missing = [n for n in names if n not in doc]
     if missing:
         raise ValueError(f"{kind} model document lacks field(s): {', '.join(missing)}")
@@ -153,4 +160,4 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
             fields.append(np.array([float(v) for v in doc[n]]))
         except OverflowError:
             raise ValueError(f"{kind} model field {n} holds an integer beyond the float range") from None
-    return DiagonalGaussian4(*fields) if kind == "gaussian" else Uniform4(*fields)
+    return cls(*fields)

@@ -894,3 +894,26 @@ def test_failing_range_worker_exits_1_with_one_line(tmp_path, monkeypatch, capsy
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     with pytest.raises(ChildProcessError):  # every worker was joined
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("xs", [[1000.0, 1000.0, 1000.0000000000012], [1e17] * 3],
+                         ids=["ulps-apart", "constant-1e17"])
+def test_cli_diagnose_reports_every_log_fit_stats_accepts(tmp_path, capsys, xs):
+    # offset_report built dx edges its own Histogram refused ("edges must be finite and strictly increasing"),
+    # so diagnose exited 1 on a log fit-stats reads
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(record_line(gt=(0.0, 0.0, 1.0, 1.0), proposal=(x, 0.0, 1.0, 1.0)) + "\n" for x in xs))
+    assert dispatch(["fit-stats", str(log)]) == 0
+    figs = tmp_path / "figs"
+    assert dispatch(["diagnose", str(log), "--figures", str(figs)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(list(figs.iterdir())) == 11
+    edges = [float(line.split(",")[0]) for line in (figs / "offset_dx.csv").read_text().splitlines()[1:]]
+    assert edges[0] <= min(xs) and edges == sorted(set(edges))
+
+
+def test_single_pass_columns_are_not_copied_by_the_merge():
+    part = cli._parse_lines([record_line(), "", record_line(proposal=(1.0, 2.0, 3.0, 4.0))], False)
+    columns, errors = cli._merge_parts([part], False)
+    assert columns is part[0] and errors == []
+    assert columns.line_no.tolist() == [1, 3]

@@ -1,7 +1,11 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import mmd_rbf_double_loop
 from propcal import diagnostics
@@ -21,7 +25,7 @@ from propcal.diagnostics import (
 )
 from propcal.geometry import encode_offsets_array
 from propcal.sampling import SamplerConfig, build_calibrated_set, philox_rng
-from propcal.stats import DiagonalGaussian4
+from propcal.stats import DiagonalGaussian4, fit_gaussian
 
 
 def test_mmd_linear_identical_sets():
@@ -419,3 +423,80 @@ def test_histogram_svg_static():
     assert svg.count("<rect") == 1 + 2  # background + one bar per bin
     assert "script" not in svg
     assert histogram_to_svg(h, "demo") == svg
+
+
+@pytest.mark.parametrize("values, edges, message", [
+    ([0.5], [], "need at least two bin edges"),
+    ([0.5], 0.5, "need at least two bin edges"),
+    ([0.5], [0.5], "need at least two bin edges"),
+    ([0.2], [np.nan, 0.5, 1.0], "edges must be finite and strictly increasing"),
+])
+def test_histogram_checks_its_edges_before_reading_them(values, edges, message):
+    # the values were compared with e[0] and e[-1] and binned before the edge rule ran: an IndexError,
+    # numpy's bincount message or "values outside histogram range [nan, 1.0]"
+    with pytest.raises(ValueError, match=message):
+        histogram(values, edges)
+
+
+_FLOAT_MAX = sys.float_info.max
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _offset_rows(draw):
+    """1-6 rows of finite offsets; each column constant, a few ulps apart, or arbitrary, at any magnitude."""
+    n = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(4):
+        kind, base = draw(st.sampled_from(["constant", "ulps", "any"])), draw(_FINITE)
+        if kind == "constant":
+            cols.append([base] * n)
+        elif kind == "ulps":
+            cols.append([base + k * math.ulp(base) for k in draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))])
+        else:
+            cols.append(draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    return np.array(cols, dtype=np.float64).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_offset_rows())
+@example(np.array([[1000.0, 0, 0, 0], [1000.0, 0, 0, 0], [1000.0000000000012, 0, 0, 0]]))
+@example(np.full((3, 4), 1e17))
+@example(np.full((2, 4), -1e17))
+@example(np.array([[_FLOAT_MAX, -_FLOAT_MAX, 1e300, 0.0]]))
+@example(np.array([[_FLOAT_MAX / 2, 0.0, 0.0, 0.0], [_FLOAT_MAX / 2, 1.0, 0.0, 0.0]]))
+def test_every_offset_array_fit_gaussian_accepts_gets_a_report(rows):
+    # offset_report built edges its own Histogram refused when large values left too few floats between them
+    assume(np.isfinite(rows).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fit_gaussian(rows)
+        except ValueError:  # its mean or variance overflows
+            assume(False)
+    rep = offset_report(rows)
+    for col, h in zip(rows.T, rep.histograms):
+        assert h.counts.shape == (OFFSET_BINS,) and h.total == len(rows)
+        assert h.edges[0] <= col.min() and col.max() <= h.edges[-1]
+        assert np.all(np.diff(h.edges) > 0) and np.isfinite(h.edges).all()
+
+
+def test_offset_report_keeps_the_edges_it_always_drew():
+    # only edges the edge rule refuses are widened; the rest are the padded value range, a half unit each way
+    # when degenerate
+    rows = np.array([[0.1, -0.2, 1e17, 3.0], [0.4, -0.2, 1e17, 5.0]])
+    rep = offset_report(rows)
+    for d in (0, 1, 3):
+        lo, hi = rows[:, d].min(), rows[:, d].max()
+        if hi - lo < 1e-12:
+            lo, hi = lo - 0.5, hi + 0.5
+        pad = 1e-9 * (hi - lo)
+        assert rep.histograms[d].edges.tolist() == np.linspace(lo - pad, hi + pad, OFFSET_BINS + 1).tolist()
+    assert rep.histograms[2].edges[0] < 1e17 < rep.histograms[2].edges[-1]
+
+
+def test_write_histogram_writes_the_csv_and_the_svg(tmp_path):
+    h = histogram([0.25, 0.75, 0.75], [0.0, 0.5, 1.0])
+    diagnostics.write_histogram(tmp_path / "hist.v1", h, "demo")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.v1.csv", "hist.v1.svg"]
+    assert (tmp_path / "hist.v1.csv").read_text() == histogram_to_csv(h)
+    assert (tmp_path / "hist.v1.svg").read_text() == histogram_to_svg(h, "demo")

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -10,6 +11,7 @@ from propcal.stats import (
     DiagonalGaussian4,
     OffsetAccumulator,
     Uniform4,
+    fit_gaussian,
     fit_optimal_uniform,
     model_from_json,
     model_to_json,
@@ -264,3 +266,37 @@ def test_vectorized_overlap_oracle_matches_the_scalar_one():
     halfwidths = np.array([0.01, 0.05, 0.1, 0.1487, 0.3, 0.8])
     scalar = [simpson_overlap(0.0, 0.1, -a, a) for a in halfwidths]
     np.testing.assert_allclose(symmetric_overlaps(0.0, 0.1, halfwidths), scalar, rtol=0, atol=1e-15)
+
+
+def test_fit_gaussian_is_one_accumulator_batch():
+    rows = np.random.default_rng(4).normal(0.1, 0.3, size=(300, 4))
+    acc = OffsetAccumulator()
+    acc.add_many(rows)
+    want, got = acc.finalize(), fit_gaussian(rows)
+    assert got.mu.tolist() == want.mu.tolist() and got.var.tolist() == want.var.tolist()
+    with pytest.raises(ValueError, match="empty accumulator"):
+        fit_gaussian(np.zeros((0, 4)))
+
+
+def test_fit_optimal_uniform_refuses_a_model_that_is_not_gaussian():
+    # a uniform model failed with AttributeError: 'Uniform4' object has no attribute 'var'
+    with pytest.raises(ValueError, match="^fit-uniform requires a gaussian model$"):
+        fit_optimal_uniform(Uniform4(-np.ones(4), np.ones(4)))
+
+
+@pytest.mark.parametrize("text", ['{"kind": ["gaussian"]}', '{"kind": {"a": 1}}', '{"kind": 1}'])
+def test_model_kind_that_is_not_a_name_is_unknown(text):
+    # the kinds are a table keyed by name; a list or an object is no key, and must not raise TypeError
+    with pytest.raises(ValueError) as info:
+        model_from_json(text)
+    assert str(info.value) == f"unknown model kind: {json.loads(text)['kind']!r}"
+
+
+@pytest.mark.parametrize("model", [DiagonalGaussian4([0.1, -0.2, 0.3, 0.0], [0.01, 0.02, 0.0, 1.5]),
+                                   Uniform4([-1.0, 0.0, 0.5, -3.0], [1.0, 0.25, 0.75, 3.0])])
+def test_model_json_writes_the_kind_and_its_fields_in_order(model):
+    text = model_to_json(model)
+    assert list(json.loads(text)) == ["kind", *{DiagonalGaussian4: ["mu", "var"], Uniform4: ["lo", "hi"]}[type(model)]]
+    back = model_from_json(text)
+    assert type(back) is type(model)
+    assert all(np.array_equal(getattr(back, f), getattr(model, f)) for f in vars(model))
