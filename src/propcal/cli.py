@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import diagnostics
-from .geometry import BBox, corners_array, encode_offsets_array, valid_boxes_array
+from .geometry import BBox, corners_array, encode_offsets_array, four_floats, valid_boxes_array
 # bound only because the benchmark tracer counts geometry.encode_offset calls through this name
 from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
@@ -89,15 +89,11 @@ class ProposalLogRecord:
 
 
 def _parse_box(value, name: str) -> BBox:
-    if not isinstance(value, list) or len(value) != 4:
-        raise ValueError(f"{name} must be a 4-element array [cx, cy, w, h]")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise ValueError(f"{name} must contain numbers only")
+    coords = four_floats(value, name)
     try:
-        coords = [float(v) for v in value]
-    except OverflowError:
-        raise ValueError(f"{name} holds an integer beyond the float range") from None
-    return BBox(*coords)
+        return BBox(*coords)
+    except ValueError as e:  # a refused box names its field
+        raise ValueError(f"{name}: {e}") from None
 
 
 def _check_id_and_class(image_id, gt_class) -> None:
@@ -235,8 +231,8 @@ def _format_records(image_id: str, gt, gt_class: int, proposals, source: str) ->
     """Canonical lines of the records that share one gt, one per proposal [cx, cy, w, h].
 
     Each line is what ``json.dumps`` writes for the record's fields in order.
-    Coordinates must be Python ints or finite floats, which it writes as
-    their ``repr``.
+    Coordinates must be finite Python floats, which it writes as their
+    ``repr``.
     """
     head = (f'{{"image_id": {json.dumps(image_id)}, "gt": [{", ".join(map(repr, gt))}], '
             f'"gt_class": {gt_class}, "proposal": [')
@@ -246,9 +242,7 @@ def _format_records(image_id: str, gt, gt_class: int, proposals, source: str) ->
 
 def serialize_record(rec: ProposalLogRecord) -> str:
     """Canonical single-line JSON form; parse/serialize is idempotent."""
-    gt, prop = rec.gt, rec.proposal
-    (line,) = _format_records(rec.image_id, (gt.cx, gt.cy, gt.w, gt.h), rec.gt_class,
-                              [(prop.cx, prop.cy, prop.w, prop.h)], rec.source)
+    (line,) = _format_records(rec.image_id, astuple(rec.gt), rec.gt_class, [astuple(rec.proposal)], rec.source)
     return line
 
 
@@ -373,7 +367,7 @@ def _write_or_print(text: str, path: str | None) -> None:
         if text:  # as the empty file -o writes
             print(text)
     else:
-        with open(path, "w") as fh:  # two writes, so the text is not copied to add the newline
+        with open(path, "w", encoding="utf-8") as fh:  # two writes, so the text is not copied to add the newline
             fh.write(text)
             if text:
                 fh.write("\n")
@@ -388,13 +382,13 @@ def _cmd_fit_stats(args) -> int:
 
 
 def _cmd_fit_uniform(args) -> int:
-    model = model_from_json(Path(args.model).read_text())
+    model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     _write_or_print(model_to_json(fit_optimal_uniform(model)), args.output)
     return 0
 
 
 def _cmd_sample(args) -> int:
-    model = model_from_json(Path(args.model).read_text())
+    model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     config = SamplerConfig(model=model, j_per_instance=args.j, seed=args.seed)
     image_size = tuple(args.image_size) if args.image_size else None
     if image_size and not all(0 < v < np.inf for v in image_size):
@@ -459,7 +453,7 @@ def _cmd_diagnose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):
         diagnostics.write_histogram(outdir / f"offset_{name}", hist, f"offset {name}")
-    (outdir / "model.json").write_text(model_to_json(report.gaussian) + "\n")
+    _write_or_print(model_to_json(report.gaussian), str(outdir / "model.json"))
     hist = diagnostics.iou_histogram(cols.proposal, cols.gt, diagnostics.IOU_EDGES)
     diagnostics.write_histogram(outdir / "iou_hist", hist, "proposal IoU")
     print(f"wrote 11 files to {outdir}")
@@ -469,7 +463,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_simulate(args) -> int:
     from .simulator import ExperimentConfig, run_experiment
 
-    config = ExperimentConfig.from_json(Path(args.config).read_text())
+    config = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     report = run_experiment(config, out_root=args.out)
     n = report.n_seeds
     print(f"config {report.config_hash}: {n} seeds")

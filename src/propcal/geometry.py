@@ -20,6 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, Python or numpy, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _store_floats(box, names: tuple[str, ...]) -> None:
+    """Store the fields ``names`` of a frozen box as Python floats; a ValueError unless each is a finite real number."""
+    for name in names:
+        v = getattr(box, name)
+        if not (_is_real(v) and math.isfinite(v)):
+            raise ValueError(f"{type(box).__name__}.{name} must be a finite number, got {v!r}")
+        object.__setattr__(box, name, float(v))
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box: center (cx, cy), width w > 0, height h > 0."""
@@ -30,10 +44,7 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"BBox.{name} must be finite, got {v!r}")
+        _store_floats(self, ("cx", "cy", "w", "h"))
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"BBox width/height must be positive, got w={self.w!r}, h={self.h!r}")
 
@@ -59,10 +70,7 @@ class OffsetVec:
     dh: float
 
     def __post_init__(self):
-        for name in ("dx", "dy", "dw", "dh"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"OffsetVec.{name} must be finite, got {v!r}")
+        _store_floats(self, ("dx", "dy", "dw", "dh"))
         if self.dw <= -1.0 or self.dh <= -1.0:
             raise ValueError(
                 f"OffsetVec dw/dh must be > -1 (decoded size must stay positive), "
@@ -81,12 +89,9 @@ def encode_offset(proposal: BBox, gt: BBox) -> OffsetVec:
 def apply_offset(gt: BBox, off: OffsetVec) -> BBox:
     """Decode an offset relative to ``gt``; exact inverse of :func:`encode_offset`.
 
-    Raises ValueError if the decoded width or height is not positive.
+    Raises ValueError, from :class:`BBox`, if the decoded box is not finite with a positive width and height.
     """
-    cx, cy, w, h = apply_offsets_array(gt.as_array()[None], off.as_array()[None])[0].tolist()
-    if w <= 0 or h <= 0:
-        raise ValueError(f"decoded box is degenerate: w={w!r}, h={h!r}")
-    return BBox(cx, cy, w, h)
+    return BBox(*apply_offsets_array(gt.as_array()[None], off.as_array()[None])[0].tolist())
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -106,6 +111,16 @@ def as_rows4(values) -> np.ndarray:
     if rows.shape != (4,) and (rows.ndim != 2 or rows.shape[1] != 4):
         raise ValueError(f"need one row of 4 values or an (n, 4) array, got shape {rows.shape}")
     return rows.reshape(-1, 4)
+
+
+def four_floats(value, name: str) -> list[float]:
+    """A list of four real numbers (no bool) as four Python floats; anything else a ValueError naming ``name``."""
+    if not (isinstance(value, list) and len(value) == 4 and all(map(_is_real, value))):
+        raise ValueError(f"{name} must be a flat array of four numeric values")
+    try:
+        return [float(v) for v in value]
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer beyond the float range") from None
 
 
 def encode_offsets_array(proposals: np.ndarray, refs: np.ndarray) -> np.ndarray:

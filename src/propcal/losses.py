@@ -150,18 +150,14 @@ def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
 class LossBreakdown:
     """The assembled objective: auxiliary head terms plus the main detector loss.
 
-    ``re_roi_total`` is cls + con + reg; ``grand_total`` is
-    base_total + lam * re_roi_total. Both identities are enforced at
-    construction.
+    Its totals are derived: ``re_roi_total`` = (cls + con) + reg, ``grand_total`` = base_total + lam * re_roi_total.
     """
 
     con: float
     cls: float
     reg: float
-    re_roi_total: float
     lam: float
     base_total: float
-    grand_total: float
 
     def __post_init__(self):
         for name in ("con", "cls", "reg", "re_roi_total", "lam", "base_total", "grand_total"):
@@ -169,23 +165,16 @@ class LossBreakdown:
                 raise ValueError(f"LossBreakdown.{name} must be finite")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam!r}")
-        scale = max(1.0, abs(self.re_roi_total))
-        if abs(self.re_roi_total - (self.cls + self.con + self.reg)) > 1e-9 * scale:
-            raise ValueError("re_roi_total must equal cls + con + reg")
-        scale = max(1.0, abs(self.grand_total))
-        if abs(self.grand_total - (self.base_total + self.lam * self.re_roi_total)) > 1e-9 * scale:
-            raise ValueError("grand_total must equal base_total + lam * re_roi_total")
+
+    @property
+    def re_roi_total(self) -> float:
+        return (self.cls + self.con) + self.reg
+
+    @property
+    def grand_total(self) -> float:
+        return self.base_total + self.lam * self.re_roi_total
 
 
 def assemble_loss(base_total: float, con: float, cls: float, reg: float, lam: float) -> LossBreakdown:
     """Combine the main detector loss with the weighted auxiliary-head terms."""
-    re_roi_total = (cls + con) + reg
-    return LossBreakdown(
-        con=con,
-        cls=cls,
-        reg=reg,
-        re_roi_total=re_roi_total,
-        lam=lam,
-        base_total=base_total,
-        grand_total=base_total + lam * re_roi_total,
-    )
+    return LossBreakdown(con=con, cls=cls, reg=reg, lam=lam, base_total=base_total)

@@ -40,12 +40,19 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.j_per_instance < 1:
-            raise ValueError(f"j_per_instance must be >= 1, got {self.j_per_instance}")
+        if not (_is_integer(self.j_per_instance) and self.j_per_instance >= 1):
+            raise ValueError(f"j_per_instance must be an integer >= 1, got {self.j_per_instance!r}")
         check_seed(self.seed)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool, which would share its streams with 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: int) -> None:
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 

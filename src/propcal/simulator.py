@@ -362,28 +362,22 @@ def rpn_proposals(
     return pset
 
 
-def sampled_proposals(
-    ds: SimDataset,
-    split: Split,
-    stats: DiagonalGaussian4,
-    config: ExperimentConfig,
-    seed: int,
-) -> ProposalSet:
-    """Calibrated proposals: J draws from the base statistics per scene of ``split``."""
+def sampled_proposals(ds: SimDataset, stats: DiagonalGaussian4, config: ExperimentConfig, seed: int) -> ProposalSet:
+    """Calibrated proposals: J draws from the base statistics per scene of the fine-tuning split."""
     if config.j_per_instance == 0:
-        return _proposal_set(ds, split, np.zeros(0, dtype=np.int64), np.zeros((0, 4)), config)
+        return _proposal_set(ds, ds.finetune, np.zeros(0, dtype=np.int64), np.zeros((0, 4)), config)
     sampler = SamplerConfig(stats, config.j_per_instance, derive_seed(seed, "ft-sample"))
     # scene ids are distinct, so each scene draws from its (sid, 0) stream
-    boxes = build_calibrated_set(split.boxes, sampler, (config.image_w, config.image_h), split.ids)
-    rows = np.repeat(np.arange(split.size), config.j_per_instance)
-    return _proposal_set(ds, split, rows, boxes, config)
+    boxes = build_calibrated_set(ds.finetune.boxes, sampler, (config.image_w, config.image_h), ds.finetune.ids)
+    rows = np.repeat(np.arange(ds.finetune.size), config.j_per_instance)
+    return _proposal_set(ds, ds.finetune, rows, boxes, config)
 
 
-def _head_targets(pset: ProposalSet, config: ExperimentConfig, bg: int):
-    """(cls_feats, cls_targets, reg_feats, reg_targets): the ignore band is dropped."""
+def _head_targets(pset: ProposalSet, config: ExperimentConfig):
+    """(cls_feats, cls_targets, reg_feats, reg_targets): the ignore band is dropped; background is the last class."""
     fg = pset.q >= config.fg_iou
     keep = fg | (pset.q < config.bg_iou)
-    cls_targets = np.where(fg, pset.labels, bg)[keep]
+    cls_targets = np.where(fg, pset.labels, config.c_base + config.c_novel)[keep]
     reg_targets = encode_offsets_array(pset.gt_boxes[fg], pset.boxes[fg])
     return pset.feats[keep], cls_targets, pset.feats[fg], reg_targets
 
@@ -447,9 +441,7 @@ def base_train(
     The statistics pool the re-encoded offsets of every proposal in ``pset``,
     independent of the number of epochs.
     """
-    if pset.size == 0:
-        raise ValueError("base training requires at least one proposal")
-    main = _head_targets(pset, config, head.w_cls.shape[0] - 1)
+    main = _head_targets(pset, config)
     if main[0].shape[0] == 0:
         raise ValueError("base training requires at least one classifiable proposal")
     head = _descend(head, main, epochs, config, "base training")
@@ -472,7 +464,7 @@ def finetune(
     keyed choice) and the lam-weighted head losses on them. The feature
     generator (scene appearances, prototypes, noise keys) is never modified.
     """
-    main, aux = _head_targets(rpn, config, head.w_cls.shape[0] - 1), None
+    main, aux = _head_targets(rpn, config), None
     if pdc_enabled:
         n_neg = int((rpn.q < config.bg_iou).sum())
         cap = config.pos_neg_cap * max(n_neg, 1)  # inf when the product overflows: no cap
@@ -515,8 +507,6 @@ def evaluate(
     Raises ValueError when no novel test proposal is foreground, or when a
     compared metric is not finite.
     """
-    if pset.size == 0:
-        raise ValueError("evaluation produced no proposals")
     pred = np.clip(head.offsets(pset.feats), [-np.inf, -np.inf, _PRED_CLAMP[0], _PRED_CLAMP[0]],
                    [np.inf, np.inf, _PRED_CLAMP[1], _PRED_CLAMP[1]])
     refined = apply_offsets_array(pset.boxes, pred)
@@ -599,7 +589,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     )
     ft = rpn_proposals(ds, ds.finetune, config, seed, "ft-rpn")
     test = rpn_proposals(ds, ds.test, config, seed, "eval-rpn")
-    sampled = sampled_proposals(ds, ds.finetune, stats, config, seed)
+    sampled = sampled_proposals(ds, stats, config, seed)
     arms = {}
     for name, enabled in (("baseline", False), ("pdc", True)):
         tuned = finetune(base_head, ft, sampled, enabled, config, seed)
@@ -631,7 +621,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | str | None = None)
 def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Path) -> None:
     """Emit config echo, per-seed CSV, summary CSV, and histogram CSV/SVG files."""
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(config.to_json() + "\n")
+    (outdir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
 
     lines = ["seed,arm,mean_iou,novel_accuracy,base_accuracy,mmd_novel,n_foreground,n_novel_foreground"]
     for r in report.results:
@@ -640,12 +630,12 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
                 f"{r.seed},{arm},{m.mean_iou!r},{m.novel_accuracy!r},{m.base_accuracy!r},"
                 f"{m.mmd_novel!r},{m.n_foreground},{m.n_novel_foreground}"
             )
-    (outdir / "per_seed.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "per_seed.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = ["metric,baseline_mean,pdc_mean,pdc_wins,n_seeds"]
     for metric, (b, p), wins in report.comparisons():
         summary.append(f"{metric},{b!r},{p!r},{wins},{report.n_seeds}")
-    (outdir / "summary.csv").write_text("\n".join(summary) + "\n")
+    (outdir / "summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
     for arm in ("baseline", "pdc"):
         metrics = [getattr(r, arm) for r in report.results]
@@ -656,4 +646,4 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
             diagnostics.IOU_EDGES,
         )
         diagnostics.write_histogram(outdir / f"iou_hist_{arm}", hist, f"refined-box IoU ({arm})")
-        (outdir / f"precision_by_iou_{arm}.csv").write_text(diagnostics.precision_to_csv(prec))
+        (outdir / f"precision_by_iou_{arm}.csv").write_text(diagnostics.precision_to_csv(prec), encoding="utf-8")

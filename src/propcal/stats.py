@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_rows4
+from .geometry import as_rows4, four_floats
 
 # Half-width of the max-overlap uniform in units of sigma: the root of the
 # stationarity condition 2 k^2 phi(k) = sqrt(2 ln(2k / sqrt(2 pi))), with phi
@@ -64,6 +64,15 @@ class Uniform4:
         object.__setattr__(self, "hi", hi)
 
 
+def column_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=0)`` of (n, k) rows, bit for bit where finite; a column whose sum overflows sums ``x / n``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # and so warns of neither
+        mean = x.mean(axis=0)
+        overflowed = ~np.isfinite(mean)
+        mean[overflowed] = (x[:, overflowed] / len(x)).sum(axis=0)
+    return mean
+
+
 @dataclass
 class OffsetAccumulator:
     """Single-pass mean/variance accumulator over 4-d offsets.
@@ -81,7 +90,7 @@ class OffsetAccumulator:
         """Fold (n, 4) offsets in: the batch's two-pass moments, merged by :meth:`merge`."""
         x = as_rows4(offsets)
         if x.shape[0]:
-            mean = x.mean(axis=0)
+            mean = column_mean(x)
             merged = self.merge(OffsetAccumulator(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)))
             self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
 
@@ -149,15 +158,4 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
     unknown = sorted(set(doc) - {"kind", *names})
     if unknown:
         raise ValueError(f"{kind} model document has unknown field(s): {', '.join(unknown)}")
-    for n in names:
-        value = doc[n]
-        if not (isinstance(value, list) and len(value) == 4
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-            raise ValueError(f"{kind} model field {n} must be a flat array of four numeric values")
-    fields = []
-    for n in names:
-        try:
-            fields.append(np.array([float(v) for v in doc[n]]))
-        except OverflowError:
-            raise ValueError(f"{kind} model field {n} holds an integer beyond the float range") from None
-    return cls(*fields)
+    return cls(*(np.array(four_floats(doc[n], f"{kind} model field {n}")) for n in names))

@@ -90,10 +90,48 @@ def test_parse_error_kinds():
         parse_record(record_line(source="oracle"), 1)
     with pytest.raises(LogParseError, match="gt_class"):
         parse_record(record_line(gt_class=True), 1)
-    with pytest.raises(LogParseError, match="4-element"):
+    with pytest.raises(LogParseError, match="gt must be a flat array of four numeric values"):
         parse_record(json.dumps({
             "image_id": "a", "gt": [1, 2, 3], "gt_class": 0,
             "proposal": [1, 2, 3, 4], "source": "rpn"}), 1)
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64, int])
+def test_record_built_from_numbers_serializes_to_a_canonical_line_that_parses_back(scalar):
+    # boxes keep Python floats, so no coordinate is written as np.float64(10.5), which parse_record refuses
+    values = (10, 20, 30, 40) if scalar in (np.int64, int) else (10.5, 20.0, 30.0, 40.0)
+    rec = ProposalLogRecord("im0", BBox(*map(scalar, values)), 3, BBox(*map(scalar, values[::-1])), "rpn")
+    assert all(type(v) is float for v in (rec.gt.cx, rec.gt.cy, rec.gt.w, rec.gt.h))
+    line = serialize_record(rec)
+    assert cli._CANONICAL_RECORD.fullmatch(line)
+    assert parse_record(line) == rec
+    assert serialize_record(parse_record(line)) == line
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None], ids=["bool", "numpy-bool", "str", "none"])
+def test_box_coordinate_must_be_a_number_not_a_bool(value):
+    with pytest.raises(ValueError, match="BBox.cx must be a finite number"):
+        BBox(value, 1, 1, 1)
+
+
+@pytest.mark.parametrize("proposal", [(52.0, 58.0, 0.0, 28.0), (52, 58, 0, 28)], ids=["canonical", "parsed"])
+def test_refused_box_names_its_field(tmp_path, proposal):
+    # a valid gt with a zero-width proposal: the canonical line is refused by the array check, the line with
+    # integer coordinates by parse_record, and both messages say that the proposal is the bad box
+    message = "line 2: proposal: BBox width/height must be positive, got w=0.0, h=28.0"
+    lines = [record_line() + "\n", record_line(proposal=proposal) + "\n", record_line() + "\n"]
+    assert bool(cli._CANONICAL_RECORD.fullmatch(lines[1])) == isinstance(proposal[0], float)
+    with pytest.raises(LogParseError) as raised:
+        parse_log(lines)
+    assert str(raised.value) == message
+    assert parse_log(lines, lenient=True)[1] == [message]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(lines), encoding="utf-8")
+    size = log.stat().st_size
+    _, errors, _ = cli._parse_range(str(log), 0, size, False)
+    assert [str(e) for e in errors] == [message]
+    columns, errors, n_lines = cli._parse_range(str(log), 0, size, True)
+    assert ([str(e) for e in errors], len(columns), n_lines) == ([message], 2, 3)
 
 
 def test_lenient_mode_skips_and_counts():
@@ -418,7 +456,7 @@ def test_cli_largest_64_bit_seed_is_accepted(tmp_path):
     ({"gt_class": 1.5}, "gt_class must be an integer"),
     ({"gt_class": -1}, "gt_class must be >= 0"),
     ({"image_id": 7}, "image_id must be a string"),
-    ({"gt": [1, 1, 1]}, "gt must be a 4-element array"),
+    ({"gt": [1, 1, 1]}, "gt must be a flat array of four numeric values"),
 ])
 def test_cli_sample_checks_gt_fields_like_parse_record(tmp_path, capsys, fields, message):
     good = {"image_id": "a", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2}
@@ -762,13 +800,9 @@ _OPPOSITE, _ONE_SIDE = (1e308, -1e308), (1e308, 1e308)
 @pytest.mark.parametrize("xs, argv, message", [
     (_OPPOSITE, ["mmd", "LOG", "LOG", "--kernel", "rbf"], "mmd is not finite"),
     (_OPPOSITE, ["mmd", "LOG", "LOG", "--kernel", "rbf", "--raw-corners"], "mmd is not finite"),
-    (_ONE_SIDE, ["mmd", "LOG", "LOG"], "mmd is not finite"),
-    (_ONE_SIDE, ["mmd", "LOG", "LOG", "--raw-corners"], "mmd is not finite"),
     (_OPPOSITE, ["diagnose", "LOG", "--figures", "FIGS"], "gaussian parameters must be finite"),
     (_OPPOSITE, ["fit-stats", "LOG"], "gaussian parameters must be finite"),
-    (_ONE_SIDE, ["fit-stats", "LOG"], "gaussian parameters must be finite"),
-], ids=["mmd-rbf", "mmd-rbf-corners", "mmd-linear", "mmd-linear-corners", "diagnose", "fit-stats",
-        "fit-stats-one-side"])
+], ids=["mmd-rbf", "mmd-rbf-corners", "diagnose", "fit-stats"])
 def test_cli_overflowing_log_exits_1_with_one_line_and_no_warning(tmp_path, capsys, xs, argv, message):
     log, figs = tmp_path / "log.jsonl", tmp_path / "figs"
     log.write_text("".join(record_line(gt=(0.0, 0.0, 1.0, 1.0), proposal=(x, 0.0, 1.0, 1.0)) + "\n" for x in xs))
@@ -780,6 +814,31 @@ def test_cli_overflowing_log_exits_1_with_one_line_and_no_warning(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not figs.exists()
+
+
+_ZEROS = ", ".join(["0.0000000000000000e+00"] * 4)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["fit-stats", "LOG"], '{"kind": "gaussian", "mu": [1.0000000000000000e+308, 0.0000000000000000e+00, '
+     '0.0000000000000000e+00, 0.0000000000000000e+00], "var": [' + _ZEROS + ']}\n'),
+    (["mmd", "LOG", "LOG"], "0.0\n"),
+    (["mmd", "LOG", "LOG", "--raw-corners"], "0.0\n"),
+    (["diagnose", "LOG", "--figures", "FIGS"], "wrote 11 files to FIGS\n"),
+], ids=["fit-stats-one-side", "mmd-linear", "mmd-linear-corners", "diagnose-one-side"])
+def test_cli_one_sided_overflowing_log_exits_0_with_its_mean_and_no_warning(tmp_path, capsys, argv, stdout):
+    # two proposals 1e308 from the gt on one side: their column sum overflows, their mean does not
+    log, figs = tmp_path / "log.jsonl", tmp_path / "figs"
+    log.write_text("".join(record_line(gt=(0.0, 0.0, 1.0, 1.0), proposal=(x, 0.0, 1.0, 1.0)) + "\n"
+                           for x in _ONE_SIDE))
+    paths = {"LOG": str(log), "FIGS": str(figs)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch([paths.get(a, a) for a in argv]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr() == (stdout.replace("FIGS", str(figs)), "")
+    if argv[0] == "diagnose":
+        assert len(list(figs.iterdir())) == 11
 
 
 def test_cli_exit_codes():

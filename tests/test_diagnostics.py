@@ -247,7 +247,7 @@ def test_histogram_edge_conventions():
     h = histogram([0.0, 0.5, 0.5, 0.999, 1.0], [0.0, 0.5, 1.0])
     # values on an interior edge go right; the last bin is closed on both sides
     assert h.counts.tolist() == [1, 4]
-    assert h.total == 5
+    assert int(h.counts.sum()) == 5
 
 
 def test_histogram_out_of_range():
@@ -278,14 +278,14 @@ def test_precision_by_iou_nan_iou_is_an_error():
 def test_histogram_empty():
     h = histogram([], [0.0, 0.5, 1.0])
     assert h.counts.tolist() == [0, 0]
-    assert h.total == 0
+    assert int(h.counts.sum()) == 0
 
 
 def test_histogram_invariants():
     with pytest.raises(ValueError):
-        Histogram(np.array([0.0, 0.0, 1.0]), np.array([1, 1]), 2)
+        Histogram(np.array([0.0, 0.0, 1.0]), np.array([1, 1]))
     with pytest.raises(ValueError):
-        Histogram(np.array([0.0, 1.0]), np.array([2]), 3)
+        Histogram(np.array([0.0, 1.0]), np.array([-1]))
 
 
 @pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [-1e308, 1e308]])
@@ -295,7 +295,7 @@ def test_histogram_edges_must_be_finite_and_increasing(edges):
     with pytest.raises(ValueError, match=message):
         histogram([0.2, 0.7], edges)
     with pytest.raises(ValueError, match=message):
-        Histogram(np.array(edges), np.zeros(len(edges) - 1, dtype=np.int64), 0)
+        Histogram(np.array(edges), np.zeros(len(edges) - 1, dtype=np.int64))
     with pytest.raises(ValueError, match=message):
         precision_by_iou([0.2, 0.7], [True, False], edges)
 
@@ -361,7 +361,7 @@ def test_offset_report_degenerate_stream():
     for h in rep.histograms:
         occupied = np.flatnonzero(h.counts)
         assert occupied.tolist() == [len(h.counts) // 2]  # single central bin
-        assert h.total == 10
+        assert int(h.counts.sum()) == 10
     np.testing.assert_allclose(rep.gaussian.mu, np.zeros(4), atol=1e-15)
     np.testing.assert_allclose(rep.gaussian.var, np.zeros(4), atol=1e-15)
 
@@ -374,7 +374,7 @@ def test_offset_report_bins_span_each_dimension():
         assert h.counts.shape == (OFFSET_BINS,)
         assert h.edges[0] <= rows[:, d].min() and rows[:, d].max() <= h.edges[-1]
         assert h.counts[0] > 0 and h.counts[-1] > 0  # the extreme values fall in the end bins
-        assert h.total == int(h.counts.sum()) == len(rows)
+        assert int(h.counts.sum()) == len(rows)
 
 
 def test_offset_report_round_trip_with_sampler():
@@ -475,7 +475,7 @@ def test_every_offset_array_fit_gaussian_accepts_gets_a_report(rows):
             assume(False)
     rep = offset_report(rows)
     for col, h in zip(rows.T, rep.histograms):
-        assert h.counts.shape == (OFFSET_BINS,) and h.total == len(rows)
+        assert h.counts.shape == (OFFSET_BINS,) and int(h.counts.sum()) == len(rows)
         assert h.edges[0] <= col.min() and col.max() <= h.edges[-1]
         assert np.all(np.diff(h.edges) > 0) and np.isfinite(h.edges).all()
 

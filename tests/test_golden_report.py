@@ -99,7 +99,7 @@ def test_golden_finetuned_pdc_head_bytes():
     base = rpn_proposals(ds, ds.base, config, seed, "base-rpn")
     head, stats = base_train(init_head(config, seed), base, config.epochs_base, config)
     ft = rpn_proposals(ds, ds.finetune, config, seed, "ft-rpn")
-    sampled = sampled_proposals(ds, ds.finetune, stats, config, seed)
+    sampled = sampled_proposals(ds, stats, config, seed)
     tuned = finetune(head, ft, sampled, True, config, seed)
     params = (tuned.w_cls, tuned.b_cls, tuned.w_reg, tuned.b_reg)
     digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()

@@ -305,8 +305,4 @@ def test_assemble_lambda_zero_and_zero_branch():
 
 def test_breakdown_identities_enforced():
     with pytest.raises(ValueError):
-        LossBreakdown(con=0.1, cls=0.1, reg=0.1, re_roi_total=1.0, lam=0.1,
-                      base_total=1.0, grand_total=1.1)
-    with pytest.raises(ValueError):
-        LossBreakdown(con=0.1, cls=0.1, reg=0.1, re_roi_total=0.3, lam=-0.1,
-                      base_total=1.0, grand_total=0.97)
+        LossBreakdown(con=0.1, cls=0.1, reg=0.1, lam=-0.1, base_total=1.0)

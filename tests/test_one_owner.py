@@ -4,7 +4,8 @@ A rule with two owners drifts: two owners of the bin-edge rule once
 disagreed, so ``diagnose`` refused logs that ``fit-stats`` read. The rules:
 the histogram edge rule and the MMD input check (``diagnostics``), the
 Gaussian fit and the model kinds (``stats``), the histogram report files
-(``diagnostics.write_histogram``), the log merge (``cli._merge_parts``) and
+(``diagnostics.write_histogram``), the log merge (``cli._merge_parts``), the
+four-number reader of boxes and model fields (``geometry.four_floats``) and
 the config's lower bounds (``simulator``). The scan reads the package's
 source and imports nothing.
 """
@@ -20,6 +21,9 @@ ONE_OWNER_MESSAGES = {
     "edges must be finite and strictly increasing, with a finite span": "diagnostics.py",
     "both sets must be non-empty (n, k) arrays": "diagnostics.py",
     "fit-uniform requires a gaussian model": "stats.py",
+    # the four-number reader of log boxes and model fields
+    " must be a flat array of four numeric values": "geometry.py",
+    " holds an integer beyond the float range": "geometry.py",
 }
 
 

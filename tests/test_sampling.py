@@ -333,6 +333,23 @@ def test_stream_seeds_must_fit_64_bits():
             ExperimentConfig(seeds=(0, seed))
 
 
+def test_seed_and_j_must_be_integers_not_bools():
+    # a bool seed would draw the streams of 0 or 1, and a float J would fail only in the draw, with a TypeError
+    for seed in (True, np.True_, 1.5, "1"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            SamplerConfig(GAUSS, 3, seed)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            stream_key(seed, "a")
+    for j in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match=r"^j_per_instance must be an integer >= 1, got "):
+            SamplerConfig(GAUSS, j, 0)
+    gts = np.array([[60.0, 70.0, 24.0, 18.0], [30.0, 40.0, 10.0, 12.0]])
+    for typed, seed in ((np.int64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1)):
+        want = build_calibrated_set(gts, SamplerConfig(GAUSS, 4, seed), image_id="im")
+        got = build_calibrated_set(gts, SamplerConfig(GAUSS, np.int64(4), typed), image_id="im")
+        assert got.tobytes() == want.tobytes()
+
+
 def test_only_sampling_builds_philox_or_hashes_stream_keys():
     # the stream format has one owner; a second key formula or re-key elsewhere is a silent format fork
     assert list(inspect.signature(philox_rng).parameters) == ["key"]  # a fresh generator, never a re-key

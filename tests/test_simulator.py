@@ -175,7 +175,7 @@ def _finetune_inputs(cfg, seed, base_epochs):
     base = rpn_proposals(ds, ds.base, cfg, seed, "base-rpn")
     head, stats = base_train(init_head(cfg, seed), base, base_epochs, cfg)
     ft = rpn_proposals(ds, ds.finetune, cfg, seed, "ft-rpn")
-    return ds, head, ft, sampled_proposals(ds, ds.finetune, stats, cfg, seed)
+    return ds, head, ft, sampled_proposals(ds, stats, cfg, seed)
 
 
 def test_finetune_with_j_zero_equals_baseline():
@@ -282,7 +282,7 @@ def test_arm_isolation_same_proposals():
 def test_sampled_proposals_match_source_distribution():
     ds = generate_dataset(SMALL, 17)
     stats = DiagonalGaussian4([0.02, -0.02, 0.06, 0.04], [0.0064, 0.0064, 0.01, 0.01])
-    pset = sampled_proposals(ds, ds.finetune, stats, SMALL, 17)
+    pset = sampled_proposals(ds, stats, SMALL, 17)
     assert pset.size == SMALL.j_per_instance * ds.finetune.size
     np.testing.assert_array_equal(pset.labels, np.repeat(ds.finetune.labels, SMALL.j_per_instance))
 
@@ -334,7 +334,7 @@ def test_zero_row_proposal_sets_keep_their_shapes_and_dtypes():
     _assert_empty_set(rpn_proposals(ds, novel_only, cfg, 19, "x"), cfg.feature_dim)
     stats = DiagonalGaussian4(np.array(cfg.rpn_mu), np.array(cfg.rpn_sigma) ** 2)
     no_draws = dataclasses.replace(cfg, j_per_instance=0)
-    _assert_empty_set(sampled_proposals(ds, ds.finetune, stats, no_draws, 19), cfg.feature_dim)
+    _assert_empty_set(sampled_proposals(ds, stats, no_draws, 19), cfg.feature_dim)
 
 
 def test_rpn_proposals_drop_an_object_whose_draws_exhaust_the_budget():

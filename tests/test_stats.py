@@ -11,6 +11,7 @@ from propcal.stats import (
     DiagonalGaussian4,
     OffsetAccumulator,
     Uniform4,
+    column_mean,
     fit_gaussian,
     fit_optimal_uniform,
     model_from_json,
@@ -300,3 +301,13 @@ def test_model_json_writes_the_kind_and_its_fields_in_order(model):
     back = model_from_json(text)
     assert type(back) is type(model)
     assert all(np.array_equal(getattr(back, f), getattr(model, f)) for f in vars(model))
+
+
+def test_column_mean_is_numpy_mean_where_finite_and_sums_x_over_n_where_the_sum_overflows():
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(1001, 4)) * [1.0, 1e3, 1e-3, 1e300]
+    assert column_mean(x).tobytes() == x.mean(axis=0).tobytes()
+    big = np.array([[1e308, 1.0, -1e308, 1.5], [1e308, 2.0, -1e308, 2.5]])
+    assert column_mean(big).tolist() == [1e308, 1.5, -1e308, 2.0]  # no warning: the suite turns it into an error
+    g = fit_gaussian([[1e308] * 4] * 2)  # its column sums overflow; its mean and variance do not
+    assert g.mu.tolist() == [1e308] * 4 and g.var.tolist() == [0.0] * 4
