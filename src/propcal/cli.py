@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import diagnostics
-from .geometry import BBox, corners_array, encode_offsets_array, four_floats, valid_boxes_array
+from .geometry import BBox, _is_integer, corners_array, encode_offsets_array, four_floats, valid_boxes_array
 # bound only because the benchmark tracer counts geometry.encode_offset calls through this name
 from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
@@ -84,6 +84,7 @@ class ProposalLogRecord:
 
     def __post_init__(self):
         _check_id_and_class(self.image_id, self.gt_class)
+        object.__setattr__(self, "gt_class", int(self.gt_class))  # a numpy integer prints as its digits
         if self.source not in _SOURCES:
             raise ValueError(f"source must be one of {_SOURCES}, got {self.source!r}")
 
@@ -100,7 +101,7 @@ def _check_id_and_class(image_id, gt_class) -> None:
     """The image_id and gt_class rules of parsed and built records alike, so a record's line always parses."""
     if not isinstance(image_id, str):
         raise ValueError("image_id must be a string")
-    if not isinstance(gt_class, int) or isinstance(gt_class, bool):
+    if not _is_integer(gt_class):
         raise ValueError("gt_class must be an integer")
     if gt_class < 0:
         raise ValueError(f"gt_class must be >= 0, got {gt_class}")

@@ -98,9 +98,14 @@ def _checked_sets(set_a, set_b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mmd_linear(set_a, set_b) -> float:
-    """Euclidean distance between the two sample means."""
+    """Euclidean distance between the two sample means; where only its square overflows, it is rescaled to fit."""
     a, b = _checked_sets(set_a, set_b)
-    return float(np.linalg.norm(column_mean(a) - column_mean(b)))
+    with np.errstate(over="ignore"):  # no overflow warns: a square is rescaled, a difference or norm past it is inf
+        diff = column_mean(a) - column_mean(b)
+        norm, scale = float(np.linalg.norm(diff)), float(np.abs(diff).max(initial=0.0))  # 0.0 for zero columns
+        if math.isinf(norm) and math.isfinite(scale):  # the square overflowed, the difference did not
+            norm = scale * float(np.linalg.norm(diff / scale))
+    return norm
 
 
 def _median_bracket(pooled: np.ndarray) -> tuple[float, float]:

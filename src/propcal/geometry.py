@@ -25,13 +25,22 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool (a bool seed would share the streams of 0 or 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _store_floats(box, names: tuple[str, ...]) -> None:
     """Store the fields ``names`` of a frozen box as Python floats; a ValueError unless each is a finite real number."""
     for name in names:
         v = getattr(box, name)
-        if not (_is_real(v) and math.isfinite(v)):
+        try:
+            x = float(v) if _is_real(v) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
             raise ValueError(f"{type(box).__name__}.{name} must be a finite number, got {v!r}")
-        object.__setattr__(box, name, float(v))
+        object.__setattr__(box, name, x)
 
 
 @dataclass(frozen=True)

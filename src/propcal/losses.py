@@ -10,7 +10,8 @@ against central finite differences in the test suite.
 Classification and regression use the standard two-stage-detector choices:
 softmax cross-entropy with a dedicated background class, and smooth-L1 on
 offset residuals. Each has one batched loss+gradient kernel
-(:func:`cross_entropy_batch`, :func:`smooth_l1_batch`).
+(:func:`cross_entropy_batch`, :func:`smooth_l1_batch`), which divides by
+``max(n, 1)``: an empty batch has loss 0.0 and a zero-row gradient.
 :func:`assemble_loss` combines everything into a single weighted objective
 and reports the breakdown.
 """
@@ -122,6 +123,7 @@ def supcon_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> np.ndar
 def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch-mean softmax cross-entropy of (n, C+1) float logits and its logit gradient."""
     n, c = logits.shape
+    m = max(n, 1)
     # the row max column by column: the same values as max(axis=1), faster on short rows
     row_max = logits[:, 0].copy()
     for j in range(1, c):
@@ -131,10 +133,10 @@ def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float,
     picked = shift[rows, targets]
     probs = np.exp(shift, out=shift)
     total = probs.sum(axis=1)
-    loss = float(-(picked - np.log(total)).mean())
+    loss = float(-(picked - np.log(total)).sum() / m)
     probs /= total[:, None]
     probs[rows, targets] -= 1.0
-    probs /= n
+    probs /= m
     return loss, probs
 
 
@@ -142,8 +144,9 @@ def smooth_l1_batch(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     """Smooth-L1 (beta 1) of (n, 4) residuals, summed per row and averaged over rows, and its gradient."""
     r = pred - targets
     a = np.abs(r)
-    loss = float(np.where(a < 1, 0.5 * a * a, a - 0.5).sum(axis=1).mean())
-    return loss, np.clip(r, -1.0, 1.0) / pred.shape[0]
+    m = max(pred.shape[0], 1)
+    loss = float(np.where(a < 1, 0.5 * a * a, a - 0.5).sum(axis=1).sum() / m)
+    return loss, np.clip(r, -1.0, 1.0) / m
 
 
 @dataclass(frozen=True)

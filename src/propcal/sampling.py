@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .geometry import apply_offsets_array, as_rows4, clip_boxes_array, valid_boxes_array
+from .geometry import _is_integer, apply_offsets_array, as_rows4, clip_boxes_array, valid_boxes_array
 from .stats import DiagonalGaussian4, Uniform4
 
 OffsetModel = Union[DiagonalGaussian4, Uniform4]
@@ -43,11 +43,6 @@ class SamplerConfig:
         if not (_is_integer(self.j_per_instance) and self.j_per_instance >= 1):
             raise ValueError(f"j_per_instance must be an integer >= 1, got {self.j_per_instance!r}")
         check_seed(self.seed)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer and not a bool, which would share its streams with 0 or 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_seed(seed: int) -> None:

@@ -206,7 +206,6 @@ class SimDataset:
     test: Split
     prototypes: np.ndarray
     background: np.ndarray
-    novel_classes: frozenset[int]
 
 
 def _unit_vectors(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,12 +227,12 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> SimDataset:
     Base classes get ``base_per_class`` instances; the balanced fine-tuning
     split holds exactly ``k_shot`` instances for every class (base and
     novel); the test split holds ``test_per_class`` instances per class.
+    Labels ``c_base`` to ``c_base + c_novel - 1`` are the novel classes.
     """
     c_total = config.c_base + config.c_novel
     world_rng = stream_rng(seed, "world")
     vecs = _unit_vectors(c_total + 1, config.feature_dim, world_rng)
     prototypes, background = vecs[:-1], vecs[-1]
-    novel = frozenset(range(config.c_base, c_total))
 
     def make_split(split: str, n_classes: int, per_class: int) -> Split:
         ids = tuple(f"{split}/{label}/{index}" for label in range(n_classes) for index in range(per_class))
@@ -252,7 +251,7 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> SimDataset:
         make_split("base", config.c_base, config.base_per_class),
         make_split("ft", c_total, config.k_shot),
         make_split("test", c_total, config.test_per_class),
-        prototypes, background, novel,
+        prototypes, background,
     )
 
 
@@ -308,7 +307,6 @@ class ProposalSet:
     gt_boxes: np.ndarray    # (n, 4) matched ground truths
     labels: np.ndarray      # (n,) object class of the matched gt
     feats: np.ndarray       # (n, d)
-    novel: np.ndarray       # (n,) bool
     q: np.ndarray           # (n,) IoU against the matched gt
     budget_misses: int = 0  # objects dropped because their draws exhausted the re-draw budget
 
@@ -322,11 +320,9 @@ def _proposal_set(
 ) -> ProposalSet:
     """Head inputs for proposals ``boxes``, box i matched to the object of scene ``rows[i]``."""
     gt = split.boxes[rows]
-    labels = split.labels[rows]
-    novel = np.isin(labels, sorted(ds.novel_classes))
     q = iou_paired_array(boxes, gt)
     feats = _features_for(split, rows, boxes, q, ds.background, config.feature_noise)
-    return ProposalSet(boxes, gt, labels, feats, novel, q)
+    return ProposalSet(boxes, gt, split.labels[rows], feats, q)
 
 
 def rpn_proposals(
@@ -345,7 +341,7 @@ def rpn_proposals(
     extra_bias = np.array(config.novel_extra_bias)
     keys = [stream_key(seed, purpose, sid) for sid in split.ids]
     states, models, kept = list(keys), [dist] * split.size, np.ones(split.size, dtype=bool)
-    novel = np.flatnonzero(np.isin(split.labels, sorted(ds.novel_classes)))
+    novel = np.flatnonzero(split.labels >= config.c_base)
     for r, rng in zip(novel, keyed_streams(keys[r] for r in novel)):
         kept[r] = rng.random() >= config.miss_rate_novel
         states[r] = rng.bit_generator.state  # a novel object's offset draws start past its miss draw
@@ -387,17 +383,9 @@ def _head_loss_grads(head: TinyRoiHead, cls_feats, cls_targets, reg_feats, reg_t
 
     Both losses are batch means; an empty input contributes zero loss and gradient.
     """
-    if cls_feats.shape[0]:
-        cls_loss, g = cross_entropy_batch(head.logits(cls_feats), cls_targets)
-        dwc, dbc = g.T @ cls_feats, g.sum(axis=0)
-    else:
-        cls_loss, dwc, dbc = 0.0, np.zeros_like(head.w_cls), np.zeros_like(head.b_cls)
-    if reg_feats.shape[0]:
-        reg_loss, g = smooth_l1_batch(head.offsets(reg_feats), reg_targets)
-        dwr, dbr = g.T @ reg_feats, g.sum(axis=0)
-    else:
-        reg_loss, dwr, dbr = 0.0, np.zeros_like(head.w_reg), np.zeros_like(head.b_reg)
-    return cls_loss, reg_loss, (dwc, dbc, dwr, dbr)
+    cls_loss, gc = cross_entropy_batch(head.logits(cls_feats), cls_targets)
+    reg_loss, gr = smooth_l1_batch(head.offsets(reg_feats), reg_targets)
+    return cls_loss, reg_loss, (gc.T @ cls_feats, gc.sum(axis=0), gr.T @ reg_feats, gr.sum(axis=0))
 
 
 def _sgd_step(head: TinyRoiHead, step: float, grads) -> None:
@@ -514,8 +502,9 @@ def evaluate(
     pred_labels = np.argmax(head.logits(pset.feats), axis=1)
 
     fg = pset.q >= config.fg_iou
-    novel_fg = fg & pset.novel
-    base_fg = fg & ~pset.novel
+    novel = pset.labels >= config.c_base
+    novel_fg = fg & novel
+    base_fg = fg & ~novel
     if not novel_fg.any():
         # novel accuracy and mmd_novel are undefined without one
         raise ValueError(
@@ -533,7 +522,6 @@ def evaluate(
     ref_sample = ref_rng.normal(base_stats.mu, np.sqrt(base_stats.var), size=(2048, 4))
     mmd_novel = diagnostics.mmd_rbf(novel_offsets, ref_sample)
 
-    novel = pset.novel
     metrics = EvalMetrics(
         mean_iou, novel_acc, base_acc, mmd_novel, np.clip(refined_iou, 0.0, 1.0),
         pset.q[novel], pred_labels[novel] == pset.labels[novel],
@@ -623,13 +611,11 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
 
-    lines = ["seed,arm,mean_iou,novel_accuracy,base_accuracy,mmd_novel,n_foreground,n_novel_foreground"]
+    columns = ("mean_iou", "novel_accuracy", "base_accuracy", "mmd_novel", "n_foreground", "n_novel_foreground")
+    lines = [",".join(("seed", "arm") + columns)]  # the EvalMetrics fields after seed and arm, one repr each
     for r in report.results:
         for arm, m in (("baseline", r.baseline), ("pdc", r.pdc)):
-            lines.append(
-                f"{r.seed},{arm},{m.mean_iou!r},{m.novel_accuracy!r},{m.base_accuracy!r},"
-                f"{m.mmd_novel!r},{m.n_foreground},{m.n_novel_foreground}"
-            )
+            lines.append(",".join([str(r.seed), arm] + [repr(getattr(m, name)) for name in columns]))
     (outdir / "per_seed.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = ["metric,baseline_mean,pdc_mean,pdc_wins,n_seeds"]

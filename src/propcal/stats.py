@@ -65,11 +65,12 @@ class Uniform4:
 
 
 def column_mean(x: np.ndarray) -> np.ndarray:
-    """``x.mean(axis=0)`` of (n, k) rows, bit for bit where finite; a column whose sum overflows sums ``x / n``."""
+    """``x.mean(axis=0)`` of (n, k) rows bit for bit where finite, zeros for no rows, ``x / n`` summed on overflow."""
+    n = max(len(x), 1)
     with np.errstate(over="ignore", invalid="ignore"):  # and so warns of neither
-        mean = x.mean(axis=0)
+        mean = x.sum(axis=0) / n
         overflowed = ~np.isfinite(mean)
-        mean[overflowed] = (x[:, overflowed] / len(x)).sum(axis=0)
+        mean[overflowed] = (x[:, overflowed] / n).sum(axis=0)
     return mean
 
 
@@ -89,10 +90,9 @@ class OffsetAccumulator:
     def add_many(self, offsets: np.ndarray) -> None:
         """Fold (n, 4) offsets in: the batch's two-pass moments, merged by :meth:`merge`."""
         x = as_rows4(offsets)
-        if x.shape[0]:
-            mean = column_mean(x)
-            merged = self.merge(OffsetAccumulator(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)))
-            self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
+        mean = column_mean(x)
+        merged = self.merge(OffsetAccumulator(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)))
+        self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
 
     def merge(self, other: OffsetAccumulator) -> OffsetAccumulator:
         """Combine two accumulators as if their streams were concatenated."""

@@ -21,7 +21,7 @@ from propcal.cli import (
     parse_record,
     serialize_record,
 )
-from propcal.geometry import BBox
+from propcal.geometry import BBox, OffsetVec
 from propcal.simulator import ExperimentConfig
 from propcal.stats import model_from_json, DiagonalGaussian4, Uniform4
 
@@ -108,10 +108,23 @@ def test_record_built_from_numbers_serializes_to_a_canonical_line_that_parses_ba
     assert serialize_record(parse_record(line)) == line
 
 
-@pytest.mark.parametrize("value", [True, np.True_, "1", None], ids=["bool", "numpy-bool", "str", "none"])
+@pytest.mark.parametrize("gt_class", [np.int64(3), np.uint8(3), 3], ids=["int64", "uint8", "int"])
+def test_record_stores_an_integer_class_as_an_int_whose_line_parses(gt_class):
+    # a numpy-integer class was refused with "gt_class must be an integer"
+    box = BBox(50.0, 60.0, 20.0, 30.0)
+    rec = ProposalLogRecord("im0", box, gt_class, box, "rpn")
+    assert type(rec.gt_class) is int and rec.gt_class == 3
+    assert parse_record(serialize_record(rec)) == rec
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 10**400],
+                         ids=["bool", "numpy-bool", "str", "none", "int-beyond-float"])
 def test_box_coordinate_must_be_a_number_not_a_bool(value):
+    # an integer beyond the float range raised OverflowError, not this message
     with pytest.raises(ValueError, match="BBox.cx must be a finite number"):
         BBox(value, 1, 1, 1)
+    with pytest.raises(ValueError, match="OffsetVec.dw must be a finite number"):
+        OffsetVec(0, 0, value, 0)
 
 
 @pytest.mark.parametrize("proposal", [(52.0, 58.0, 0.0, 28.0), (52, 58, 0, 28)], ids=["canonical", "parsed"])
@@ -665,6 +678,19 @@ def test_cli_simulate_without_novel_foreground_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"feature_dim": 1}, "could not place 10 separated prototypes in 1 dims"),
+    ({"bg_iou": 0, "fg_iou": 1}, "base training requires at least one classifiable proposal"),
+], ids=["prototypes", "no-classifiable-proposal"])
+def test_cli_simulate_with_a_valid_config_that_cannot_run_exits_1(tmp_path, capsys, override, message):
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(override))
+    out = tmp_path / "reports"
+    assert dispatch(["simulate", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_simulate_with_diverging_head_exits_1(tmp_path, capsys):
     # valid, but the head's weights grow to about 1e299 and mmd_novel is NaN
     cfg = {"learning_rate": 1e300, "seeds": [0], "base_per_class": 20, "test_per_class": 6,
@@ -816,6 +842,17 @@ def test_cli_overflowing_log_exits_1_with_one_line_and_no_warning(tmp_path, caps
     assert not figs.exists()
 
 
+def test_cli_mmd_linear_of_distant_means_is_their_distance(tmp_path, capsys):
+    # the squared distance 1e400 overflowed inside the norm, so mmd exited 1 with "mmd is not finite"
+    far, near = tmp_path / "far.jsonl", tmp_path / "near.jsonl"
+    far.write_text(record_line(gt=(0.0, 0.0, 1.0, 1.0), proposal=(1e200, 0.0, 1.0, 1.0)) + "\n")
+    near.write_text(record_line(gt=(0.0, 0.0, 1.0, 1.0), proposal=(0.0, 0.0, 1.0, 1.0)) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["mmd", str(far), str(near), "--kernel", "linear"]) == 0
+    assert capsys.readouterr() == ("1e+200\n", "")
+
+
 _ZEROS = ", ".join(["0.0000000000000000e+00"] * 4)
 
 
@@ -900,6 +937,19 @@ def test_cli_reads_crlf_and_cr_logs_as_the_lf_log_without_parse_record(tmp_path,
         with open(other, "rb") as fh:
             assert len(cli._line_ranges(fh)) == (3 if ending == "\r\n" else 1)  # cuts follow a \n only
     assert _columns_bytes(cli._read_log(str(other), False)) == want
+
+
+def test_log_is_one_range_on_a_platform_without_fork(tmp_path, monkeypatch):
+    import multiprocessing
+
+    log = tmp_path / "lf.jsonl"
+    log.write_text(LF_LOG)
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 100)  # a file this size would be split where the platform can fork
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with open(log, "rb") as fh:
+        assert len(cli._line_ranges(fh)) == 3
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert cli._line_ranges(fh) == [(0, log.stat().st_size)]
 
 
 def test_fifo_log_is_read_in_one_pass(tmp_path, monkeypatch):

@@ -286,6 +286,9 @@ def test_histogram_invariants():
         Histogram(np.array([0.0, 0.0, 1.0]), np.array([1, 1]))
     with pytest.raises(ValueError):
         Histogram(np.array([0.0, 1.0]), np.array([-1]))
+    for counts in ([], [1, 2]):
+        with pytest.raises(ValueError, match="^counts length must be len\\(edges\\) - 1$"):
+            Histogram(np.array([0.0, 1.0]), np.array(counts, dtype=np.int64))
 
 
 @pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [-1e308, 1e308]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,8 @@ def test_embedding_validation():
         Embedding(np.array([1.0, 1.0]), 0, "a")  # not unit norm
     with pytest.raises(ValueError):
         Embedding(np.array([np.nan, 0.0]), 0, "a")
+    with pytest.raises(ValueError, match=r"^embedding must be a vector, got shape \(2, 2\)$"):
+        Embedding(np.eye(2), 0, "a")
 
 
 def test_batch_validation():
@@ -176,6 +179,12 @@ def test_batch_validation():
         ContrastiveBatch((Embedding(v, 0, "a"), Embedding(v, 0, "a")), tau=0.2)
     with pytest.raises(ValueError):
         supcon_loss(ContrastiveBatch((), tau=0.2))
+    # the array entry point runs the same checks
+    with pytest.raises(ValueError, match="^contrastive batch must be non-empty$"):
+        supcon_loss_and_grad_arrays(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0.2)
+    for tau in (0.0, -0.2):
+        with pytest.raises(ValueError, match=f"^temperature must be positive, got {tau!r}$"):
+            supcon_loss_and_grad_arrays(np.array([v, -v]), np.array([0, 0]), tau)
 
 
 def _cross_entropy(logits, label):
@@ -264,6 +273,25 @@ def test_cross_entropy_batch_matches_the_multi_pass_formula_bit_for_bit(case):
     assert logits.tobytes() == kept[0].tobytes() and np.array_equal(targets, kept[1])
 
 
+_ROW_COUNTS = sorted({*range(1, 65), 127, 128, 129, 255, 256, 257, 1000, 1023, 1024, 1025, 4096, 4097, 9999, 20000})
+
+
+def test_batch_kernels_are_the_mean_form_bit_for_bit_and_total_on_an_empty_batch():
+    # the kernels divide their sums by max(n, 1): numpy's mean for every row count, zero on an empty batch
+    rng = np.random.default_rng(6)
+    for n in _ROW_COUNTS:
+        logits, targets = rng.normal(size=(n, 7)) * 4, rng.integers(0, 7, n)
+        _same_bits(cross_entropy_batch(logits, targets), _cross_entropy_reference(logits.copy(), targets))
+        pred, residual_targets = rng.normal(size=(n, 4)) * 2, rng.normal(size=(n, 4))
+        _same_bits(smooth_l1_batch(pred, residual_targets), _smooth_l1_fused(pred, residual_targets))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's mean of an empty batch warned "Mean of empty slice"
+        empty = [cross_entropy_batch(np.zeros((0, 7)), np.zeros(0, dtype=np.int64)),
+                 smooth_l1_batch(np.zeros((0, 4)), np.zeros((0, 4)))]
+    assert [(type(loss), loss, grad.shape, grad.dtype) for loss, grad in empty] == [
+        (float, 0.0, (0, 7), np.float64), (float, 0.0, (0, 4), np.float64)]
+
+
 def test_smooth_l1_batch_matches_the_fused_kernel_bit_for_bit():
     # so the formula moved no loss, gradient or report byte
     rng = np.random.default_rng(4)
@@ -306,3 +334,8 @@ def test_assemble_lambda_zero_and_zero_branch():
 def test_breakdown_identities_enforced():
     with pytest.raises(ValueError):
         LossBreakdown(con=0.1, cls=0.1, reg=0.1, lam=-0.1, base_total=1.0)
+    with pytest.raises(ValueError, match="^LossBreakdown.cls must be finite$"):
+        LossBreakdown(con=0.1, cls=math.nan, reg=0.1, lam=0.1, base_total=1.0)
+    # finite terms whose weighted sum overflows: the derived total is checked too
+    with pytest.raises(ValueError, match="^LossBreakdown.grand_total must be finite$"):
+        LossBreakdown(con=0.1, cls=0.1, reg=1e308, lam=1e10, base_total=1.0)

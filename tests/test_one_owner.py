@@ -5,9 +5,10 @@ disagreed, so ``diagnose`` refused logs that ``fit-stats`` read. The rules:
 the histogram edge rule and the MMD input check (``diagnostics``), the
 Gaussian fit and the model kinds (``stats``), the histogram report files
 (``diagnostics.write_histogram``), the log merge (``cli._merge_parts``), the
-four-number reader of boxes and model fields (``geometry.four_floats``) and
-the config's lower bounds (``simulator``). The scan reads the package's
-source and imports nothing.
+four-number reader of boxes and model fields (``geometry.four_floats``), the
+number predicates (``geometry._is_real`` and ``geometry._is_integer``, the
+only place that sets bool apart) and the config's lower bounds
+(``simulator``). The scan reads the package's source and imports nothing.
 """
 
 import ast
@@ -25,6 +26,9 @@ ONE_OWNER_MESSAGES = {
     " must be a flat array of four numeric values": "geometry.py",
     " holds an integer beyond the float range": "geometry.py",
 }
+
+# which values are real numbers and which integers, bool being neither
+NUMBER_PREDICATES = ("_is_real", "_is_integer")
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -58,6 +62,15 @@ def test_each_rule_of_the_statistics_path_has_one_owner():
         where = [f"{name}:{line}" for name, tree in trees.items() for line in _strings(tree, message)]
         if [w.split(":")[0] for w in where] != [owner]:
             found.append(f"{message!r} is written at {where}, not once in {owner}")
+    for predicate in NUMBER_PREDICATES:
+        where = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == predicate]
+        if [w.split(":")[0] for w in where] != ["geometry.py"]:
+            found.append(f"{predicate} is defined at {where}, not once in geometry.py")
+    found += [f"{name}:{node.lineno}: sets bool apart outside the number predicates"
+              for name, tree in trees.items() if name != "geometry.py" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+              and "bool" in ast.unparse(node.args[-1])]
     bounds = _strings(trees["simulator.py"], "must be >= 0")  # the config's four lower bounds, one loop
     if len(bounds) != 1:
         found.append(f"simulator.py writes 'must be >= 0' on lines {bounds}")

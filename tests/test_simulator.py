@@ -27,7 +27,7 @@ from propcal.simulator import (
     run_seed,
     sampled_proposals,
 )
-from propcal.simulator import _features_for, _proposal_set
+from propcal.simulator import _features_for, _head_loss_grads, _proposal_set
 from propcal.stats import DiagonalGaussian4
 
 
@@ -62,10 +62,20 @@ def heads_equal(a, b) -> bool:
 def test_dataset_counts():
     cfg = dataclasses.replace(SMALL, c_novel=5, k_shot=1, c_base=3)
     ds = generate_dataset(cfg, 0)
-    novel_ft = [label for label in ds.finetune.labels if label in ds.novel_classes]
+    novel_ft = [label for label in ds.finetune.labels if label >= cfg.c_base]
     assert len(novel_ft) == 5  # exactly K instances per novel class
     assert ds.base.size == cfg.c_base * cfg.base_per_class
     assert ds.test.size == (cfg.c_base + cfg.c_novel) * cfg.test_per_class
+
+
+def test_head_loss_grads_of_empty_inputs_are_zero_losses_and_zero_gradients_of_the_head_shapes():
+    # the kernels total on an empty batch, so the head step has no empty-input branch
+    head, d = init_head(SMALL, 0), SMALL.feature_dim
+    cls_loss, reg_loss, grads = _head_loss_grads(
+        head, np.zeros((0, d)), np.zeros(0, dtype=np.int64), np.zeros((0, d)), np.zeros((0, 4)))
+    assert (cls_loss, reg_loss) == (0.0, 0.0)
+    params = (head.w_cls, head.b_cls, head.w_reg, head.b_reg)
+    assert [(g.shape, g.dtype, g.any()) for g in grads] == [(p.shape, p.dtype, False) for p in params]
 
 
 def test_dataset_determinism():
@@ -296,8 +306,8 @@ def test_rpn_novel_bias_shifts_offsets():
     pset = rpn_proposals(ds, ds.test, cfg, 18, "x")
     dx = encode_offsets_array(pset.boxes, pset.gt_boxes)[:, 0]
     # nothing is missed, so scene r owns rows [50 r, 50 r + 50)
-    novel_scene = next(r for r, label in enumerate(ds.test.labels) if label in ds.novel_classes)
-    base_scene = next(r for r, label in enumerate(ds.test.labels) if label not in ds.novel_classes)
+    novel_scene = next(r for r, label in enumerate(ds.test.labels) if label >= cfg.c_base)
+    base_scene = next(r for r, label in enumerate(ds.test.labels) if label < cfg.c_base)
     dx_n = dx[50 * novel_scene:50 * novel_scene + 50].mean()
     dx_b = dx[50 * base_scene:50 * base_scene + 50].mean()
     assert dx_n - dx_b > 0.25
@@ -309,17 +319,17 @@ def test_rpn_miss_rate_drops_novel_objects():
     cfg = dataclasses.replace(SMALL, miss_rate_novel=math.nextafter(1.0, 0.0))
     ds = generate_dataset(cfg, 19)
     pset = rpn_proposals(ds, ds.test, cfg, 19, "x")
-    assert not pset.novel.any() and pset.budget_misses == 0  # missed objects drew nothing
-    base_rows = np.array([label not in ds.novel_classes for label in ds.test.labels])
+    assert not (pset.labels >= cfg.c_base).any() and pset.budget_misses == 0  # missed objects drew nothing
+    base_rows = ds.test.labels < cfg.c_base
     np.testing.assert_array_equal(
         pset.gt_boxes, np.repeat(ds.test.boxes[base_rows], cfg.rpn_per_object, axis=0)
     )
 
 
 def _assert_empty_set(pset, d):
-    arrays = (pset.boxes, pset.gt_boxes, pset.labels, pset.feats, pset.novel, pset.q)
+    arrays = (pset.boxes, pset.gt_boxes, pset.labels, pset.feats, pset.q)
     assert [(a.shape, a.dtype.str) for a in arrays] == [
-        ((0, 4), "<f8"), ((0, 4), "<f8"), ((0,), "<i8"), ((0, d), "<f8"), ((0,), "|b1"), ((0,), "<f8")]
+        ((0, 4), "<f8"), ((0, 4), "<f8"), ((0,), "<i8"), ((0, d), "<f8"), ((0,), "<f8")]
     assert pset.size == 0 and pset.budget_misses == 0
 
 
@@ -327,7 +337,7 @@ def test_zero_row_proposal_sets_keep_their_shapes_and_dtypes():
     # every novel object is missed, so the detector draws for no row at all
     cfg = dataclasses.replace(SMALL, miss_rate_novel=math.nextafter(1.0, 0.0))
     ds = generate_dataset(cfg, 19)
-    rows = np.flatnonzero(np.isin(ds.test.labels, sorted(ds.novel_classes)))
+    rows = np.flatnonzero(ds.test.labels >= cfg.c_base)
     assert rows.size > 0
     novel_only = Split(tuple(ds.test.ids[r] for r in rows), ds.test.boxes[rows], ds.test.labels[rows],
                        ds.test.appearance[rows], tuple(ds.test.feature_keys[r] for r in rows))
@@ -347,10 +357,10 @@ def test_rpn_proposals_drop_an_object_whose_draws_exhaust_the_budget():
     d = cfg.feature_dim
     split = Split(("ft/0/0", "ft/6/1"), np.array([[60.0, 70.0, 30.0, 24.0], [90.0, 80.0, 36.0, 28.0]]),
                   np.array([0, 6]), np.zeros((2, d)), (1, 2))
-    ds = SimDataset(split, split, split, np.zeros((9, d)), np.eye(d)[0], frozenset({6, 7, 8}))
+    ds = SimDataset(split, split, split, np.zeros((9, d)), np.eye(d)[0])
     pset = rpn_proposals(ds, split, cfg, seed, "ft-rpn")
     assert pset.budget_misses == 1
-    assert pset.size == cfg.rpn_per_object and not pset.novel.any()
+    assert pset.size == cfg.rpn_per_object and not (pset.labels >= cfg.c_base).any()
     np.testing.assert_array_equal(pset.gt_boxes, np.repeat(split.boxes[:1], cfg.rpn_per_object, axis=0))
     assert np.isfinite(pset.boxes).all()
 
@@ -362,7 +372,7 @@ def _rpn_proposals_scene_by_scene(ds, split, config, seed, purpose):
     for r, (sid, gt, label) in enumerate(zip(split.ids, split.boxes, split.labels)):
         rng = philox_rng(stream_key(seed, purpose, sid))
         model = dist
-        if label in ds.novel_classes:
+        if label >= config.c_base:
             if rng.random() < config.miss_rate_novel:
                 continue
             inst = config.novel_bias_spread * stream_rng(seed, "novel-bias", sid, 0).normal(size=4)

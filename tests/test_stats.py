@@ -261,6 +261,9 @@ def test_gaussian_uniform_invariants():
         Uniform4([0, 0, 0, 0], [1, 1, 0, 1])
     with pytest.raises(ValueError):
         DiagonalGaussian4([math.inf, 0, 0, 0], [1, 1, 1, 1])
+    for lo, hi in (([-math.inf, 0, 0, 0], [1, 1, 1, 1]), ([0, 0, 0, 0], [1, math.nan, 1, 1])):
+        with pytest.raises(ValueError, match="^uniform bounds must be finite$"):
+            Uniform4(lo, hi)
 
 
 def test_vectorized_overlap_oracle_matches_the_scalar_one():
@@ -303,6 +306,11 @@ def test_model_json_writes_the_kind_and_its_fields_in_order(model):
     assert all(np.array_equal(getattr(back, f), getattr(model, f)) for f in vars(model))
 
 
+def test_model_to_json_refuses_a_type_that_is_no_model_kind():
+    with pytest.raises(TypeError, match="^unsupported model type: dict$"):
+        model_to_json({"kind": "gaussian", "mu": [0.0] * 4, "var": [1.0] * 4})
+
+
 def test_column_mean_is_numpy_mean_where_finite_and_sums_x_over_n_where_the_sum_overflows():
     rng = np.random.default_rng(30)
     x = rng.normal(size=(1001, 4)) * [1.0, 1e3, 1e-3, 1e300]
@@ -311,3 +319,16 @@ def test_column_mean_is_numpy_mean_where_finite_and_sums_x_over_n_where_the_sum_
     assert column_mean(big).tolist() == [1e308, 1.5, -1e308, 2.0]  # no warning: the suite turns it into an error
     g = fit_gaussian([[1e308] * 4] * 2)  # its column sums overflow; its mean and variance do not
     assert g.mu.tolist() == [1e308] * 4 and g.var.tolist() == [0.0] * 4
+
+
+def test_column_mean_of_no_rows_is_zeros_and_an_empty_batch_leaves_the_accumulator_as_it_was():
+    # numpy's mean of no rows warns "Mean of empty slice", which the suite turns into an error
+    assert column_mean(np.zeros((0, 3))).tolist() == [0.0, 0.0, 0.0]
+    acc = OffsetAccumulator()
+    acc.add_many(np.zeros((0, 4)))
+    assert (acc.count, acc.mean.tolist(), acc.m2.tolist()) == (0, [0.0] * 4, [0.0] * 4)
+    rows = np.random.default_rng(31).normal(size=(5, 4))
+    acc.add_many(rows)
+    before = (acc.count, acc.mean.tobytes(), acc.m2.tobytes())
+    acc.add_many(np.zeros((0, 4)))
+    assert (acc.count, acc.mean.tobytes(), acc.m2.tobytes()) == before
