@@ -102,9 +102,11 @@ def mmd_linear(set_a, set_b) -> float:
     a, b = _checked_sets(set_a, set_b)
     with np.errstate(over="ignore"):  # no overflow warns: a square is rescaled, a difference or norm past it is inf
         diff = column_mean(a) - column_mean(b)
-        norm, scale = float(np.linalg.norm(diff)), float(np.abs(diff).max(initial=0.0))  # 0.0 for zero columns
-        if math.isinf(norm) and math.isfinite(scale):  # the square overflowed, the difference did not
-            norm = scale * float(np.linalg.norm(diff / scale))
+        norm = float(np.linalg.norm(diff))
+        if math.isinf(norm):
+            scale = float(np.abs(diff).max())
+            if math.isfinite(scale):
+                norm = scale * float(np.linalg.norm(diff / scale))
     return norm
 
 

@@ -15,6 +15,7 @@ run the same kernel on one row and validate their inputs and results.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,10 @@ def _store_floats(box, names: tuple[str, ...]) -> None:
     """Store the fields ``names`` of a frozen box as Python floats; a ValueError unless each is a finite real number."""
     for name in names:
         v = getattr(box, name)
-        try:
-            x = float(v) if _is_real(v) else math.nan
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if not math.isfinite(x):
+        # a Python int may exceed the float range, where math.isfinite would raise OverflowError
+        if not (_is_real(v) and (abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))):
             raise ValueError(f"{type(box).__name__}.{name} must be a finite number, got {v!r}")
-        object.__setattr__(box, name, x)
+        object.__setattr__(box, name, float(v))
 
 
 @dataclass(frozen=True)

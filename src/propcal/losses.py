@@ -133,7 +133,7 @@ def cross_entropy_batch(logits: np.ndarray, targets: np.ndarray) -> tuple[float,
     picked = shift[rows, targets]
     probs = np.exp(shift, out=shift)
     total = probs.sum(axis=1)
-    loss = float(-(picked - np.log(total)).sum() / m)
+    loss = float(-(picked - np.log(total)).sum() / m + 0.0)  # + 0.0: the empty sum's -0.0 becomes 0.0
     probs /= total[:, None]
     probs[rows, targets] -= 1.0
     probs /= m

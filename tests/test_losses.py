@@ -288,8 +288,9 @@ def test_batch_kernels_are_the_mean_form_bit_for_bit_and_total_on_an_empty_batch
         warnings.simplefilter("error")  # numpy's mean of an empty batch warned "Mean of empty slice"
         empty = [cross_entropy_batch(np.zeros((0, 7)), np.zeros(0, dtype=np.int64)),
                  smooth_l1_batch(np.zeros((0, 4)), np.zeros((0, 4)))]
-    assert [(type(loss), loss, grad.shape, grad.dtype) for loss, grad in empty] == [
-        (float, 0.0, (0, 7), np.float64), (float, 0.0, (0, 4), np.float64)]
+    # bytes, not ==, so a -0.0 loss fails too
+    assert [(type(loss), np.float64(loss).tobytes(), grad.shape, grad.dtype) for loss, grad in empty] == [
+        (float, bytes(8), (0, 7), np.float64), (float, bytes(8), (0, 4), np.float64)]
 
 
 def test_smooth_l1_batch_matches_the_fused_kernel_bit_for_bit():

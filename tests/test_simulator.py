@@ -73,7 +73,7 @@ def test_head_loss_grads_of_empty_inputs_are_zero_losses_and_zero_gradients_of_t
     head, d = init_head(SMALL, 0), SMALL.feature_dim
     cls_loss, reg_loss, grads = _head_loss_grads(
         head, np.zeros((0, d)), np.zeros(0, dtype=np.int64), np.zeros((0, d)), np.zeros((0, 4)))
-    assert (cls_loss, reg_loss) == (0.0, 0.0)
+    assert np.float64([cls_loss, reg_loss]).tobytes() == bytes(16)  # +0.0 both: == would pass -0.0
     params = (head.w_cls, head.b_cls, head.w_reg, head.b_reg)
     assert [(g.shape, g.dtype, g.any()) for g in grads] == [(p.shape, p.dtype, False) for p in params]
 

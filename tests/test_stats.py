@@ -323,7 +323,7 @@ def test_column_mean_is_numpy_mean_where_finite_and_sums_x_over_n_where_the_sum_
 
 def test_column_mean_of_no_rows_is_zeros_and_an_empty_batch_leaves_the_accumulator_as_it_was():
     # numpy's mean of no rows warns "Mean of empty slice", which the suite turns into an error
-    assert column_mean(np.zeros((0, 3))).tolist() == [0.0, 0.0, 0.0]
+    assert column_mean(np.zeros((0, 3))).tobytes() == bytes(24)  # +0.0 each
     acc = OffsetAccumulator()
     acc.add_many(np.zeros((0, 4)))
     assert (acc.count, acc.mean.tolist(), acc.m2.tolist()) == (0, [0.0] * 4, [0.0] * 4)
