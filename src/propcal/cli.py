@@ -174,10 +174,11 @@ def parse_log(lines: Iterable[str], lenient: bool = False) -> tuple[ProposalColu
     positive sizes are then checked on the arrays, and a row they refuse
     gets the message ``parse_record`` gives its boxes, from the row's own
     values. So the columns and messages are those of parsing line by line:
-    strict mode raises on the first bad line and reads no further; lenient
-    mode skips bad lines and returns their messages in line order. Blank
-    lines are ignored in both modes. No line's text is kept past its own
-    step.
+    strict mode raises on the first bad line, reading no further than a line
+    ``parse_record`` refuses, but past a canonical line whose box the array
+    check refuses; lenient mode skips bad lines and returns their messages
+    in line order. Blank lines are ignored in both modes. No line's text is
+    kept past its own step.
     """
     return _merge_parts([_parse_lines(lines, lenient)], lenient)
 

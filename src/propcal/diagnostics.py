@@ -289,7 +289,7 @@ def histogram_to_svg(hist: Histogram, title: str = "") -> str:
     plot_w = width - left - right
     plot_h = height - top - bottom
     n = hist.counts.size
-    peak = max(int(hist.counts.max()), 1) if n else 1
+    peak = max(int(hist.counts.max()), 1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

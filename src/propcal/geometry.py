@@ -31,12 +31,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a real number (no bool) that a float64 holds as a finite value."""
+    # a Python int may exceed the float range, where math.isfinite would raise OverflowError
+    return _is_real(value) and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+
+
 def _store_floats(box, names: tuple[str, ...]) -> None:
     """Store the fields ``names`` of a frozen box as Python floats; a ValueError unless each is a finite real number."""
     for name in names:
         v = getattr(box, name)
-        # a Python int may exceed the float range, where math.isfinite would raise OverflowError
-        if not (_is_real(v) and (abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))):
+        if not _is_finite(v):
             raise ValueError(f"{type(box).__name__}.{name} must be a finite number, got {v!r}")
         object.__setattr__(box, name, float(v))
 
@@ -121,13 +126,13 @@ def as_rows4(values) -> np.ndarray:
 
 
 def four_floats(value, name: str) -> list[float]:
-    """A list of four real numbers (no bool) as four Python floats; anything else a ValueError naming ``name``."""
-    if not (isinstance(value, list) and len(value) == 4 and all(map(_is_real, value))):
+    """Four real numbers (no bool) in a list, tuple or 1-D array, as Python floats; else a ValueError naming ``name``."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(value, (list, tuple)) and len(value) == 4 and all(map(_is_real, value))):
         raise ValueError(f"{name} must be a flat array of four numeric values")
-    try:
-        return [float(v) for v in value]
-    except OverflowError:
-        raise ValueError(f"{name} holds an integer beyond the float range") from None
+    if not all(_is_finite(v) for v in value if isinstance(v, int)):
+        raise ValueError(f"{name} holds an integer beyond the float range")
+    return [float(v) for v in value]
 
 
 def encode_offsets_array(proposals: np.ndarray, refs: np.ndarray) -> np.ndarray:

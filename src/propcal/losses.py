@@ -18,10 +18,11 @@ and reports the breakdown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import _is_finite
 
 
 @dataclass(frozen=True)
@@ -51,23 +52,18 @@ class ContrastiveBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        if self.tau <= 0:
+        if not (_is_finite(self.tau) and self.tau > 0):
             raise ValueError(f"temperature must be positive, got {self.tau!r}")
         ids = [e.sample_id for e in self.embeddings]
         if len(set(ids)) != len(ids):
             raise ValueError("sample_ids must be pairwise distinct")
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        z = np.stack([e.vec for e in self.embeddings])
-        labels = np.array([e.class_label for e in self.embeddings])
-        return z, labels
+        if len({e.vec.size for e in self.embeddings}) > 1:
+            raise ValueError("embeddings must all have one length")
 
 
 def supcon_loss(batch: ContrastiveBatch) -> float:
-    if not batch.embeddings:
-        raise ValueError("contrastive batch must be non-empty")
-    z, labels = batch.arrays()
-    return supcon_loss_arrays(z, labels, batch.tau)
+    z = np.array([e.vec for e in batch.embeddings])
+    return supcon_loss_arrays(z, np.array([e.class_label for e in batch.embeddings]), batch.tau)
 
 
 def supcon_loss_and_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
@@ -82,7 +78,7 @@ def supcon_loss_and_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -
     n = z.shape[0]
     if n == 0:
         raise ValueError("contrastive batch must be non-empty")
-    if tau <= 0:
+    if not (_is_finite(tau) and tau > 0):
         raise ValueError(f"temperature must be positive, got {tau!r}")
     if n == 1:
         return 0.0, np.zeros_like(z)
@@ -164,7 +160,7 @@ class LossBreakdown:
 
     def __post_init__(self):
         for name in ("con", "cls", "reg", "re_roi_total", "lam", "base_total", "grand_total"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"LossBreakdown.{name} must be finite")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam!r}")

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .geometry import apply_offsets_array, encode_offsets_array, iou_paired_array
+from .geometry import _is_finite, apply_offsets_array, encode_offsets_array, iou_paired_array
 # bound only because the benchmark tracer counts geometry.iou calls through this name
 from .geometry import iou as iou_scalar  # noqa: F401
 from .losses import cross_entropy_batch, smooth_l1_batch
@@ -74,13 +74,9 @@ _JSON_TYPES = {
 
 def _finite_float(name: str, value) -> float:
     """``float(value)``; a ValueError naming the field if it is not finite."""
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
+    if not _is_finite(value):
         raise ValueError(f"{name} must be finite")
-    return x
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -337,7 +333,7 @@ def rpn_proposals(
     objects, each in its own way. An object whose draws exhaust the re-draw
     budget is missed too; the returned set counts these in ``budget_misses``.
     """
-    dist = DiagonalGaussian4(np.array(config.rpn_mu), np.array(config.rpn_sigma) ** 2)
+    dist = DiagonalGaussian4(config.rpn_mu, np.array(config.rpn_sigma) ** 2)
     extra_bias = np.array(config.novel_extra_bias)
     keys = [stream_key(seed, purpose, sid) for sid in split.ids]
     states, models, kept = list(keys), [dist] * split.size, np.ones(split.size, dtype=bool)
@@ -476,7 +472,7 @@ class EvalMetrics:
     novel_accuracy: float
     base_accuracy: float
     mmd_novel: float
-    refined_iou: np.ndarray     # refined-box IoU of every proposal, clipped to [0, 1]
+    refined_iou: np.ndarray     # refined-box IoU of every proposal, in [0, 1] as iou_paired_array returns it
     novel_iou: np.ndarray       # IoU of every novel proposal before refinement
     novel_correct: np.ndarray   # whether each novel proposal is classified correctly
     n_foreground: int
@@ -523,7 +519,7 @@ def evaluate(
     mmd_novel = diagnostics.mmd_rbf(novel_offsets, ref_sample)
 
     metrics = EvalMetrics(
-        mean_iou, novel_acc, base_acc, mmd_novel, np.clip(refined_iou, 0.0, 1.0),
+        mean_iou, novel_acc, base_acc, mmd_novel, refined_iou,
         pset.q[novel], pred_labels[novel] == pset.labels[novel],
         int(fg.sum()), int(novel_fg.sum()),
     )
@@ -598,11 +594,10 @@ def run_experiment(config: ExperimentConfig, out_root: Path | str | None = None)
         pdc = [getattr(r.pdc, metric) for r in results]
         fields[mean_field] = (sum(base) / len(results), sum(pdc) / len(results))
         fields[wins_field] = sum((p < b) if lower_wins else (p > b) for b, p in zip(base, pdc))
-    report = ExperimentReport(config.config_hash(), results, output_dir=None, **fields)
-    if out_root is not None:
-        outdir = Path(out_root) / config.config_hash()
+    outdir = None if out_root is None else Path(out_root) / config.config_hash()
+    report = ExperimentReport(config.config_hash(), results, output_dir=outdir, **fields)
+    if outdir is not None:
         write_report(report, config, outdir)
-        report = dataclasses.replace(report, output_dir=outdir)
     return report
 
 

@@ -36,14 +36,11 @@ class DiagonalGaussian4:
     var: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).reshape(4)
-        var = np.asarray(self.var, dtype=np.float64).reshape(4)
+        mu, var = _store_fields(self)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
             raise ValueError("gaussian parameters must be finite")
         if np.any(var < 0):
             raise ValueError(f"variances must be non-negative, got {var}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "var", var)
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,11 @@ class Uniform4:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64).reshape(4)
-        hi = np.asarray(self.hi, dtype=np.float64).reshape(4)
+        lo, hi = _store_fields(self)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("uniform bounds must be finite")
         if np.any(lo >= hi):
             raise ValueError(f"lo must be < hi component-wise, got lo={lo}, hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
 
 def column_mean(x: np.ndarray) -> np.ndarray:
@@ -110,7 +104,7 @@ class OffsetAccumulator:
         """Fit the Gaussian: mu = mean, var = m2 / count (population variance)."""
         if self.count == 0:
             raise ValueError("cannot finalize an empty accumulator")
-        return DiagonalGaussian4(self.mean.copy(), np.maximum(self.m2 / self.count, 0.0))
+        return DiagonalGaussian4(self.mean, np.maximum(self.m2 / self.count, 0.0))  # the model stores its own copy
 
 
 def fit_gaussian(offsets) -> DiagonalGaussian4:
@@ -136,6 +130,14 @@ def fit_optimal_uniform(g: DiagonalGaussian4) -> Uniform4:
 _MODEL_KINDS = {"gaussian": (DiagonalGaussian4, ("mu", "var")), "uniform": (Uniform4, ("lo", "hi"))}
 
 
+def _store_fields(model) -> list[np.ndarray]:
+    """Store each field of a frozen model as a float64 array, read by ``four_floats`` as a model file's field is."""
+    kind, names = next((k, names) for k, (cls, names) in _MODEL_KINDS.items() if isinstance(model, cls))
+    for n in names:
+        object.__setattr__(model, n, np.array(four_floats(getattr(model, n), f"{kind} model field {n}")))
+    return [getattr(model, n) for n in names]
+
+
 def model_to_json(model: DiagonalGaussian4 | Uniform4) -> str:
     for kind, (cls, names) in _MODEL_KINDS.items():
         if isinstance(model, cls):
@@ -158,4 +160,4 @@ def model_from_json(text: str) -> DiagonalGaussian4 | Uniform4:
     unknown = sorted(set(doc) - {"kind", *names})
     if unknown:
         raise ValueError(f"{kind} model document has unknown field(s): {', '.join(unknown)}")
-    return cls(*(np.array(four_floats(doc[n], f"{kind} model field {n}")) for n in names))
+    return cls(*(doc[n] for n in names))

@@ -177,7 +177,7 @@ def test_batch_validation():
         ContrastiveBatch((Embedding(v, 0, "a"),), tau=0.0)
     with pytest.raises(ValueError):
         ContrastiveBatch((Embedding(v, 0, "a"), Embedding(v, 0, "a")), tau=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^contrastive batch must be non-empty$"):
         supcon_loss(ContrastiveBatch((), tau=0.2))
     # the array entry point runs the same checks
     with pytest.raises(ValueError, match="^contrastive batch must be non-empty$"):
@@ -185,6 +185,17 @@ def test_batch_validation():
     for tau in (0.0, -0.2):
         with pytest.raises(ValueError, match=f"^temperature must be positive, got {tau!r}$"):
             supcon_loss_and_grad_arrays(np.array([v, -v]), np.array([0, 0]), tau)
+    # a temperature is a finite number: nan gave a nan loss, and a bool was taken as 1
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    worked = (Embedding(e1, 0, "a"), Embedding(e1, 0, "b"), Embedding(e2, 1, "c"))
+    for tau in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match=f"^temperature must be positive, got {tau!r}$"):
+            ContrastiveBatch(worked, tau=tau)
+        with pytest.raises(ValueError, match=f"^temperature must be positive, got {tau!r}$"):
+            supcon_loss_and_grad_arrays(np.array([e1, e1, e2]), np.array([0, 0, 1]), tau)
+    # embeddings of one batch share one length, refused when the batch is built
+    with pytest.raises(ValueError, match="^embeddings must all have one length$"):
+        ContrastiveBatch((Embedding(e1, 0, "a"), Embedding(unit([1, 1, 1]), 0, "b")), tau=0.2)
 
 
 def _cross_entropy(logits, label):
@@ -340,3 +351,7 @@ def test_breakdown_identities_enforced():
     # finite terms whose weighted sum overflows: the derived total is checked too
     with pytest.raises(ValueError, match="^LossBreakdown.grand_total must be finite$"):
         LossBreakdown(con=0.1, cls=0.1, reg=1e308, lam=1e10, base_total=1.0)
+    # a term a float64 cannot hold as a finite value, or that is no real number
+    for con in (10**400, True, "x"):
+        with pytest.raises(ValueError, match="^LossBreakdown.con must be finite$"):
+            LossBreakdown(con=con, cls=0.1, reg=0.1, lam=0.1, base_total=1.0)

@@ -6,9 +6,11 @@ the histogram edge rule and the MMD input check (``diagnostics``), the
 Gaussian fit and the model kinds (``stats``), the histogram report files
 (``diagnostics.write_histogram``), the log merge (``cli._merge_parts``), the
 four-number reader of boxes and model fields (``geometry.four_floats``), the
-number predicates (``geometry._is_real`` and ``geometry._is_integer``, the
-only place that sets bool apart) and the config's lower bounds
-(``simulator``). The scan reads the package's source and imports nothing.
+number predicates (``geometry._is_real``, ``geometry._is_integer`` and
+``geometry._is_finite``: the only place that sets bool apart, and the only
+finite-number rule, so no module catches ``OverflowError``) and the config's
+lower bounds (``simulator``). The scan reads the package's source and imports
+nothing.
 """
 
 import ast
@@ -28,7 +30,7 @@ ONE_OWNER_MESSAGES = {
 }
 
 # which values are real numbers and which integers, bool being neither
-NUMBER_PREDICATES = ("_is_real", "_is_integer")
+NUMBER_PREDICATES = ("_is_real", "_is_integer", "_is_finite")
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -71,6 +73,10 @@ def test_each_rule_of_the_statistics_path_has_one_owner():
               for name, tree in trees.items() if name != "geometry.py" for node in ast.walk(tree)
               if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
               and "bool" in ast.unparse(node.args[-1])]
+    found += [f"{name}:{node.lineno}: catches OverflowError; the finite-number rule is geometry._is_finite"
+              for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              and "OverflowError" in ast.unparse(node.type)]
     bounds = _strings(trees["simulator.py"], "must be >= 0")  # the config's four lower bounds, one loop
     if len(bounds) != 1:
         found.append(f"simulator.py writes 'must be >= 0' on lines {bounds}")

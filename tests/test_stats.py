@@ -264,6 +264,16 @@ def test_gaussian_uniform_invariants():
     for lo, hi in (([-math.inf, 0, 0, 0], [1, 1, 1, 1]), ([0, 0, 0, 0], [1, math.nan, 1, 1])):
         with pytest.raises(ValueError, match="^uniform bounds must be finite$"):
             Uniform4(lo, hi)
+    # a field is read as a model file's field is: four real numbers, no bool, none beyond the float range
+    for bad in ([True, 0, 0, 0], ["1", 0, 0, 0], np.zeros((2, 2)), [0, 0, 0], [10**400, 0, 0, 0]):
+        with pytest.raises(ValueError, match="^gaussian model field mu "):
+            DiagonalGaussian4(bad, [1, 1, 1, 1])
+        with pytest.raises(ValueError, match="^uniform model field lo "):
+            Uniform4(bad, [2, 2, 2, 2])
+    # a tuple or a 1-D array of four is read like a list, into a new float64 array
+    mu = np.arange(4.0)
+    g = DiagonalGaussian4(mu, (1, 1, 1, 1))
+    assert g.var.dtype == np.float64 and g.mu.tolist() == [0.0, 1.0, 2.0, 3.0] and not np.shares_memory(g.mu, mu)
 
 
 def test_vectorized_overlap_oracle_matches_the_scalar_one():
