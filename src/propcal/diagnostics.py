@@ -114,12 +114,10 @@ def _median_bracket(pooled: np.ndarray) -> tuple[float, float]:
     """Squared distances that bracket the median pair with high probability.
 
     The 0.47 and 0.53 quantiles of the squared distances of ``MEDIAN_SAMPLE``
-    pairs drawn with a fixed key; the whole line when there are no more pairs
-    than that. The bracket only decides how much work the select does.
+    pairs drawn with a fixed key, however few the pairs. The bracket only
+    decides how much work the select does.
     """
     n = pooled.shape[0]
-    if n * (n - 1) // 2 <= MEDIAN_SAMPLE:
-        return -np.inf, np.inf
     rng = philox_rng(1)
     i = rng.integers(0, n, MEDIAN_SAMPLE)
     j = rng.integers(0, n - 1, MEDIAN_SAMPLE)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _is_finite
+from .geometry import _is_finite, _is_integer
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class Embedding:
     sample_id: object
 
     def __post_init__(self):
+        if not _is_integer(self.class_label):
+            raise ValueError(f"class_label must be an integer, got {self.class_label!r}")
         v = np.asarray(self.vec, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError(f"embedding must be a vector, got shape {v.shape}")
@@ -43,6 +45,7 @@ class Embedding:
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"embedding must be unit-norm, got |v| = {norm!r}")
         object.__setattr__(self, "vec", v)
+        object.__setattr__(self, "class_label", int(self.class_label))
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,15 @@ def supcon_loss_and_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -
     """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels)
-    n = z.shape[0]
-    if n == 0:
+    if z.size == 0:
         raise ValueError("contrastive batch must be non-empty")
+    if z.ndim != 2:
+        raise ValueError(f"embeddings must be an (n, d) array, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("embeddings must be finite")
+    n = z.shape[0]
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":  # a bool, float or string label is no class
+        raise ValueError(f"labels must be {n} integers, got a {labels.dtype} array of shape {labels.shape}")
     if not (_is_finite(tau) and tau > 0):
         raise ValueError(f"temperature must be positive, got {tau!r}")
     if n == 1:
@@ -98,8 +107,6 @@ def supcon_loss_and_grad_arrays(z: np.ndarray, labels: np.ndarray, tau: float) -
     coeff = exp_shift / den - pos / np.maximum(n_pos, 1)[:, None]
     coeff[~has_pos] = 0.0
     grad = (coeff @ z + coeff.T @ z) / (n * tau)
-    if not np.any(has_pos):
-        return 0.0, grad
     log_ratio = sim - (row_max + np.log(den[:, 0]))[:, None]
     per_anchor = np.zeros(n)
     np.divide(-(log_ratio * pos).sum(axis=1), n_pos, out=per_anchor, where=has_pos)

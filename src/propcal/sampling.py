@@ -119,9 +119,9 @@ def sample_boxes(
 
     Gt i draws ``models[i]`` offsets from its own stream, which starts at
     ``states[i]``: a Philox key (the stream at its start) or a
-    ``bit_generator.state``. Each round restores the stream into a scratch
-    generator for the gt's draw, then decodes, checks and clips the pending
-    rows of up to ``PASS_GTS`` gts in one array pass.
+    ``bit_generator.state``. Each round restores each gt's stream into a
+    scratch generator for its draw and saves where it stopped, then decodes,
+    checks and clips the pending rows of up to ``PASS_GTS`` gts in one array pass.
     A draw is invalid, and re-drawn, when its decoded box, before clipping,
     holds a non-finite value (an overflowing decode) or a size <= 0, or
     when it lies outside the image.
@@ -140,7 +140,7 @@ def _fill_slots(boxes, gts, models, states, image_size) -> None:
     """The draw rounds of :func:`sample_boxes` for ``k`` gts into their ``(k * n, 4)`` slots."""
     k = gts.shape[0]
     n = boxes.shape[0] // k
-    live, rng = -1, philox_rng(0)  # the gt whose stream the scratch generator is on
+    rng = philox_rng(0)  # the scratch generator each gt's draw restores its stream into
     pending = np.arange(k * n)  # slots gt by gt, so each gt's rows stay in slot order
     counts = [n] * k  # pending slots per gt
     for _ in range(MAX_RESAMPLE + 1):
@@ -150,15 +150,12 @@ def _fill_slots(boxes, gts, models, states, image_size) -> None:
         for i, count in enumerate(counts):
             if not count:
                 continue
-            if i != live:
-                if live >= 0:
-                    states[live] = rng.bit_generator.state
-                if isinstance(states[i], dict):
-                    rng.bit_generator.state = states[i]
-                else:
-                    _rekey(rng, states[i])
-                live = i
+            if isinstance(states[i], dict):
+                rng.bit_generator.state = states[i]
+            else:
+                _rekey(rng, states[i])
             offs.append(_draw_raw(models[i], count, rng))
+            states[i] = rng.bit_generator.state  # where the gt's stream stopped, for its next round
         with np.errstate(over="ignore", invalid="ignore"):
             decoded = apply_offsets_array(np.repeat(gts, counts, axis=0), np.concatenate(offs))
             # before clipping, which would turn an overflowed corner into the image edge

@@ -138,7 +138,7 @@ class ExperimentConfig:
                      "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("j_per_instance", "lam", "pos_neg_cap", "novel_bias_spread"):
+        for name in ("j_per_instance", "lam", "learning_rate", "pos_neg_cap", "novel_bias_spread"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("rpn_mu", "rpn_sigma", "novel_extra_bias"):
@@ -452,9 +452,7 @@ def finetune(
     if pdc_enabled:
         n_neg = int((rpn.q < config.bg_iou).sum())
         cap = config.pos_neg_cap * max(n_neg, 1)  # inf when the product overflows: no cap
-        keep = np.arange(sampled.size)
-        if sampled.size > cap:
-            keep = np.sort(stream_rng(seed, "pos-cap").choice(sampled.size, size=int(cap), replace=False))
+        keep = np.sort(stream_rng(seed, "pos-cap").choice(sampled.size, int(min(sampled.size, cap)), replace=False))
         if keep.size:
             feats, labels = sampled.feats[keep], sampled.labels[keep]
             reg_targets = encode_offsets_array(sampled.gt_boxes[keep], sampled.boxes[keep])

@@ -101,10 +101,10 @@ class OffsetAccumulator:
         return OffsetAccumulator(n, mean, m2)
 
     def finalize(self) -> DiagonalGaussian4:
-        """Fit the Gaussian: mu = mean, var = m2 / count (population variance)."""
+        """Fit the Gaussian: mu = mean, var = m2 / count (population variance), refused, not clamped, if negative."""
         if self.count == 0:
             raise ValueError("cannot finalize an empty accumulator")
-        return DiagonalGaussian4(self.mean, np.maximum(self.m2 / self.count, 0.0))  # the model stores its own copy
+        return DiagonalGaussian4(self.mean, self.m2 / self.count)  # the model stores its own copy
 
 
 def fit_gaussian(offsets) -> DiagonalGaussian4:

@@ -622,6 +622,7 @@ SHARED_CONFIG_ERRORS = [
     ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
     *SHARED_CONFIG_ERRORS,
     ({"lam": -1}, "lam must be >= 0"),
+    ({"learning_rate": -1.5}, "learning_rate must be >= 0"),
     ({"tau": 0.2, "contrastive_cap": 256, "contrastive_set": "sampled", "proj_dim": 128},
      "unknown config fields: ['contrastive_cap', 'contrastive_set', 'proj_dim', 'tau']"),
     ({"feature_dim": 0}, "feature_dim must be positive"),

@@ -133,6 +133,7 @@ def _bandwidth_reference(a, b):
     (5, 3, 3),     # 28 pairs, even, with tied distances
     (40, 27, 3),   # 2211 pairs, odd, with tied distances
     (64, 64, 0),   # 8128 pairs, even
+    (45, 46, 3),   # 4095 pairs, odd, with tied distances: fewer pairs than MEDIAN_SAMPLE draws
     (1, 0, 0),     # no pair
     # more pairs than MEDIAN_SAMPLE, so the select works inside a sampled bracket
     (100, 151, 0),  # 31375 pairs, odd

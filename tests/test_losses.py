@@ -80,7 +80,10 @@ def test_no_positive_anchor_contributes_zero():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(4, 6))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    assert supcon_loss_arrays(z, np.array([0, 1, 2, 3]), 0.5) == 0.0
+    labels = np.array([0, 1, 2, 3])
+    assert supcon_loss_arrays(z, labels, 0.5) == 0.0
+    g = supcon_grad_arrays(z, labels, 0.5)
+    np.testing.assert_allclose(g, fd_gradient(lambda zz: supcon_loss_arrays(zz, labels, 0.5), z), atol=1e-8)
 
 
 def test_temperature_limit():
@@ -196,6 +199,24 @@ def test_batch_validation():
     # embeddings of one batch share one length, refused when the batch is built
     with pytest.raises(ValueError, match="^embeddings must all have one length$"):
         ContrastiveBatch((Embedding(e1, 0, "a"), Embedding(unit([1, 1, 1]), 0, "b")), tau=0.2)
+    # the array entry point checks z and the labels: these broadcast-failed, raised numpy's 2-d error,
+    # returned nan, or took a bool, string or float label as a class
+    z3 = np.array([e1, e1, e2])
+    with pytest.raises(ValueError, match=r"^embeddings must be an \(n, d\) array, got shape \(2,\)$"):
+        supcon_loss_and_grad_arrays(e1, np.array([0, 0]), 0.2)
+    with pytest.raises(ValueError, match="^embeddings must be finite$"):
+        supcon_loss_and_grad_arrays(np.array([e1, [math.nan, 0.0], e2]), np.array([0, 0, 1]), 0.2)
+    bad_labels = (np.array([0, 0]), np.array([[0, 0, 1]]), np.array([True, True, False]), np.array(["a", "a", "b"]),
+                  np.array([0.0, 0.0, 1.0]))
+    for labels in bad_labels:
+        with pytest.raises(ValueError, match=f"^labels must be 3 integers, got a {labels.dtype} array of shape"):
+            supcon_loss_and_grad_arrays(z3, labels, 0.2)
+    # a class label is an integer, stored as a Python int
+    for label in (True, 1.0, "a", None):
+        with pytest.raises(ValueError, match=f"^class_label must be an integer, got {label!r}$"):
+            Embedding(e1, label, "a")
+    stored = Embedding(e1, np.int64(3), "a").class_label
+    assert type(stored) is int and stored == 3
 
 
 def _cross_entropy(logits, label):

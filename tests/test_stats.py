@@ -52,6 +52,12 @@ def test_empty_finalize_errors():
         OffsetAccumulator().finalize()
 
 
+def test_negative_m2_is_refused_not_clamped():
+    # no add or merge makes m2 negative; a hand-built one was finalized to var 0
+    with pytest.raises(ValueError, match="^variances must be non-negative"):
+        OffsetAccumulator(2, np.zeros(4), np.array([-1.0, 0, 0, 0])).finalize()
+
+
 def test_merge_equals_concatenated_stream():
     rng = np.random.default_rng(3)
     a = rng.normal(0.02, 0.1, size=(500, 4))
