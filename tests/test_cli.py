@@ -622,7 +622,6 @@ SHARED_CONFIG_ERRORS = [
     ({"miss_rate_novel": 1.0}, "miss_rate_novel must be in [0, 1)"),
     *SHARED_CONFIG_ERRORS,
     ({"lam": -1}, "lam must be >= 0"),
-    ({"learning_rate": -1.5}, "learning_rate must be >= 0"),
     ({"tau": 0.2, "contrastive_cap": 256, "contrastive_set": "sampled", "proj_dim": 128},
      "unknown config fields: ['contrastive_cap', 'contrastive_set', 'proj_dim', 'tau']"),
     ({"feature_dim": 0}, "feature_dim must be positive"),
@@ -643,6 +642,7 @@ SHARED_CONFIG_ERRORS = [
     ({"rpn_sigma": [0.1, 0.1, -math.inf, 0.1]}, "rpn_sigma must be finite"),
     ({"fg_iou": 0.3, "bg_iou": 0.5}, "need 0 <= bg_iou <= fg_iou <= 1"),
     ({"fg_iou": 1.5}, "need 0 <= bg_iou <= fg_iou <= 1"),
+    ({"learning_rate": -1.5}, "learning_rate must be >= 0"),
 ])
 def test_cli_simulate_rejects_invalid_config(tmp_path, capsys, override, message):
     cfg_file = tmp_path / "config.json"
