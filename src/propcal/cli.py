@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -85,6 +86,9 @@ class ProposalLogRecord:
     def __post_init__(self):
         _check_id_and_class(self.image_id, self.gt_class)
         object.__setattr__(self, "gt_class", int(self.gt_class))  # a numpy integer prints as its digits
+        for name in ("gt", "proposal"):
+            if not isinstance(box := getattr(self, name), BBox):
+                raise ValueError(f"{name} must be a BBox, got {type(box).__name__}")
         if self.source not in _SOURCES:
             raise ValueError(f"source must be one of {_SOURCES}, got {self.source!r}")
 
@@ -364,28 +368,23 @@ def _log_offsets(cols: ProposalColumns) -> np.ndarray:
     return offsets
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path is None:
-        if text:  # as the empty file -o writes
-            print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:  # two writes, so the text is not copied to add the newline
-            fh.write(text)
-            if text:
-                fh.write("\n")
+def _write_lines(lines: Iterable[str], path: str | None) -> None:
+    """Write each line and a newline to ``path``, or to stdout when it is None."""
+    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines(f"{line}\n" for line in lines)
 
 
 # Subcommand implementations. Each returns an exit code.
 
 def _cmd_fit_stats(args) -> int:
     cols = _read_log(args.log, args.lenient)
-    _write_or_print(model_to_json(fit_gaussian(_log_offsets(cols))), args.output)
+    _write_lines([model_to_json(fit_gaussian(_log_offsets(cols)))], args.output)
     return 0
 
 
 def _cmd_fit_uniform(args) -> int:
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
-    _write_or_print(model_to_json(fit_optimal_uniform(model)), args.output)
+    _write_lines([model_to_json(fit_optimal_uniform(model))], args.output)
     return 0
 
 
@@ -395,21 +394,22 @@ def _cmd_sample(args) -> int:
     image_size = tuple(args.image_size) if args.image_size else None
     if image_size and not all(0 < v < np.inf for v in image_size):
         raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
-    # the lines and the draws are freed before the text is written
-    _write_or_print("\n".join(_sampled_lines(args.gts, config, image_size)), args.output)
+    _write_lines(_sampled_lines(args.gts, config, image_size), args.output)
     return 0
 
 
-def _sampled_lines(path: str, config: SamplerConfig, image_size) -> list[str]:
-    """The ``sample`` records of the gt lines of ``path``, in file order; every line is checked before any draw."""
+def _sampled_lines(path: str, config: SamplerConfig, image_size) -> Iterator[str]:
+    """The ``sample`` records of the gt lines of ``path`` in file order, formatted one gt at a time as they are taken.
+
+    Every gt line is checked and every proposal drawn before this returns."""
     with open(path, "rb") as fh:
         records = [_parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
                    for line_no, line in enumerate(_range_lines(fh, math.inf), start=1) if line.strip()]
     boxes = np.array([gt.as_array() for _, gt, _ in records]).reshape(-1, 4)
     props = build_calibrated_set(boxes, config, image_size, [image_id for image_id, _, _ in records])
     props = props.reshape(len(records), config.j_per_instance, 4)
-    return [line for (image_id, _, gt_class), gt, rows in zip(records, boxes.tolist(), props)
-            for line in _format_records(image_id, gt, gt_class, rows.tolist(), "sampled")]
+    return (line for (image_id, _, gt_class), gt, rows in zip(records, boxes.tolist(), props)
+            for line in _format_records(image_id, gt, gt_class, rows.tolist(), "sampled"))
 
 
 def _cmd_supcon_check(args) -> int:
@@ -455,7 +455,7 @@ def _cmd_diagnose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):
         diagnostics.write_histogram(outdir / f"offset_{name}", hist, f"offset {name}")
-    _write_or_print(model_to_json(report.gaussian), str(outdir / "model.json"))
+    _write_lines([model_to_json(report.gaussian)], str(outdir / "model.json"))
     hist = diagnostics.iou_histogram(cols.proposal, cols.gt, diagnostics.IOU_EDGES)
     diagnostics.write_histogram(outdir / "iou_hist", hist, "proposal IoU")
     print(f"wrote 11 files to {outdir}")

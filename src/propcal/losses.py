@@ -36,6 +36,8 @@ class Embedding:
     def __post_init__(self):
         if not _is_integer(self.class_label):
             raise ValueError(f"class_label must be an integer, got {self.class_label!r}")
+        if not -2**63 <= self.class_label < 2**63:  # the labels of a batch are an int64 array
+            raise ValueError("class_label holds an integer beyond the int64 range")
         v = np.asarray(self.vec, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError(f"embedding must be a vector, got shape {v.shape}")

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -302,7 +303,7 @@ def test_cli_fit_uniform_of_a_uniform_model_exits_1_with_one_line(tmp_path, caps
     assert captured.err == "error: fit-uniform requires a gaussian model\n"
 
 
-def test_cli_sample_pipeline(tmp_path):
+def test_cli_sample_pipeline(tmp_path, capsys):
     gts = tmp_path / "gts.jsonl"
     gts.write_text("\n".join(
         json.dumps({"image_id": f"im{i}", "gt": [60.0, 70.0, 24.0, 18.0], "gt_class": 2})
@@ -323,8 +324,33 @@ def test_cli_sample_pipeline(tmp_path):
     dispatch(["sample", str(gts), "--model", str(model), "-J", "10",
               "--seed", "5", "--image-size", "128", "128", "-o", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+    # without -o the same lines go to stdout
+    assert dispatch(["sample", str(gts), "--model", str(model), "-J", "10",
+                     "--seed", "5", "--image-size", "128", "128"]) == 0
+    assert capsys.readouterr().out == out.read_text()
     # sampled output is itself a valid statistics input
     assert dispatch(["fit-stats", str(out), "-o", str(tmp_path / "refit.json")]) == 0
+
+
+def test_cli_sample_peaks_below_the_size_of_its_output(tmp_path):
+    # the lines are written one gt at a time, so the output is never held in memory
+    rng = np.random.default_rng(0)
+    wh = rng.uniform(20.0, 200.0, size=(2000, 2))
+    xy = rng.uniform(0.0, 1.0, size=(2000, 2)) * ([640.0, 480.0] - wh) + wh / 2
+    gts = tmp_path / "gts.jsonl"
+    gts.write_text("".join(json.dumps({"image_id": f"im{i // 5}", "gt": [*xy[i].tolist(), *wh[i].tolist()],
+                                       "gt_class": i % 20}) + "\n" for i in range(2000)))
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "gaussian", "mu": [0.02, -0.01, 0.04, 0.03], "var": [0.0144, 0.0144, 0.01, 0.01]}')
+    out = tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        assert dispatch(["sample", str(gts), "--model", str(model), "-J", "20",
+                         "--image-size", "640", "480", "-o", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 def test_cli_sample_rejects_bad_gts(tmp_path, capsys):
@@ -563,6 +589,16 @@ def test_record_refuses_what_parse_record_refuses(image_id, gt_class, message):
     line = record_line(image_id=image_id, gt_class=gt_class)
     with pytest.raises(LogParseError, match=message):
         parse_record(line)
+
+
+@pytest.mark.parametrize("field", ["gt", "proposal"])
+@pytest.mark.parametrize("box", [(50.0, 60.0, 20.0, 30.0), [50.0, 60.0, 20.0, 30.0], "box", None],
+                         ids=["tuple", "list", "str", "None"])
+def test_record_refuses_a_box_that_is_not_a_bbox(field, box):
+    # serialize_record of such a record would raise astuple's TypeError, which no command catches
+    fields = {"gt": BBox(50.0, 60.0, 20.0, 30.0), "proposal": BBox(52.0, 58.0, 22.0, 28.0), field: box}
+    with pytest.raises(ValueError, match=f"^{field} must be a BBox, got {type(box).__name__}$"):
+        ProposalLogRecord("im0", fields["gt"], 0, fields["proposal"], "rpn")
 
 
 def test_cli_diagnose(tmp_path):

@@ -217,6 +217,12 @@ def test_batch_validation():
             Embedding(e1, label, "a")
     stored = Embedding(e1, np.int64(3), "a").class_label
     assert type(stored) is int and stored == 3
+    # a label is refused when built where the batch's int64 label array cannot hold it
+    for label in (2**63, 2**70, -2**63 - 1):
+        with pytest.raises(ValueError, match="^class_label holds an integer beyond the int64 range$"):
+            Embedding(e1, label, "a")
+    for label in (2**63 - 1, -2**63):
+        assert Embedding(e1, label, "a").class_label == label
 
 
 def _cross_entropy(logits, label):
