@@ -27,9 +27,10 @@ import re
 import stat
 import sys
 from array import array
+from collections import deque
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +62,8 @@ _CANONICAL_RECORD = re.compile(
     r'"proposal": ' + _BOX + r', "source": "(?:rpn|sampled)"\}\n?')
 _RANGE_BYTES = 4 << 20  # a log is split into ranges of at least this size, one per CPU
 _BLOCK_BYTES = 1 << 20  # a range is decoded in blocks of about this size
+_CHUNK_LINES = 2048  # sample formats its output in chunks of this many lines, about 0.4 MB of text
+_worker_fn = None  # in a worker of _ordered_map, the function it maps; None in every other process
 
 
 class LogParseError(ValueError):
@@ -243,7 +246,7 @@ def _format_records(image_id: str, gt, gt_class: int, proposals, source: str) ->
     head = (f'{{"image_id": {json.dumps(image_id)}, "gt": [{", ".join(map(repr, gt))}], '
             f'"gt_class": {gt_class}, "proposal": [')
     tail = f'], "source": {json.dumps(source)}}}'
-    return [head + ", ".join(map(repr, box)) + tail for box in proposals]
+    return [f"{head}{cx!r}, {cy!r}, {w!r}, {h!r}{tail}" for cx, cy, w, h in proposals]
 
 
 def serialize_record(rec: ProposalLogRecord) -> str:
@@ -253,21 +256,15 @@ def serialize_record(rec: ProposalLogRecord) -> str:
 
 
 def _line_ranges(fh) -> list[tuple[int, int]]:
-    """Line-aligned byte ranges ``[start, end)`` covering the binary file ``fh``, one per CPU the reading can use.
+    """Line-aligned byte ranges ``[start, end)`` covering the binary file ``fh``, one per worker of the reading.
 
-    A regular file gets ``min(CPUs, size // _RANGE_BYTES)`` ranges when the
-    platform can fork; anything else gets one range. Every cut sits right
-    after a ``\\n`` byte, so no ``\\r\\n`` pair and no UTF-8 sequence is split.
-    The file is left at its start.
+    A regular file gets ``_map_workers(size // _RANGE_BYTES)`` ranges; anything
+    else gets one range. Every cut sits right after a ``\\n`` byte, so no
+    ``\\r\\n`` pair and no UTF-8 sequence is split. The file is left at its start.
     """
     st = os.fstat(fh.fileno())
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(cpus, st.st_size // _RANGE_BYTES) if stat.S_ISREG(st.st_mode) else 1
+    n = _map_workers(st.st_size // _RANGE_BYTES) if stat.S_ISREG(st.st_mode) else 1
     if n < 2:
-        return [(0, st.st_size)]
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
         return [(0, st.st_size)]
     cuts = [0]
     for i in range(1, n):
@@ -302,20 +299,71 @@ def _parse_range(path: str, start: int, end: int, lenient: bool) -> tuple[Propos
 
 
 def _parse_ranges(path: str, ranges: list[tuple[int, int]], lenient: bool) -> tuple[ProposalColumns, list[str]]:
-    """``parse_log`` of a file split into line-aligned ranges, the first read here and the rest in forked workers.
+    """``parse_log`` of a file split into line-aligned ranges, each read by a worker of ``_ordered_map``.
 
     Each earlier range was read to its end unless it already failed in strict
     mode, so its line count shifts the rows and messages of the later ones.
-    Every worker is joined before this returns or raises.
     """
+    return _merge_parts(list(_ordered_map(lambda r: _parse_range(path, *r, lenient), ranges)), lenient)
+
+
+def _map_workers(n_tasks: int) -> int:
+    """The forked workers ``_ordered_map`` runs ``n_tasks`` tasks on: one per CPU, at most one per task.
+
+    1 means the tasks run inline: for one task, on one CPU, inside a worker
+    (a nested map) or on a platform that cannot fork.
+    """
+    if _worker_fn is not None or n_tasks < 2:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2:
+        return 1
+    import multiprocessing
+
+    return min(cpus, n_tasks) if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _start_worker(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_task(task):
+    return _worker_fn(task)
+
+
+def _ordered_map(fn: Callable, tasks: Sequence) -> Iterator:
+    """``fn(task)`` for each task, yielded in task order, computed by ``_map_workers(len(tasks))`` workers.
+
+    The workers are forked, so ``fn`` reaches them without pickling and may
+    close over the caller's data; tasks and results are pickled. At most two
+    tasks per worker are in flight, so results wait for a slow consumer in
+    bounded memory, and the caller only collects them. With one worker each
+    task runs here as its result is taken. A worker's exception is raised
+    here, and a worker that died raises ``BrokenProcessPool``, a
+    RuntimeError; ``dispatch`` reports either as one line. Every worker is
+    joined before the generator ends, raises or is closed.
+    """
+    workers = _map_workers(len(tasks))
+    if workers < 2:
+        yield from map(fn, tasks)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork, not spawn: a spawned worker would import numpy and propcal again, which costs more than a range
-    with ProcessPoolExecutor(len(ranges) - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_parse_range, path, start, end, lenient) for start, end in ranges[1:]]
-        parts = [_parse_range(path, *ranges[0], lenient)] + [f.result() for f in futures]
-    return _merge_parts(parts, lenient)
+    # fork, not spawn: a spawned worker would import numpy and propcal again, and could not be handed fn
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(fn,))
+    try:
+        in_flight: deque = deque()
+        for task in tasks:
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(_run_task, task))
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _merge_parts(parts: list, lenient: bool) -> tuple[ProposalColumns, list[str]]:
@@ -340,7 +388,7 @@ def _read_log(path: str, lenient: bool) -> ProposalColumns:
     """The records of a log; raises ValueError when it holds none.
 
     A regular file of ``2 * _RANGE_BYTES`` or more is read by up to one
-    process per CPU (``_parse_ranges``); the columns and messages are those
+    worker per CPU (``_parse_ranges``); the columns and messages are those
     of ``parse_log``'s single pass.
     """
     with open(path, "rb") as fh:
@@ -369,9 +417,26 @@ def _log_offsets(cols: ProposalColumns) -> np.ndarray:
 
 
 def _write_lines(lines: Iterable[str], path: str | None) -> None:
-    """Write each line and a newline to ``path``, or to stdout when it is None."""
-    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(sys.stdout) as out:
-        out.writelines(f"{line}\n" for line in lines)
+    """Write each line and a newline to ``path``, or to stdout when it is None.
+
+    A "line" may hold several lines joined by newlines. When the writing
+    fails, ``path`` is removed again while it is still the regular file this
+    opened, so a failed command leaves all of its lines or no file.
+    """
+    if path is None:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return
+    opened = None
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            opened = os.fstat(out.fileno())
+            out.writelines(f"{line}\n" for line in lines)
+    except BaseException:
+        if opened is not None and stat.S_ISREG(opened.st_mode):
+            with contextlib.suppress(OSError):
+                if os.path.samestat(os.lstat(path), opened):
+                    os.unlink(path)
+        raise
 
 
 # Subcommand implementations. Each returns an exit code.
@@ -394,22 +459,35 @@ def _cmd_sample(args) -> int:
     image_size = tuple(args.image_size) if args.image_size else None
     if image_size and not all(0 < v < np.inf for v in image_size):
         raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
-    _write_lines(_sampled_lines(args.gts, config, image_size), args.output)
+    with contextlib.closing(_sampled_lines(args.gts, config, image_size)) as chunks:
+        _write_lines(chunks, args.output)  # the closing joins the workers of a write that failed
     return 0
 
 
 def _sampled_lines(path: str, config: SamplerConfig, image_size) -> Iterator[str]:
-    """The ``sample`` records of the gt lines of ``path`` in file order, formatted one gt at a time as they are taken.
+    """The ``sample`` records of the gt lines of ``path`` in file order, ``_CHUNK_LINES`` lines to a text.
 
-    Every gt line is checked and every proposal drawn before this returns."""
+    Every gt line is checked and every proposal drawn before this returns;
+    the texts, their lines joined by newlines, are then formatted by the
+    workers of ``_ordered_map`` as they are taken.
+    """
     with open(path, "rb") as fh:
         records = [_parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
                    for line_no, line in enumerate(_range_lines(fh, math.inf), start=1) if line.strip()]
     boxes = np.array([gt.as_array() for _, gt, _ in records]).reshape(-1, 4)
     props = build_calibrated_set(boxes, config, image_size, [image_id for image_id, _, _ in records])
-    props = props.reshape(len(records), config.j_per_instance, 4)
-    return (line for (image_id, _, gt_class), gt, rows in zip(records, boxes.tolist(), props)
-            for line in _format_records(image_id, gt, gt_class, rows.tolist(), "sampled"))
+    j, size = config.j_per_instance, _CHUNK_LINES
+
+    def chunk(start: int) -> str:  # lines [start, start + size) of the output; gt g has lines [g * j, (g + 1) * j)
+        stop = min(start + size, len(props))
+        lines = []
+        for g in range(start // j, (stop - 1) // j + 1):
+            image_id, _, gt_class = records[g]
+            rows = props[max(start, g * j):min(stop, (g + 1) * j)].tolist()
+            lines += _format_records(image_id, boxes[g].tolist(), gt_class, rows, "sampled")
+        return "\n".join(lines)
+
+    return _ordered_map(chunk, range(0, len(props), size))
 
 
 def _cmd_supcon_check(args) -> int:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1063,3 +1066,159 @@ def test_single_pass_columns_are_not_copied_by_the_merge():
     columns, errors = cli._merge_parts([part], False)
     assert columns is part[0] and errors == []
     assert columns.line_no.tolist() == [1, 3]
+
+
+# `propcal sample` formats its chunks of lines on the workers of cli._ordered_map
+
+SAMPLE_GTS = "".join(json.dumps({"image_id": image_id, "gt": [60.0 + 7 * i, 70.0, 24.5, 18.0], "gt_class": i}) + "\n"
+                     for i, image_id in enumerate(["a", "a", 'q"\\', "b", "é", "b", "a"]))
+SAMPLE_MODEL = '{"kind": "gaussian", "mu": [0.02, -0.01, 0.04, 0.03], "var": [0.0144, 0.0144, 0.01, 0.01]}'
+
+
+def _sample_argv(tmp_path, *extra):
+    gts, model = tmp_path / "gts.jsonl", tmp_path / "m.json"
+    gts.write_text(SAMPLE_GTS)
+    model.write_text(SAMPLE_MODEL)
+    return ["sample", str(gts), "--model", str(model), "-J", "4", "--seed", "3", "--image-size", "640", "480", *extra]
+
+
+def _sample_outputs(tmp_path, capsys) -> tuple[bytes, str]:
+    """The ``-o`` file and the stdout of one ``sample`` run over the 7 gts of ``SAMPLE_GTS``, 28 lines."""
+    out = tmp_path / "out.jsonl"
+    assert dispatch(_sample_argv(tmp_path, "-o", str(out))) == 0
+    assert dispatch(_sample_argv(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return out.read_bytes(), captured.out
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 3])
+def test_sample_chunks_join_to_the_one_chunk_output(tmp_path, monkeypatch, capsys, chunk_lines):
+    """Chunks of 1 and 3 lines cut the 4 lines of a gt; the workers' chunks join to the one-chunk and inline runs."""
+    want = _sample_outputs(tmp_path, capsys)  # 28 lines below the default chunk size: one chunk, inline
+    assert want[0].count(b"\n") == 28 and want[0].decode() == want[1]
+    monkeypatch.setattr(cli, "_CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _sample_outputs(tmp_path, capsys) == want  # 28 or 10 chunks, inline on one CPU
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _sample_outputs(tmp_path, capsys) == want  # the same chunks on three workers
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square_and_pid(task):
+    if task == "raise":
+        raise MemoryError("no memory for the task")
+    if task == "exit":
+        os._exit(3)
+    return task * task, os.getpid(), cli._map_workers(5)
+
+
+@pytest.mark.parametrize("case", ["success", "exception", "exit"])
+def test_ordered_map_leaves_no_worker(monkeypatch, case):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    tasks = list(range(20)) + {"success": [], "exception": ["raise"], "exit": ["exit"]}[case] + [5]
+    results = cli._ordered_map(_square_and_pid, tasks)
+    if case == "success":
+        got = list(results)
+        assert [square for square, _, _ in got] == [t * t for t in tasks]  # in task order
+        assert {pid for _, pid, _ in got} - {_PARENT} == {pid for _, pid, _ in got}  # all on workers
+        assert {nested for _, _, nested in got} == {1}  # a map inside a worker runs inline
+    else:
+        with pytest.raises(MemoryError if case == "exception" else RuntimeError):  # BrokenProcessPool
+            list(results)
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _log_start(task):
+    path, i = task
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{i}\n")
+    return i
+
+
+def test_ordered_map_keeps_two_tasks_per_worker_in_flight(tmp_path, monkeypatch):
+    """A consumer that stops taking results stops the workers after two tasks each, not after every task."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    started = tmp_path / "started.txt"
+    results = cli._ordered_map(_log_start, [(str(started), i) for i in range(30)])
+    assert next(results) == 0
+    time.sleep(0.3)  # time enough for three workers to run every task they were given
+    try:
+        assert len(started.read_text().split()) <= 6
+    finally:
+        results.close()
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ordered_map_runs_inline_on_one_cpu_or_one_task(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert [pid for _, pid, _ in cli._ordered_map(_square_and_pid, [1, 2, 3])] == [_PARENT] * 3
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [pid for _, pid, _ in cli._ordered_map(_square_and_pid, [4])] == [_PARENT]
+    assert cli._map_workers(2) == 2 and cli._map_workers(10) == 3
+
+
+def test_sample_into_a_closed_pipe_exits_1_and_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    """``propcal sample ... | head -c 300``: the write fails while workers format, and every worker is joined."""
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 3)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    argv = _sample_argv(tmp_path)
+    argv[argv.index("-J") + 1] = "2000"  # 14000 lines, far more than a pipe holds
+    # a reader in this process would leave the pipe's read end open in the forked workers
+    head = subprocess.Popen(["head", "-c", "300"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    stdout = io.TextIOWrapper(head.stdin, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert dispatch(argv) == 1
+    finally:
+        monkeypatch.undo()
+        with contextlib.suppress(BrokenPipeError):
+            stdout.close()
+        head.wait(timeout=10)
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 32] Broken pipe") and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)
+
+
+_format_records = cli._format_records
+
+
+def _failing_format(failure: str):
+    """``_format_records`` in this process; in a worker, a MemoryError or, for ``"exit"``, an ``os._exit``."""
+    def format_records(*args):
+        if os.getpid() != _PARENT:
+            if failure == "exit":
+                os._exit(3)
+            raise MemoryError("no memory for the chunk")
+        return _format_records(*args)
+
+    return format_records
+
+
+@pytest.mark.parametrize("failure", ["memory", "exit"])
+@pytest.mark.parametrize("output", ["-o", "stdout"])
+def test_failing_format_worker_exits_1_with_one_line(tmp_path, monkeypatch, capsys, failure, output):
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 3)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli, "_format_records", _failing_format(failure))
+    out = tmp_path / "out.jsonl"
+    assert dispatch(_sample_argv(tmp_path, *(["-o", str(out)] if output == "-o" else []))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the file was opened before the first chunk failed; a shorter log that parses is not left behind
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every worker was joined
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_removes_only_the_regular_file_it_opened(tmp_path, capsys):
+    # /dev/full refuses every write with ENOSPC; it is no regular file, so it is not removed
+    assert dispatch(_sample_argv(tmp_path, "-o", "/dev/full")) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+    assert os.path.exists("/dev/full")

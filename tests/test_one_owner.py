@@ -8,9 +8,10 @@ Gaussian fit and the model kinds (``stats``), the histogram report files
 four-number reader of boxes and model fields (``geometry.four_floats``), the
 number predicates (``geometry._is_real``, ``geometry._is_integer`` and
 ``geometry._is_finite``: the only place that sets bool apart, and the only
-finite-number rule, so no module catches ``OverflowError``) and the config's
-lower bounds (``simulator``). The scan reads the package's source and imports
-nothing.
+finite-number rule, so no module catches ``OverflowError``), the config's
+lower bounds (``simulator``) and the worker pool (``cli._ordered_map``, on the
+worker count of ``cli._map_workers``). The scan reads the package's source and
+imports nothing.
 """
 
 import ast
@@ -88,3 +89,38 @@ def test_each_rule_of_the_statistics_path_has_one_owner():
               if isinstance(node, ast.ImportFrom) for alias in node.names
               if alias.name in {"DiagonalGaussian4", "OffsetAccumulator"}]
     assert found == []
+
+
+def _enclosing_functions(tree: ast.Module) -> dict[ast.AST, str]:
+    """The name of the innermost function around each node of ``tree``, for the nodes inside one."""
+    owner: dict[ast.AST, str] = {}
+
+    def visit(node: ast.AST, name: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            if inner is not None:
+                owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def test_the_worker_pool_has_one_owner():
+    """One pool for every parallel path: its fork context, error, join and CPU-count rules are written once."""
+    # each call of a pool rule and the one cli.py function that may make it
+    rules = {"ProcessPoolExecutor": "_ordered_map", "get_context": "_ordered_map",
+             "sched_getaffinity": "_map_workers", "cpu_count": "_map_workers"}
+    found = {fn: [] for fn in rules} | {"_map_workers": [], "_ordered_map": []}
+    for name, tree in _trees().items():
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (fn := ast.unparse(node.func).split(".")[-1]) in found:
+                found[fn].append(f"{name}:{owner.get(node)}")
+                if fn == "get_context":
+                    assert ast.unparse(node) == "multiprocessing.get_context('fork')"
+    for fn, function in rules.items():
+        assert found[fn] == [f"cli.py:{function}"], fn
+    # the log reader and sample reach the pool through the map, and the reader's ranges follow its worker count
+    assert sorted(found["_ordered_map"]) == ["cli.py:_parse_ranges", "cli.py:_sampled_lines"]
+    assert sorted(found["_map_workers"]) == ["cli.py:_line_ranges", "cli.py:_ordered_map"]
