@@ -27,15 +27,15 @@ import re
 import stat
 import sys
 from array import array
-from collections import deque
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import diagnostics
-from .geometry import BBox, _is_integer, corners_array, encode_offsets_array, four_floats, valid_boxes_array
+from ._workers import _map_workers, _ordered_map
+from .geometry import BBox, _check_int64, _is_integer, corners_array, encode_offsets_array, four_floats, valid_boxes_array
 # bound only because the benchmark tracer counts geometry.encode_offset calls through this name
 from .geometry import encode_offset  # noqa: F401
 from .losses import supcon_grad_arrays, supcon_loss_arrays
@@ -47,7 +47,6 @@ from .stats import fit_gaussian, fit_optimal_uniform, model_from_json, model_to_
 _SOURCES = ("rpn", "sampled")
 _GT_FIELDS = ("image_id", "gt", "gt_class")
 _RECORD_FIELDS = _GT_FIELDS + ("proposal", "source")
-_INT64_MAX = 2**63 - 1  # gt_class is an int64 column
 # Logs are read with errors="surrogateescape", which maps a byte that is not
 # valid UTF-8 to one of these code points, so the bad line can be named
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -63,7 +62,6 @@ _CANONICAL_RECORD = re.compile(
 _RANGE_BYTES = 4 << 20  # a log is split into ranges of at least this size, one per CPU
 _BLOCK_BYTES = 1 << 20  # a range is decoded in blocks of about this size
 _CHUNK_LINES = 2048  # sample formats its output in chunks of this many lines, about 0.4 MB of text
-_worker_fn = None  # in a worker of _ordered_map, the function it maps; None in every other process
 
 
 class LogParseError(ValueError):
@@ -112,8 +110,7 @@ def _check_id_and_class(image_id, gt_class) -> None:
         raise ValueError("gt_class must be an integer")
     if gt_class < 0:
         raise ValueError(f"gt_class must be >= 0, got {gt_class}")
-    if gt_class > _INT64_MAX:
-        raise ValueError("gt_class holds an integer beyond the int64 range")
+    _check_int64(gt_class, "gt_class")  # gt_class is an int64 column
 
 
 def _parse_gt_fields(doc: dict) -> tuple[str, BBox, int]:
@@ -305,65 +302,6 @@ def _parse_ranges(path: str, ranges: list[tuple[int, int]], lenient: bool) -> tu
     mode, so its line count shifts the rows and messages of the later ones.
     """
     return _merge_parts(list(_ordered_map(lambda r: _parse_range(path, *r, lenient), ranges)), lenient)
-
-
-def _map_workers(n_tasks: int) -> int:
-    """The forked workers ``_ordered_map`` runs ``n_tasks`` tasks on: one per CPU, at most one per task.
-
-    1 means the tasks run inline: for one task, on one CPU, inside a worker
-    (a nested map) or on a platform that cannot fork.
-    """
-    if _worker_fn is not None or n_tasks < 2:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus < 2:
-        return 1
-    import multiprocessing
-
-    return min(cpus, n_tasks) if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
-def _start_worker(fn: Callable) -> None:
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _run_task(task):
-    return _worker_fn(task)
-
-
-def _ordered_map(fn: Callable, tasks: Sequence) -> Iterator:
-    """``fn(task)`` for each task, yielded in task order, computed by ``_map_workers(len(tasks))`` workers.
-
-    The workers are forked, so ``fn`` reaches them without pickling and may
-    close over the caller's data; tasks and results are pickled. At most two
-    tasks per worker are in flight, so results wait for a slow consumer in
-    bounded memory, and the caller only collects them. With one worker each
-    task runs here as its result is taken. A worker's exception is raised
-    here, and a worker that died raises ``BrokenProcessPool``, a
-    RuntimeError; ``dispatch`` reports either as one line. Every worker is
-    joined before the generator ends, raises or is closed.
-    """
-    workers = _map_workers(len(tasks))
-    if workers < 2:
-        yield from map(fn, tasks)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker would import numpy and propcal again, and could not be handed fn
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn,))
-    try:
-        in_flight: deque = deque()
-        for task in tasks:
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft().result()
-            in_flight.append(pool.submit(_run_task, task))
-        while in_flight:
-            yield in_flight.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _merge_parts(parts: list, lenient: bool) -> tuple[ProposalColumns, list[str]]:

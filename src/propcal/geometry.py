@@ -37,6 +37,12 @@ def _is_finite(value) -> bool:
     return _is_real(value) and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
 
 
+def _check_int64(value: int, name: str) -> None:
+    """A ValueError naming ``name`` unless the integer ``value`` fits an int64 column."""
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{name} holds an integer beyond the int64 range")
+
+
 def _store_floats(box, names: tuple[str, ...]) -> None:
     """Store the fields ``names`` of a frozen box as Python floats; a ValueError unless each is a finite real number."""
     for name in names:

@@ -980,16 +980,15 @@ def test_cli_reads_crlf_and_cr_logs_as_the_lf_log_without_parse_record(tmp_path,
 
 
 def test_log_is_one_range_on_a_platform_without_fork(tmp_path, monkeypatch):
-    import multiprocessing
-
     log = tmp_path / "lf.jsonl"
     log.write_text(LF_LOG)
     monkeypatch.setattr(cli, "_RANGE_BYTES", 100)  # a file this size would be split where the platform can fork
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     with open(log, "rb") as fh:
         assert len(cli._line_ranges(fh)) == 3
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(cli.os, "fork")
         assert cli._line_ranges(fh) == [(0, log.stat().st_size)]
+    assert [pid for _, pid, _ in cli._ordered_map(_square_and_pid, [1, 2, 3])] == [_PARENT] * 3  # inline
 
 
 def test_fifo_log_is_read_in_one_pass(tmp_path, monkeypatch):

@@ -9,9 +9,11 @@ four-number reader of boxes and model fields (``geometry.four_floats``), the
 number predicates (``geometry._is_real``, ``geometry._is_integer`` and
 ``geometry._is_finite``: the only place that sets bool apart, and the only
 finite-number rule, so no module catches ``OverflowError``), the config's
-lower bounds (``simulator``) and the worker pool (``cli._ordered_map``, on the
-worker count of ``cli._map_workers``). The scan reads the package's source and
-imports nothing.
+lower bounds (``simulator``), the int64 range of class labels
+(``geometry._check_int64``) and the worker pool (``_workers._ordered_map``, on
+the worker count of ``_workers._map_workers``; ``_workers`` imports no other
+propcal module, so every layer can import it). The scan reads the package's
+source and imports nothing.
 """
 
 import ast
@@ -28,6 +30,8 @@ ONE_OWNER_MESSAGES = {
     # the four-number reader of log boxes and model fields
     " must be a flat array of four numeric values": "geometry.py",
     " holds an integer beyond the float range": "geometry.py",
+    # the int64 range of the log's gt_class column and of a batch's class labels
+    " holds an integer beyond the int64 range": "geometry.py",
 }
 
 # which values are real numbers and which integers, bool being neither
@@ -106,21 +110,37 @@ def _enclosing_functions(tree: ast.Module) -> dict[ast.AST, str]:
     return owner
 
 
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+
+
 def test_the_worker_pool_has_one_owner():
     """One pool for every parallel path: its fork context, error, join and CPU-count rules are written once."""
-    # each call of a pool rule and the one cli.py function that may make it
+    # each call of a pool rule and the one _workers.py function that may make it
     rules = {"ProcessPoolExecutor": "_ordered_map", "get_context": "_ordered_map",
              "sched_getaffinity": "_map_workers", "cpu_count": "_map_workers"}
     found = {fn: [] for fn in rules} | {"_map_workers": [], "_ordered_map": []}
-    for name, tree in _trees().items():
+    pool_imports = []
+    trees = _trees()
+    for name, tree in trees.items():
         owner = _enclosing_functions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and (fn := ast.unparse(node.func).split(".")[-1]) in found:
                 found[fn].append(f"{name}:{owner.get(node)}")
                 if fn == "get_context":
                     assert ast.unparse(node) == "multiprocessing.get_context('fork')"
+            pool_imports += [f"{name}:{owner.get(node)}:{module}" for module in _imported_modules(node)
+                             if module.split(".")[0] in ("multiprocessing", "concurrent")]
     for fn, function in rules.items():
-        assert found[fn] == [f"cli.py:{function}"], fn
+        assert found[fn] == [f"_workers.py:{function}"], fn
     # the log reader and sample reach the pool through the map, and the reader's ranges follow its worker count
     assert sorted(found["_ordered_map"]) == ["cli.py:_parse_ranges", "cli.py:_sampled_lines"]
-    assert sorted(found["_map_workers"]) == ["cli.py:_line_ranges", "cli.py:_ordered_map"]
+    assert sorted(found["_map_workers"]) == ["_workers.py:_ordered_map", "cli.py:_line_ranges"]
+    # the pool's modules are imported where the pool is made, and nowhere else
+    assert pool_imports == ["_workers.py:_ordered_map:multiprocessing", "_workers.py:_ordered_map:concurrent.futures"]
+    # _workers imports no propcal module, so diagnostics and simulator can import it without a cycle
+    assert [ast.unparse(node) for node in ast.walk(trees["_workers.py"])
+            if isinstance(node, ast.ImportFrom) and node.level > 0] == []
