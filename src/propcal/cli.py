@@ -354,40 +354,17 @@ def _log_offsets(cols: ProposalColumns) -> np.ndarray:
     return offsets
 
 
-def _write_lines(lines: Iterable[str], path: str | None) -> None:
-    """Write each line and a newline to ``path``, or to stdout when it is None.
-
-    A "line" may hold several lines joined by newlines. When the writing
-    fails, ``path`` is removed again while it is still the regular file this
-    opened, so a failed command leaves all of its lines or no file.
-    """
-    if path is None:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
-        return
-    opened = None
-    try:
-        with open(path, "w", encoding="utf-8") as out:
-            opened = os.fstat(out.fileno())
-            out.writelines(f"{line}\n" for line in lines)
-    except BaseException:
-        if opened is not None and stat.S_ISREG(opened.st_mode):
-            with contextlib.suppress(OSError):
-                if os.path.samestat(os.lstat(path), opened):
-                    os.unlink(path)
-        raise
-
-
 # Subcommand implementations. Each returns an exit code.
 
 def _cmd_fit_stats(args) -> int:
     cols = _read_log(args.log, args.lenient)
-    _write_lines([model_to_json(fit_gaussian(_log_offsets(cols)))], args.output)
+    diagnostics.write_texts([model_to_json(fit_gaussian(_log_offsets(cols))) + "\n"], args.output)
     return 0
 
 
 def _cmd_fit_uniform(args) -> int:
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
-    _write_lines([model_to_json(fit_optimal_uniform(model))], args.output)
+    diagnostics.write_texts([model_to_json(fit_optimal_uniform(model)) + "\n"], args.output)
     return 0
 
 
@@ -398,16 +375,15 @@ def _cmd_sample(args) -> int:
     if image_size and not all(0 < v < np.inf for v in image_size):
         raise ValueError(f"--image-size must be two positive, finite numbers, got {args.image_size}")
     with contextlib.closing(_sampled_lines(args.gts, config, image_size)) as chunks:
-        _write_lines(chunks, args.output)  # the closing joins the workers of a write that failed
+        diagnostics.write_texts(chunks, args.output)  # the closing joins the workers of a write that failed
     return 0
 
 
 def _sampled_lines(path: str, config: SamplerConfig, image_size) -> Iterator[str]:
     """The ``sample`` records of the gt lines of ``path`` in file order, ``_CHUNK_LINES`` lines to a text.
 
-    Every gt line is checked and every proposal drawn before this returns;
-    the texts, their lines joined by newlines, are then formatted by the
-    workers of ``_ordered_map`` as they are taken.
+    Every gt line is checked and every proposal drawn before this returns; the texts,
+    each line ending in a newline, are then formatted by ``_ordered_map``'s workers as they are taken.
     """
     with open(path, "rb") as fh:
         records = [_parse_line(line, line_no, _GT_FIELDS, _parse_gt_fields)
@@ -423,7 +399,7 @@ def _sampled_lines(path: str, config: SamplerConfig, image_size) -> Iterator[str
             image_id, _, gt_class = records[g]
             rows = props[max(start, g * j):min(stop, (g + 1) * j)].tolist()
             lines += _format_records(image_id, boxes[g].tolist(), gt_class, rows, "sampled")
-        return "\n".join(lines)
+        return "\n".join(lines) + "\n"
 
     return _ordered_map(chunk, range(0, len(props), size))
 
@@ -471,7 +447,7 @@ def _cmd_diagnose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, hist in zip(("dx", "dy", "dw", "dh"), report.histograms):
         diagnostics.write_histogram(outdir / f"offset_{name}", hist, f"offset {name}")
-    _write_lines([model_to_json(report.gaussian)], str(outdir / "model.json"))
+    diagnostics.write_texts([model_to_json(report.gaussian) + "\n"], outdir / "model.json")
     hist = diagnostics.iou_histogram(cols.proposal, cols.gt, diagnostics.IOU_EDGES)
     diagnostics.write_histogram(outdir / "iou_hist", hist, "proposal IoU")
     print(f"wrote 11 files to {outdir}")

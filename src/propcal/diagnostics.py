@@ -13,9 +13,14 @@ SVG bar chart.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -259,8 +264,34 @@ def offset_report(offsets) -> OffsetReport:
 
 def write_histogram(stem: Path, hist: Histogram, title: str) -> None:
     """Write ``hist`` as ``<stem>.csv`` and as the bar chart ``<stem>.svg`` titled ``title``."""
-    Path(f"{stem}.csv").write_text(histogram_to_csv(hist), encoding="utf-8")
-    Path(f"{stem}.svg").write_text(histogram_to_svg(hist, title), encoding="utf-8")
+    write_texts([histogram_to_csv(hist)], f"{stem}.csv")
+    write_texts([histogram_to_svg(hist, title)], f"{stem}.svg")
+
+
+def write_texts(texts: Iterable[str], path: str | Path | None) -> None:
+    """Write each text as given to ``path``, or to stdout when it is None: propcal's one file writer.
+
+    A failed write removes the regular file it opened, so each file is complete or absent; its error names ``path``.
+    """
+    if path is None:
+        sys.stdout.writelines(texts)
+        return
+    opened = writing = None
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            opened = os.fstat(out.fileno())
+            for text in texts:  # an error while taking a text is not the file's, so it keeps its own name
+                writing = True
+                out.write(text)
+                writing = False
+            writing = True  # the closing flushes the last text
+    except BaseException as error:
+        with contextlib.suppress(OSError):  # path, while it is still the regular file this opened
+            if opened and stat.S_ISREG(opened.st_mode) and os.path.samestat(os.lstat(path), opened):
+                os.unlink(path)
+        if writing and isinstance(error, OSError) and error.filename is None:
+            raise OSError(error.errno, error.strerror, str(path)) from error
+        raise
 
 
 # Report emitters. Numbers are rendered with repr so files are byte-stable.

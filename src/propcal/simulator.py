@@ -602,19 +602,19 @@ def run_experiment(config: ExperimentConfig, out_root: Path | str | None = None)
 def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Path) -> None:
     """Emit config echo, per-seed CSV, summary CSV, and histogram CSV/SVG files."""
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
+    diagnostics.write_texts([config.to_json() + "\n"], outdir / "config.json")
 
     columns = ("mean_iou", "novel_accuracy", "base_accuracy", "mmd_novel", "n_foreground", "n_novel_foreground")
     lines = [",".join(("seed", "arm") + columns)]  # the EvalMetrics fields after seed and arm, one repr each
     for r in report.results:
         for arm, m in (("baseline", r.baseline), ("pdc", r.pdc)):
             lines.append(",".join([str(r.seed), arm] + [repr(getattr(m, name)) for name in columns]))
-    (outdir / "per_seed.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    diagnostics.write_texts(["\n".join(lines) + "\n"], outdir / "per_seed.csv")
 
     summary = ["metric,baseline_mean,pdc_mean,pdc_wins,n_seeds"]
     for metric, (b, p), wins in report.comparisons():
         summary.append(f"{metric},{b!r},{p!r},{wins},{report.n_seeds}")
-    (outdir / "summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    diagnostics.write_texts(["\n".join(summary) + "\n"], outdir / "summary.csv")
 
     for arm in ("baseline", "pdc"):
         metrics = [getattr(r, arm) for r in report.results]
@@ -625,4 +625,4 @@ def write_report(report: ExperimentReport, config: ExperimentConfig, outdir: Pat
             diagnostics.IOU_EDGES,
         )
         diagnostics.write_histogram(outdir / f"iou_hist_{arm}", hist, f"refined-box IoU ({arm})")
-        (outdir / f"precision_by_iou_{arm}.csv").write_text(diagnostics.precision_to_csv(prec), encoding="utf-8")
+        diagnostics.write_texts([diagnostics.precision_to_csv(prec)], outdir / f"precision_by_iou_{arm}.csv")

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import errno
 import io
 import json
 import math
@@ -29,14 +31,19 @@ from propcal.geometry import BBox, OffsetVec
 from propcal.simulator import ExperimentConfig
 from propcal.stats import model_from_json, DiagonalGaussian4, Uniform4
 
+try:
+    import resource
+except ImportError:  # no file-size limit off POSIX
+    resource = None
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """``python *args`` in a child process that imports propcal from this checkout's src."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def record_line(image_id="im0", gt=(50.0, 60.0, 20.0, 30.0), gt_class=1,
@@ -1221,3 +1228,41 @@ def test_failed_write_removes_only_the_regular_file_it_opened(tmp_path, capsys):
     assert dispatch(_sample_argv(tmp_path, "-o", "/dev/full")) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
     assert os.path.exists("/dev/full")
+
+
+def _file_size_limit(limit: int):
+    """A ``preexec_fn`` that limits a child's files to ``limit`` bytes; it runs after the fork, so this process
+    keeps its own limit."""
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+
+def _written_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("command,limit", [("diagnose", 2048), ("simulate", 1024)])
+def test_write_past_the_file_size_limit_leaves_each_file_complete_or_absent(tmp_path, command, limit):
+    """Past a file-size limit a write fails with EFBIG (CPython ignores SIGXFSZ): one line names the file, which
+    is gone, and every file the command finished before it equals the same file of an unlimited run. Each limit
+    lets some files finish: diagnose's first CSV is 1.6 KiB, the tiny simulate's first SVG 1.3 KiB."""
+    if command == "diagnose":
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(record_line(proposal=(52.0 + i, 58.0 - i / 3, 22.0, 28.0 + i / 7)) + "\n"
+                               for i in range(20)))
+        argv = ["diagnose", str(log), "--figures"]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seeds": [0], "base_per_class": 20, "test_per_class": 6,
+                                   "epochs_base": 2, "epochs_finetune": 2}))
+        argv = ["simulate", str(cfg), "--out"]
+    full = _run_python("-m", "propcal.cli", *argv, str(tmp_path / "full"))
+    assert full.returncode == 0, full.stderr
+    limited = _run_python("-m", "propcal.cli", *argv, str(tmp_path / "limited"), preexec_fn=_file_size_limit(limit))
+    assert limited.returncode == 1 and limited.stderr.count("\n") == 1
+    prefix = f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: "
+    assert limited.stderr.startswith(prefix), limited.stderr
+    failed = Path(ast.literal_eval(limited.stderr[len(prefix):])).relative_to(tmp_path / "limited")
+    want, left = _written_files(tmp_path / "full"), _written_files(tmp_path / "limited")
+    assert str(failed) in want and str(failed) not in left
+    assert left and {name: want[name] for name in left} == left

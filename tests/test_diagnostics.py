@@ -504,3 +504,17 @@ def test_write_histogram_writes_the_csv_and_the_svg(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.v1.csv", "hist.v1.svg"]
     assert (tmp_path / "hist.v1.csv").read_text() == histogram_to_csv(h)
     assert (tmp_path / "hist.v1.svg").read_text() == histogram_to_svg(h, "demo")
+
+
+def test_write_texts_names_only_the_errors_of_its_file(tmp_path):
+    """An error in taking the next text keeps its own message, and the file it had begun is removed."""
+    def texts():
+        yield "first\n"
+        raise BlockingIOError(11, "Resource temporarily unavailable")  # a fork that failed, with no file name
+
+    out = tmp_path / "out.txt"
+    with pytest.raises(BlockingIOError) as raised:
+        diagnostics.write_texts(texts(), out)
+    assert raised.value.filename is None and not out.exists()
+    diagnostics.write_texts(["a\n", "", "b"], out)
+    assert out.read_bytes() == b"a\nb"

@@ -10,10 +10,11 @@ number predicates (``geometry._is_real``, ``geometry._is_integer`` and
 ``geometry._is_finite``: the only place that sets bool apart, and the only
 finite-number rule, so no module catches ``OverflowError``), the config's
 lower bounds (``simulator``), the int64 range of class labels
-(``geometry._check_int64``) and the worker pool (``_workers._ordered_map``, on
+(``geometry._check_int64``), the worker pool (``_workers._ordered_map``, on
 the worker count of ``_workers._map_workers``; ``_workers`` imports no other
-propcal module, so every layer can import it). The scan reads the package's
-source and imports nothing.
+propcal module, so every layer can import it) and the file writer
+(``diagnostics.write_texts``, which leaves each file complete or absent). The
+scan reads the package's source and imports nothing.
 """
 
 import ast
@@ -144,3 +145,33 @@ def test_the_worker_pool_has_one_owner():
     # _workers imports no propcal module, so diagnostics and simulator can import it without a cycle
     assert [ast.unparse(node) for node in ast.walk(trees["_workers.py"])
             if isinstance(node, ast.ImportFrom) and node.level > 0] == []
+
+
+def _open_mode(call: ast.Call) -> str | None:
+    """The mode of an ``open`` call as written: a constant, or its source when it is not one; None for no call
+    of ``open``."""
+    func = ast.unparse(call.func)
+    if func.split(".")[-1] != "open":
+        return None
+    # open and io.open take the mode second; Path.open, and any other method, first
+    args = call.args[1:] if func in ("open", "io.open") else call.args
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), args[0] if args else None)
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) else ast.unparse(mode)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    """Only ``diagnostics.write_texts`` writes a file, so every file propcal writes is complete or absent."""
+    found = []
+    for name, tree in _trees().items():
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            mode = _open_mode(node)
+            writes = ast.unparse(node.func).split(".")[-1] in ("write_text", "write_bytes") or (
+                mode is not None and not set(mode) <= set("rbt"))
+            if writes:
+                found.append(f"{name}:{owner.get(node)}:{ast.unparse(node)}")
+    assert [f.split(":")[:2] for f in found] == [["diagnostics.py", "write_texts"]], found
